@@ -19,6 +19,7 @@ from .estimation import (
     fano_inversion_estimate,
     fisher_onoff,
     fisher_pnr,
+    fold_phase,
     invert_fano,
     log_likelihood_onoff,
     log_likelihood_pnr,

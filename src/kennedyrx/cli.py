@@ -40,6 +40,7 @@ from .estimation import (
     fano_inversion_estimate,
     fisher_onoff,
     fisher_pnr,
+    fold_phase,
     log_likelihood_onoff,
     log_likelihood_pnr,
     posterior,
@@ -151,7 +152,6 @@ _CONVERTERS = {
     "seed": lambda v: _parse_int("seed", v, lo=0, hi=2**64 - 1),
     "replications": lambda v: _parse_int("replications", v, lo=1),
     "grid": lambda v: _parse_int("grid", v, lo=2),
-    "detector": lambda v: _parse_choice("detector", v, ("onoff", "pnr")),
     "method": lambda v: _parse_choice(
         "method", v, ("bayes-pnr", "bayes-onoff", "fano-inversion", "all")
     ),
@@ -179,7 +179,6 @@ class RunConfig:
     seed: int | None = None
     replications: int = 50
     grid: int | None = None
-    detector: str = "pnr"
     method: str = "all"
     m_list: tuple[int, ...] = DEFAULT_M_LIST
     counts: str | None = None
@@ -287,7 +286,11 @@ def load_counts(path: str) -> CountRecord:
             continue
         if not (token.isascii() and token.isdigit()):
             raise DataError(f"{path}:{lineno}: not a nonnegative integer count: {token!r}")
-        values.append(int(token))
+        digits = token.lstrip("0") or "0"
+        # the length test keeps int() clear of its digit limit
+        if len(digits) > 19 or int(digits) >= 2**63:
+            raise DataError(f"{path}:{lineno}: count exceeds 2**63 - 1")
+        values.append(int(digits))
     if not values:
         raise DataError(f"{path}: no counts found")
     return CountRecord(counts=np.asarray(values, dtype=np.int64))
@@ -370,10 +373,10 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     amps = cfg.amplitudes()
     sim = SimConfig(
         amps=amps, phi_star=cfg.phi, M=cfg.M, seed=cfg.seed, gamma=cfg.gamma,
-        detector_kind=cfg.detector, replications=cfg.replications,
+        replications=cfg.replications,
     )
     record = sample_counts(sim)
-    lines = _config_block(cfg, ("a", "b", "alpha", "beta", "tau", "phi", "gamma", "M", "seed", "detector", "out"))
+    lines = _config_block(cfg, ("a", "b", "alpha", "beta", "tau", "phi", "gamma", "M", "seed", "out"))
     lines += [str(int(n)) for n in record.counts]
     _write_lines(cfg.out, lines)
     print(f"wrote {record.sample_size} counts to {cfg.out}")
@@ -462,7 +465,7 @@ def _cmd_discriminate(cfg: RunConfig) -> int:
     amps = cfg.amplitudes()
     sim = SimConfig(
         amps=amps, phi_star=cfg.phi, M=cfg.M, seed=cfg.seed, gamma=cfg.gamma,
-        detector_kind="onoff", replications=cfg.replications,
+        replications=cfg.replications,
     )
     bits = stream(cfg.seed, 1).integers(0, 2, size=cfg.M)
     result = run_discrimination(sim, bits)
@@ -487,11 +490,13 @@ def _cmd_discriminate(cfg: RunConfig) -> int:
 
 def _cmd_sweep(cfg: RunConfig) -> int:
     cfg.require("phi", "seed", "out")
+    if fold_phase(cfg.phi) == 0.0:
+        raise ConfigError("config key 'phi': sweep needs a phase that is not a multiple of pi")
     amps = cfg.amplitudes()
     grid = PhaseGrid(size=cfg.grid if cfg.grid is not None else 2001)
     sim = SimConfig(
         amps=amps, phi_star=cfg.phi, M=cfg.m_list[-1], seed=cfg.seed, gamma=cfg.gamma,
-        detector_kind=cfg.detector, replications=cfg.replications,
+        replications=cfg.replications,
     )
     methods = (
         ("bayes-pnr", "bayes-onoff", "fano-inversion") if cfg.method == "all" else (cfg.method,)

@@ -2,9 +2,15 @@
 
 The photon statistics are invariant under phi -> -phi and phi -> pi - phi,
 so the phase is identifiable only on [0, pi/2]; that interval carries the
-uniform prior.  Posteriors live on a uniform grid, log-likelihoods are
-accumulated with max-subtraction before exponentiation, and all integrals
-use the trapezoid rule.
+uniform prior.  Posteriors live on a uniform grid, and all integrals use the
+trapezoid rule.
+
+One kernel turns the photon-number histogram of a record, its sufficient
+statistic, into a log-likelihood: sum_k w_k ln P_k over the bins k that hold
+w_k > 0 shots.  Photon-number-resolved ("pnr") bins are the distinct counts;
+on/off bins are their coarse-graining {0}, {n >= 1}.  Batch and streaming
+read ln p_n from one bounded per-count cache, so memory never follows the
+size of a count.
 
 Estimators share the detection record used for bit discrimination:
 
@@ -23,6 +29,7 @@ must be advanced by one writer at a time.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
@@ -53,6 +60,7 @@ __all__ = [
     "empirical_fano",
     "invert_fano",
     "fano_inversion_estimate",
+    "fold_phase",
 ]
 
 DetectorKind = Literal["onoff", "pnr"]
@@ -97,6 +105,12 @@ def _grid_points(grid: PhaseGrid) -> np.ndarray:
     pts = np.linspace(grid.lo, grid.hi, grid.size)
     pts.setflags(write=False)
     return pts
+
+
+def fold_phase(phi: float) -> float:
+    """Identifiable representative in [0, pi/2] of a phase, by the invariance of
+    the photon statistics under phi -> -phi and phi -> pi - phi."""
+    return abs(math.remainder(phi, math.pi))
 
 
 @dataclass(frozen=True)
@@ -150,12 +164,13 @@ class OnOffRecord:
 class PhasePosterior:
     """Discretized posterior density over the phase grid.
 
-    ``log_density`` is the unnormalized log posterior up to an additive
-    constant (updates re-center it at zero max); ``density`` is always
-    re-derived from it by max-subtracted exponentiation and trapezoid
-    normalization.  ``evidence_log`` accumulates the log of the integrated
-    likelihood of all data folded in so far, i.e. log(1/N) of the Bayes
-    normalization before prior weighting.
+    ``log_density`` is the normalized log density and ``density`` its
+    exponential, which integrates to one by the trapezoid rule.  Folding in an
+    event adds its log-likelihood to ``log_density`` and renormalizes, and
+    the log normalizer of that sum is the event's evidence increment.
+    ``evidence_log`` accumulates the log of the integrated likelihood of all
+    data folded in so far, i.e. log(1/N) of the Bayes normalization before
+    prior weighting.
     """
 
     grid: PhaseGrid
@@ -200,17 +215,39 @@ class PhaseEstimate:
             raise ValueError(f"crlb must be positive when present, got {self.crlb!r}")
 
 
-@lru_cache(maxsize=8)
-def _pmf_table_cached(
-    amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, n_cols: int
-) -> np.ndarray:
-    table = photonstats.pmf_table(amps, grid.points, gamma, n_max=n_cols - 1)
-    table.setflags(write=False)
-    return table
+@lru_cache(maxsize=256)
+def _log_pmf(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, n: int) -> np.ndarray:
+    """ln p_n over the grid for one photon number n (-inf where p_n is zero).
+
+    A record needs one column per distinct count; the 256 kept columns take
+    4 MB on the default 2001-point grid."""
+    with np.errstate(divide="ignore"):
+        col = np.log(photonstats.pmf_columns(amps, grid.points, [n], gamma)[:, 0])
+    col.setflags(write=False)
+    return col
 
 
-def _n_cols(amps: DetectorPlaneAmplitudes, max_count: int = 0) -> int:
-    return max(photonstats.default_cutoff(amps) + 1, int(max_count) + 1)
+def _log_onoff(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, on: int) -> np.ndarray:
+    """ln P over the grid for the on/off bin {0} (on = 0) or {n >= 1} (on = 1)."""
+    log_off = _log_pmf(amps, gamma, grid, 0)
+    if not on:
+        return log_off
+    with np.errstate(divide="ignore"):
+        return np.log1p(-np.exp(log_off))
+
+
+def _loglik(log_p, bins, weights, grid: PhaseGrid) -> np.ndarray:
+    """The likelihood kernel: sum_k w_k ln P_k over the bins k with w_k > 0.
+
+    ``log_p(k)`` is ln P_k over the grid.  Empty bins never enter the sum, so
+    no 0 * -inf arises, and a grid point where an observed bin is impossible
+    gets -inf.
+    """
+    ll = np.zeros(grid.size)
+    for k, w in zip(bins, weights):
+        if w > 0:
+            ll += w * log_p(k)
+    return ll
 
 
 def log_likelihood_pnr(
@@ -221,26 +258,12 @@ def log_likelihood_pnr(
 ) -> np.ndarray:
     """Log-likelihood sum_n m_n ln p_n(a, b, phi, gamma) at every grid point.
 
-    Works from the occurrence counts m_n rather than the raw sample.  Grid
-    points where an observed n has zero model probability get -inf, never an
-    exception.
+    Works from the occurrence counts m_n of the distinct counts n in the
+    record.  Grid points where an observed n has zero model probability get
+    -inf, never an exception.
     """
-    if record.sample_size == 0:
-        return np.zeros(grid.size)
-    m = record.occurrences(minlength=_n_cols(amps, int(record.counts.max())))
-    table = _pmf_table_cached(amps, float(gamma), grid, m.size)
-    observed = np.nonzero(m)[0]
-    cols = table[:, observed]
-    with np.errstate(divide="ignore"):
-        ln_p = np.log(cols)
-    # keep -inf out of the matmul: zero those terms, restore -inf afterwards
-    impossible = (cols == 0.0).any(axis=1)
-    if impossible.any():
-        ln_p = np.where(cols == 0.0, 0.0, ln_p)
-    ll = ln_p @ m[observed].astype(float)
-    if impossible.any():
-        ll[impossible] = -np.inf
-    return ll
+    ns, m = np.unique(record.counts, return_counts=True)
+    return _loglik(lambda n: _log_pmf(amps, float(gamma), grid, int(n)), ns, m, grid)
 
 
 def log_likelihood_onoff(
@@ -250,23 +273,16 @@ def log_likelihood_onoff(
     grid: PhaseGrid,
 ) -> np.ndarray:
     """Log-likelihood m_off ln P_off + m_on ln(1 - P_off) with P_off = p_0."""
-    ll = np.zeros(grid.size)
-    if record.sample_size == 0:
-        return ll
-    p_off = _pmf_table_cached(amps, float(gamma), grid, _n_cols(amps))[:, 0]
-    with np.errstate(divide="ignore"):
-        if record.m_off:
-            ll = ll + record.m_off * np.log(p_off)
-        if record.m_on:
-            ll = ll + record.m_on * np.log1p(-p_off)
-    return ll
+    return _loglik(
+        lambda on: _log_onoff(amps, float(gamma), grid, on),
+        (0, 1), (record.m_off, record.m_on), grid,
+    )
 
 
 def posterior(loglik, grid: PhaseGrid) -> PhasePosterior:
     """Posterior from a log-likelihood over the grid under the uniform prior.
 
-    Max-subtracted exponentiation followed by trapezoid normalization; the
-    constant prior cancels out of the density and is absorbed in the
+    The constant prior cancels out of the density and is absorbed in the
     evidence convention (see :class:`PhasePosterior`).
     """
     ll = np.asarray(loglik, dtype=float)
@@ -274,22 +290,26 @@ def posterior(loglik, grid: PhaseGrid) -> PhasePosterior:
         raise ValueError("log-likelihood must have one entry per grid point")
     if np.isnan(ll).any():
         raise ValueError("log-likelihood contains NaN")
-    peak = ll.max()
+    return _normalized(ll, grid, 0.0)
+
+
+def _normalized(log_unnorm: np.ndarray, grid: PhaseGrid, evidence_log: float) -> PhasePosterior:
+    """Posterior of an unnormalized log density, by max-subtracted exponentiation
+    and trapezoid normalization; its log normalizer is added to the evidence."""
+    peak = log_unnorm.max()
     if not math.isfinite(peak):
         raise DegenerateEvidenceError("likelihood vanishes at every grid point")
-    shifted = ll - peak
-    dens, log_norm = _normalize(shifted, grid)
-    return PhasePosterior(
-        grid=grid, log_density=shifted, density=dens, evidence_log=peak + log_norm
-    )
-
-
-def _normalize(log_density: np.ndarray, grid: PhaseGrid) -> tuple[np.ndarray, float]:
-    dens = np.exp(log_density)
+    dens = np.exp(log_unnorm - peak)
     z = np.trapezoid(dens, grid.points)
     if not (math.isfinite(z) and z > 0.0):
         raise DegenerateEvidenceError("posterior normalization is degenerate")
-    return dens / z, math.log(z)
+    log_norm = peak + math.log(z)
+    return PhasePosterior(
+        grid=grid,
+        log_density=log_unnorm - log_norm,
+        density=dens / z,
+        evidence_log=evidence_log + log_norm,
+    )
 
 
 def bayes_estimate(
@@ -316,26 +336,6 @@ def bayes_estimate(
     )
 
 
-def _event_loglik(
-    event: int,
-    amps: DetectorPlaneAmplitudes,
-    gamma: float,
-    grid: PhaseGrid,
-    detector_kind: DetectorKind,
-) -> np.ndarray:
-    if event < 0:
-        raise ValueError(f"photon count must be nonnegative, got {event!r}")
-    if detector_kind == "pnr":
-        table = _pmf_table_cached(amps, float(gamma), grid, _n_cols(amps, event))
-        with np.errstate(divide="ignore"):
-            return np.log(table[:, event])
-    if detector_kind == "onoff":
-        p_off = _pmf_table_cached(amps, float(gamma), grid, _n_cols(amps))[:, 0]
-        with np.errstate(divide="ignore"):
-            return np.log(p_off) if event == 0 else np.log1p(-p_off)
-    raise ValueError(f"detector_kind must be 'onoff' or 'pnr', got {detector_kind!r}")
-
-
 def sequential_update(
     post: PhasePosterior,
     event: int,
@@ -345,28 +345,21 @@ def sequential_update(
 ) -> PhasePosterior:
     """Fold one detection event into a posterior, returning a new posterior.
 
-    Adds the single-event log-likelihood pointwise, re-centers the log
-    density at zero max (an additive constant, invisible to the density but
-    essential to keep shot-by-shot accumulation at full precision), and
-    renormalizes.  Folding a record event by event reproduces the batch
-    posterior.
+    Adds the event's log-likelihood column (its on/off bin for on/off
+    detection) to the normalized log density and renormalizes; the log
+    normalizer is the evidence increment.  Folding a record event by event
+    reproduces the batch posterior.
     """
-    ll = _event_loglik(event, amps, gamma, post.grid, detector_kind)
-    new_log = post.log_density + ll
-    peak = new_log.max()
-    if not math.isfinite(peak):
-        raise DegenerateEvidenceError("event has zero probability at every grid point")
-    new_log = new_log - peak
-    dens, log_z_new = _normalize(new_log, post.grid)
-    # evidence ratio of the accumulated likelihoods; log_density peaks at 0,
-    # so both integrals are safe from overflow and the old one from underflow
-    log_z_old = math.log(np.trapezoid(np.exp(post.log_density), post.grid.points))
-    return PhasePosterior(
-        grid=post.grid,
-        log_density=new_log,
-        density=dens,
-        evidence_log=post.evidence_log + peak + log_z_new - log_z_old,
-    )
+    event = operator.index(event)
+    if event < 0:
+        raise ValueError(f"photon count must be nonnegative, got {event!r}")
+    if detector_kind == "pnr":
+        ll = _log_pmf(amps, float(gamma), post.grid, event)
+    elif detector_kind == "onoff":
+        ll = _log_onoff(amps, float(gamma), post.grid, min(event, 1))
+    else:
+        raise ValueError(f"detector_kind must be 'onoff' or 'pnr', got {detector_kind!r}")
+    return _normalized(post.log_density + ll, post.grid, post.evidence_log)
 
 
 def uniform_posterior(grid: PhaseGrid) -> PhasePosterior:

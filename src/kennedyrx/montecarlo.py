@@ -57,7 +57,6 @@ class SimConfig:
     M: int
     seed: int
     gamma: float = 0.0
-    detector_kind: str = "pnr"
     replications: int = 50
 
     def __post_init__(self) -> None:
@@ -71,8 +70,6 @@ class SimConfig:
             raise ValueError(f"replications must be >= 1, got {self.replications!r}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.detector_kind not in ("onoff", "pnr"):
-            raise ValueError(f"detector_kind must be 'onoff' or 'pnr', got {self.detector_kind!r}")
         object.__setattr__(self, "M", int(self.M))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "replications", int(self.replications))
@@ -253,6 +250,8 @@ def run_convergence_sweep(
     chosen estimator and logs its point estimate and variance; rows aggregate
     the ensemble mean ratio to phi_star, the spread of the estimates, the
     mean reported variance and the CRLB reference 1/(M*F) at phi_star.
+    phi_star enters both as its representative in [0, pi/2], where the
+    estimates lie (:func:`estimation.fold_phase`); that must be nonzero.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
@@ -261,10 +260,11 @@ def run_convergence_sweep(
         raise ValueError("m_list must be non-empty and strictly increasing")
     if grid is None:
         grid = PhaseGrid()
-    if cfg.phi_star == 0.0:
-        raise ValueError("phi_star must be nonzero to report estimate/truth ratios")
+    phi_true = estimation.fold_phase(cfg.phi_star)
+    if phi_true == 0.0:
+        raise ValueError("phi_star must not fold to 0 to report estimate/truth ratios")
 
-    fisher_ref = _reference_fisher(method, cfg.amps, cfg.phi_star, cfg.gamma)
+    fisher_ref = _reference_fisher(method, cfg.amps, phi_true, cfg.gamma)
     reps = cfg.replications
     estimates = np.empty((len(m_values), reps))
     variances = np.empty((len(m_values), reps))
@@ -279,7 +279,7 @@ def run_convergence_sweep(
         rows.append(
             SweepRow(
                 M=m,
-                mean_ratio=float(estimates[i].mean() / cfg.phi_star),
+                mean_ratio=float(estimates[i].mean() / phi_true),
                 sd_of_estimates=float(estimates[i].std(ddof=1)) if reps > 1 else 0.0,
                 mean_variance=float(variances[i].mean()),
                 crlb=estimation.crlb_variance(fisher_ref, m),

@@ -7,16 +7,14 @@ average over uniform phase noise of width ``gamma``, the analytic phi
 derivative, photon-number moments (Fano factor) and the Bhattacharyya fidelity
 between distributions.
 
-All operations are pure functions of their inputs and are safe to call from
-concurrent contexts; the only shared state is an immutable log-factorial
-table behind an ``lru_cache``.
+All operations are pure functions of their inputs and share no state, so they
+are safe to call from concurrent contexts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -30,6 +28,7 @@ __all__ = [
     "photon_pmf",
     "photon_pmf_noisy",
     "photon_pmf_dphi",
+    "pmf_columns",
     "pmf_table",
     "dphi_table",
     "fano_factor",
@@ -147,52 +146,40 @@ def default_cutoff(amps: DetectorPlaneAmplitudes) -> int:
     return int(math.ceil(nu_max + 12.0 * math.sqrt(nu_max + 1.0) + 25.0))
 
 
-@lru_cache(maxsize=8)
-def _log_factorial_table(n_max: int) -> np.ndarray:
-    """Immutable table of ln(n!) for n = 0..n_max (safe for concurrent readers)."""
-    table = gammaln(np.arange(n_max + 1) + 1.0)
-    table.setflags(write=False)
-    return table
+def _log_poisson_rows(nu: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Log Poisson pmf at the photon numbers ``n`` for each mean in ``nu``.
 
-
-def _log_poisson_rows(nu: np.ndarray, logfact: np.ndarray) -> np.ndarray:
-    """Log Poisson pmf over n = 0..n_max for each mean in ``nu``.
-
-    Broadcasts ``nu`` (shape S) against the photon-number axis, returning
-    shape S + (n_max + 1,).  A zero mean is a point mass at n = 0.
+    Broadcasts ``nu`` (shape S) against ``n`` (shape N), returning shape
+    S + N.  A zero mean is a point mass at n = 0.
     """
-    n = np.arange(logfact.size)
     nu = np.asarray(nu, dtype=float)[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = n * np.log(nu) - nu - logfact
+        out = n * np.log(nu) - nu - gammaln(n + 1.0)
     zero = nu == 0.0
     if np.any(zero):
         out = np.where(zero, np.where(n == 0, 0.0, -np.inf), out)
     return out
 
 
-def _pmf_rows(a: float, b: float, phis: np.ndarray, logfact: np.ndarray) -> np.ndarray:
+def _pmf_rows(a: float, b: float, phis: np.ndarray, n: np.ndarray) -> np.ndarray:
     s = a * a + b * b
     x = 2.0 * a * b * np.cos(phis)
     # rounding can push nu- a hair below zero when a == b and phi ~ 0
     nu_p = np.maximum(s + x, 0.0)
     nu_m = np.maximum(s - x, 0.0)
-    return 0.5 * (
-        np.exp(_log_poisson_rows(nu_p, logfact)) + np.exp(_log_poisson_rows(nu_m, logfact))
-    )
+    return 0.5 * (np.exp(_log_poisson_rows(nu_p, n)) + np.exp(_log_poisson_rows(nu_m, n)))
 
 
-def _poisson_dnu_rows(nu: np.ndarray, logfact: np.ndarray) -> np.ndarray:
+def _poisson_dnu_rows(nu: np.ndarray, n: np.ndarray) -> np.ndarray:
     """d/dnu of the Poisson pmf, i.e. e^-nu nu^n/n! * (n/nu - 1).
 
     The n/nu factor has a removable singularity at nu = 0; below ``_NU_TINY``
     the exact limits are used: -1 for n = 0, +1 for n = 1, 0 for n >= 2.
     """
-    n = np.arange(logfact.size)
     nu_arr = np.asarray(nu, dtype=float)
     tiny = nu_arr < _NU_TINY
     safe = np.where(tiny, 1.0, nu_arr)
-    rows = np.exp(_log_poisson_rows(safe, logfact))
+    rows = np.exp(_log_poisson_rows(safe, n))
     val = rows * (n / safe[..., None] - 1.0)
     if np.any(tiny):
         limits = np.where(n == 0, -1.0, np.where(n == 1, 1.0, 0.0))
@@ -200,15 +187,15 @@ def _poisson_dnu_rows(nu: np.ndarray, logfact: np.ndarray) -> np.ndarray:
     return val
 
 
-def _dphi_rows(a: float, b: float, phis: np.ndarray, logfact: np.ndarray) -> np.ndarray:
+def _dphi_rows(a: float, b: float, phis: np.ndarray, n: np.ndarray) -> np.ndarray:
     s = a * a + b * b
     x = 2.0 * a * b * np.cos(phis)
     dnu = 2.0 * a * b * np.sin(phis)  # d(nu+)/dphi = -dnu, d(nu-)/dphi = +dnu
     nu_p = np.maximum(s + x, 0.0)
     nu_m = np.maximum(s - x, 0.0)
     return 0.5 * (
-        _poisson_dnu_rows(nu_p, logfact) * (-dnu)[..., None]
-        + _poisson_dnu_rows(nu_m, logfact) * (+dnu)[..., None]
+        _poisson_dnu_rows(nu_p, n) * (-dnu)[..., None]
+        + _poisson_dnu_rows(nu_m, n) * (+dnu)[..., None]
     )
 
 
@@ -243,6 +230,36 @@ def _noise_average(rows_fn, phis: np.ndarray, gamma: float, nodes: int, n_cols: 
     return out
 
 
+def _tabulate(rows_fn, amps: DetectorPlaneAmplitudes, phis, n: np.ndarray, gamma, gl_nodes):
+    """``rows_fn`` at every phase in ``phis`` and photon number in ``n``, noise-averaged."""
+    gamma = _check_gamma(gamma)
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    if gamma == 0.0:
+        return rows_fn(amps.a, amps.b, phis, n)
+    return _noise_average(lambda p: rows_fn(amps.a, amps.b, p, n), phis, gamma, gl_nodes, n.size)
+
+
+def pmf_columns(
+    amps: DetectorPlaneAmplitudes,
+    phis,
+    ns,
+    gamma: float = 0.0,
+    gl_nodes: int = GL_NODES,
+) -> np.ndarray:
+    """Photon-number pmf p_n for every phase in ``phis`` and photon number in ``ns``.
+
+    Returns an array of shape ``(len(phis), len(ns))``; the cost grows with
+    the number of photon numbers asked for, not with their size.  For
+    ``gamma > 0`` each entry is the uniform average of the noiseless pmf over
+    the window ``[phi - gamma/2, phi + gamma/2]``, evaluated by
+    Gauss-Legendre quadrature.
+    """
+    n = np.atleast_1d(np.asarray(ns))
+    if n.ndim != 1 or (n.size and (not np.issubdtype(n.dtype, np.integer) or n.min() < 0)):
+        raise ValueError("photon numbers must be a 1-D sequence of nonnegative integers")
+    return _tabulate(_pmf_rows, amps, phis, n, gamma, gl_nodes)
+
+
 def pmf_table(
     amps: DetectorPlaneAmplitudes,
     phis,
@@ -250,22 +267,10 @@ def pmf_table(
     n_max: int | None = None,
     gl_nodes: int = GL_NODES,
 ) -> np.ndarray:
-    """Photon-number pmf rows for every phase in ``phis``.
-
-    Returns an array of shape ``(len(phis), n_max + 1)``.  For ``gamma > 0``
-    each row is the uniform average of the noiseless pmf over the window
-    ``[phi - gamma/2, phi + gamma/2]``, evaluated by Gauss-Legendre
-    quadrature.
-    """
-    gamma = _check_gamma(gamma)
+    """Photon-number pmf rows for every phase in ``phis``: :func:`pmf_columns`
+    over n = 0..n_max, shape ``(len(phis), n_max + 1)``."""
     nm = default_cutoff(amps) if n_max is None else int(n_max)
-    logfact = _log_factorial_table(nm)
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    if gamma == 0.0:
-        return _pmf_rows(amps.a, amps.b, phis, logfact)
-    return _noise_average(
-        lambda p: _pmf_rows(amps.a, amps.b, p, logfact), phis, gamma, gl_nodes, nm + 1
-    )
+    return pmf_columns(amps, phis, np.arange(nm + 1), gamma, gl_nodes)
 
 
 def dphi_table(
@@ -280,15 +285,8 @@ def dphi_table(
     For ``gamma > 0`` the derivative is taken under the noise average, which
     commutes with it because the noise window does not depend on phi.
     """
-    gamma = _check_gamma(gamma)
     nm = default_cutoff(amps) if n_max is None else int(n_max)
-    logfact = _log_factorial_table(nm)
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    if gamma == 0.0:
-        return _dphi_rows(amps.a, amps.b, phis, logfact)
-    return _noise_average(
-        lambda p: _dphi_rows(amps.a, amps.b, p, logfact), phis, gamma, gl_nodes, nm + 1
-    )
+    return _tabulate(_dphi_rows, amps, phis, np.arange(nm + 1), gamma, gl_nodes)
 
 
 def _tail_bound_noiseless(amps: DetectorPlaneAmplitudes, phi: float, n_max: int) -> float:
@@ -299,8 +297,8 @@ def _tail_bound_noiseless(amps: DetectorPlaneAmplitudes, phi: float, n_max: int)
 def photon_pmf(amps: DetectorPlaneAmplitudes, phi: float, n_max: int | None = None) -> PhotonPmf:
     """Photon-number distribution p_n = (e^-nu+ nu+^n/n! + e^-nu- nu-^n/n!)/2.
 
-    Evaluated in log space with a cached log-factorial table; the cutoff
-    policy keeps the neglected tail below 1e-12.
+    Evaluated in log space; the cutoff policy keeps the neglected tail below
+    1e-12.
     """
     nm = default_cutoff(amps) if n_max is None else int(n_max)
     probs = pmf_table(amps, [phi], 0.0, n_max=nm)[0]

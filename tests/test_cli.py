@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="config key 'a'"):
             parse_config(["fisher", "--a", "fast"])
 
+    def test_detector_key_is_gone(self, tmp_path):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("detector=pnr\n")
+        with pytest.raises(ConfigError, match="unknown config key 'detector'"):
+            parse_config(["simulate", "--config", str(cfg_file)])
+
     def test_comments_and_blank_lines(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text("# model\n\na=1.0  # LO\nb = 0.5\n")
@@ -99,6 +106,18 @@ class TestLoadCounts:
         path.write_text("# nothing\n")
         with pytest.raises(DataError, match="no counts"):
             load_counts(str(path))
+
+    @pytest.mark.parametrize("token", [str(2**63), "9" * 5000], ids=["2**63", "5000-digits"])
+    def test_count_beyond_int64_is_data_error(self, tmp_path, token):
+        path = tmp_path / "counts.txt"
+        path.write_text(f"1\n{token}\n")
+        with pytest.raises(DataError, match=":2: count exceeds"):
+            load_counts(str(path))
+        code = run_cli([
+            "estimate", "--counts", str(path), "--a", "1", "--b", "1",
+            "--out", str(tmp_path / "o.csv"),
+        ])
+        assert code == 3
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
@@ -158,6 +177,22 @@ class TestEstimate:
             "estimate", "--counts", str(counts), "--a", "0", "--b", "0", "--out", str(out)
         ])
         assert code == 4
+
+    def test_huge_count_exits_4_in_bounded_memory(self, tmp_path):
+        # a dense pmf table up to n = 10^8 would need 1.6 TB on the default grid
+        counts = tmp_path / "counts.txt"
+        counts.write_text("3\n100000000\n0\n")
+        tracemalloc.start()
+        try:
+            code = run_cli([
+                "estimate", "--counts", str(counts), "--a", repr(SQRT2), "--b", repr(SQRT2),
+                "--out", str(tmp_path / "post.csv"),
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert peak < 64 * 2**20
 
 
 class TestFisherCommand:
@@ -230,6 +265,14 @@ class TestSweepCommand:
             assert rep_header == ["M", "replication", "estimate", "variance"]
             assert len(rep_rows) == 6
             assert meta["method"] == "all"
+
+    @pytest.mark.parametrize("phi", ["0", repr(math.pi)])
+    def test_phase_folding_to_zero_is_config_error(self, tmp_path, phi):
+        code = run_cli([
+            "sweep", "--a", "1", "--b", "1", "--phi", phi, "--seed", "1",
+            "--m-list", "100", "--out", str(tmp_path / "sweep"),
+        ])
+        assert code == 2
 
 
 class TestOutputContracts:

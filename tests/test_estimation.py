@@ -64,6 +64,20 @@ class TestLogLikelihoodPnr:
         expected = np.log(0.5 * (np.exp(-nu_p) + np.exp(-nu_m)))
         np.testing.assert_allclose(ll, expected, atol=1e-12)
 
+    def test_impossible_at_some_phases_gives_minus_inf_there(self):
+        # at a = b = 14 a count of 1500 underflows to p = 0 towards pi/2 only
+        ll = log_likelihood_pnr(CountRecord(counts=np.array([1500, 700])), amps(14, 14), 0.0, GRID)
+        with np.errstate(divide="ignore"):
+            expected = np.array([
+                np.log(helpers.mixture_pmf_direct(14.0, 14.0, phi, np.array([1500, 700]))).sum()
+                for phi in GRID.points
+            ])
+        assert not np.isnan(ll).any()
+        assert np.array_equal(np.isneginf(ll), np.isneginf(expected))
+        assert 0 < np.isneginf(ll).sum() < GRID.size
+        finite = np.isfinite(expected)
+        np.testing.assert_allclose(ll[finite], expected[finite], rtol=1e-12)
+
     def test_argmax_near_truth(self):
         cfg = SimConfig(amps=amps(SQRT2, SQRT2), phi_star=0.3, M=10_000, seed=11)
         record = sample_counts(cfg)
@@ -202,6 +216,11 @@ class TestSequentialUpdate:
         with pytest.raises(DegenerateEvidenceError):
             # vacuum input never yields a photon
             sequential_update(uniform_posterior(GRID), 3, amps(0.0, 0.0), 0.0, detector_kind="pnr")
+
+    def test_huge_event_raises_without_a_huge_table(self):
+        # p_n underflows for every phase; only the column of n is ever built
+        with pytest.raises(DegenerateEvidenceError):
+            sequential_update(uniform_posterior(GRID), 10**8, amps(SQRT2, SQRT2), 0.0)
 
 
 class TestFisher:

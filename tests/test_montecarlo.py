@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,6 +185,33 @@ class TestConvergenceSweep:
             var_clean = run_convergence_sweep(clean, method, (10_000,)).rows[0].mean_variance
             var_noisy = run_convergence_sweep(noisy, method, (10_000,)).rows[0].mean_variance
             assert 1.0 < var_noisy / var_clean <= 3.0
+
+    def test_negative_phase_gives_the_same_rows(self):
+        for method in ("bayes-pnr", "bayes-onoff", "fano-inversion"):
+            rows = [
+                run_convergence_sweep(
+                    SimConfig(amps=amps(SQRT2, SQRT2), phi_star=phi, M=1, seed=59, replications=3),
+                    method,
+                    (100, 300),
+                ).rows
+                for phi in (0.3, -0.3)
+            ]
+            assert rows[0] == rows[1]
+
+    def test_phase_beyond_half_pi_is_compared_with_its_fold(self):
+        cfg = SimConfig(amps=amps(SQRT2, SQRT2), phi_star=2.0, M=1, seed=60, replications=10)
+        row = run_convergence_sweep(cfg, "bayes-pnr", (3000,)).rows[0]
+        assert row.mean_ratio == pytest.approx(1.0, abs=0.03)
+        folded = replace(cfg, phi_star=math.pi - 2.0)
+        assert row.crlb == pytest.approx(
+            run_convergence_sweep(folded, "bayes-pnr", (3000,)).rows[0].crlb, rel=1e-9
+        )
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi, -2.0 * math.pi])
+    def test_rejects_phase_folding_to_zero(self, phi):
+        cfg = SimConfig(amps=amps(1, 1), phi_star=phi, M=10, seed=1)
+        with pytest.raises(ValueError, match="fold to 0"):
+            run_convergence_sweep(cfg, "bayes-pnr", (100,))
 
     def test_rejects_bad_m_list(self):
         cfg = SimConfig(amps=amps(1, 1), phi_star=0.3, M=10, seed=1)

@@ -16,7 +16,9 @@ from kennedyrx.photonstats import (
     photon_pmf,
     photon_pmf_dphi,
     photon_pmf_noisy,
+    pmf_columns,
     pmf_fidelity,
+    pmf_table,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -106,6 +108,29 @@ class TestPhotonPmf:
         np.testing.assert_allclose(
             photon_pmf(amps(a, b), math.pi - phi).probs, base, atol=1e-13
         )
+
+
+class TestPmfColumns:
+    def test_columns_beyond_cutoff_match_direct_mixture(self):
+        phis = np.linspace(0.0, math.pi / 2, 7)
+        ns = np.array([150, 0, 5])
+        cols = pmf_columns(amps(SQRT2, SQRT2), phis, ns)
+        assert cols.shape == (phis.size, ns.size)
+        for i, phi in enumerate(phis):
+            np.testing.assert_allclose(
+                cols[i], helpers.mixture_pmf_direct(SQRT2, SQRT2, phi, ns), rtol=1e-13, atol=0
+            )
+
+    def test_noisy_columns_match_table(self):
+        phis = np.linspace(0.0, math.pi / 2, 5)
+        table = pmf_table(amps(1.12, 0.79), phis, 0.5)
+        cols = pmf_columns(amps(1.12, 0.79), phis, [7, 0], 0.5)
+        np.testing.assert_allclose(cols, table[:, [7, 0]], rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("ns", [[2, -1], [1.5]])
+    def test_rejects_photon_numbers_that_are_not_counts(self, ns):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            pmf_columns(amps(1, 1), [0.3], ns)
 
 
 class TestPhotonPmfNoisy:
