@@ -36,6 +36,7 @@ from .montecarlo import (
     SweepRow,
     goodness_of_fit,
     run_convergence_sweep,
+    run_convergence_sweeps,
     run_discrimination,
     sample_counts,
     stream,

@@ -49,7 +49,7 @@ from .montecarlo import (
     DEFAULT_M_LIST,
     InsufficientSupportError,
     SimConfig,
-    run_convergence_sweep,
+    run_convergence_sweeps,
     run_discrimination,
     sample_counts,
     stream,
@@ -501,13 +501,21 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     methods = (
         ("bayes-pnr", "bayes-onoff", "fano-inversion") if cfg.method == "all" else (cfg.method,)
     )
-    for method in methods:
-        result = run_convergence_sweep(sim, method, cfg.m_list, grid=grid)
-        comments = _config_block(
-            cfg,
-            ("a", "b", "alpha", "beta", "tau", "phi", "gamma", "seed",
-             "replications", "grid", "method", "m_list", "out"),
-        )
+    if "fano-inversion" in methods:
+        if amps.a * amps.b <= 0.0:
+            raise ConfigError("fano-inversion needs both detector amplitudes a and b > 0")
+        if cfg.m_list[0] < 3:
+            raise ConfigError(
+                "config key 'm_list': fano-inversion needs at least 3 shots per record "
+                "for its jackknife variance"
+            )
+    comments = _config_block(
+        cfg,
+        ("a", "b", "alpha", "beta", "tau", "phi", "gamma", "seed",
+         "replications", "grid", "method", "m_list", "out"),
+    )
+    for result in run_convergence_sweeps(sim, methods, cfg.m_list, grid=grid):
+        method = result.method
         rows = [
             (r.M, r.mean_ratio, r.sd_of_estimates, r.mean_variance,
              math.nan if r.crlb is None else r.crlb)

@@ -2,10 +2,12 @@
 
 Records are drawn from the exact receiver model: each shot picks one of the
 two encoded signs with probability 1/2, optionally a uniform phase-noise
-offset, and then a Poisson photon count with the corresponding mean.  Every
-experiment derives its generator from (seed, spawn key), so replications are
-independent streams that can run in any order (or in parallel) and still
-reproduce bit-for-bit.
+offset, and then a Poisson photon count with the corresponding mean, drawn
+by CDF inversion with a sequential search that only touches the shots it has
+not yet decided.  Every experiment derives its generator from (seed, spawn
+key), so replications are independent streams that can run in any order (or
+in parallel) and still reproduce bit-for-bit.  A convergence sweep draws each
+(M, replication) record once and hands it to every estimator it compares.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "to_onoff",
     "run_discrimination",
     "run_convergence_sweep",
+    "run_convergence_sweeps",
     "goodness_of_fit",
     "DEFAULT_M_LIST",
 ]
@@ -120,24 +123,39 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
+# Above this mean exp(-nu) nears the double-precision underflow (~708), so
+# the search takes each term from log space instead of the recurrence.
+_LOG_SPACE_MEAN = 700.0
+
+
 def _poisson_inversion(rng: np.random.Generator, nu: np.ndarray, cap: int) -> np.ndarray:
     """Poisson draws by CDF inversion with sequential search, one uniform per draw.
 
-    Exact for the moderate means used here (< ~30) and independent of any
-    library sampling algorithm, so records are stable across numpy versions.
+    Step k adds p_k = p_{k-1} * nu/k to the running CDF of every shot whose
+    uniform it has not yet passed, and drops the shots it passes, so the
+    work is O(M + sum of the counts).  Shots with a mean above
+    ``_LOG_SPACE_MEAN`` take p_k from log space (k ln nu - nu - ln k!), where
+    exp(-nu) would underflow and stall the recurrence at 0.  Independent of
+    any library sampling algorithm, so records are stable across numpy
+    versions.  Draws stop at ``cap``.
     """
     u = rng.random(nu.shape)
-    term = np.exp(-nu)
-    cum = term.copy()
     out = np.zeros(nu.shape, dtype=np.int64)
-    active = u >= cum
+    p0 = np.exp(-nu)
+    idx = np.flatnonzero(u >= p0)
+    term, cum, u, nu = p0[idx], p0[idx], u[idx], nu[idx]
+    log_space = bool(np.any(nu > _LOG_SPACE_MEAN))
     k = 0
-    while active.any() and k < cap:
+    while idx.size and k < cap:
         k += 1
-        term[active] *= nu[active] / k
-        cum[active] += term[active]
-        out[active] = k
-        active &= u >= cum
+        term *= nu / k
+        if log_space:
+            big = nu > _LOG_SPACE_MEAN
+            term[big] = np.exp(photonstats._log_poisson_rows(nu[big], np.array([k]))[:, 0])
+        cum += term
+        out[idx] = k
+        keep = u >= cum
+        idx, term, cum, u, nu = idx[keep], term[keep], cum[keep], u[keep], nu[keep]
     return out
 
 
@@ -238,23 +256,29 @@ def _reference_fisher(method: str, amps, phi: float, gamma: float) -> float:
     return estimation.fisher_pnr(amps, phi, gamma)
 
 
-def run_convergence_sweep(
+def run_convergence_sweeps(
     cfg: SimConfig,
-    method: str,
+    methods: Sequence[str],
     m_list: Sequence[int] = DEFAULT_M_LIST,
     grid: PhaseGrid | None = None,
-) -> SweepResult:
+) -> tuple[SweepResult, ...]:
     """Estimator benchmark over growing sample sizes, cfg.replications runs each.
 
-    Every (M, replication) pair generates an independent record, runs the
-    chosen estimator and logs its point estimate and variance; rows aggregate
-    the ensemble mean ratio to phi_star, the spread of the estimates, the
-    mean reported variance and the CRLB reference 1/(M*F) at phi_star.
-    phi_star enters both as its representative in [0, pi/2], where the
-    estimates lie (:func:`estimation.fold_phase`); that must be nonzero.
+    Every (M, replication) pair draws one independent record, which every
+    method in ``methods`` then estimates from; each logs its point estimate
+    and variance.  A method's rows aggregate the ensemble mean ratio to
+    phi_star, the spread of the estimates, the mean reported variance and
+    the CRLB reference 1/(M*F) at phi_star.  phi_star enters both as its
+    representative in [0, pi/2], where the estimates lie
+    (:func:`estimation.fold_phase`); that must be nonzero.  Results come
+    back in the order of ``methods``.
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
+    methods = tuple(methods)
+    if not methods:
+        raise ValueError(f"no method given; expected some of {_METHODS}")
+    for method in methods:
+        if method not in _METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
     m_values = [int(m) for m in m_list]
     if not m_values or any(m2 <= m1 for m1, m2 in zip(m_values, m_values[1:])):
         raise ValueError("m_list must be non-empty and strictly increasing")
@@ -264,34 +288,51 @@ def run_convergence_sweep(
     if phi_true == 0.0:
         raise ValueError("phi_star must not fold to 0 to report estimate/truth ratios")
 
-    fisher_ref = _reference_fisher(method, cfg.amps, phi_true, cfg.gamma)
+    fisher_refs = [_reference_fisher(m, cfg.amps, phi_true, cfg.gamma) for m in methods]
     reps = cfg.replications
-    estimates = np.empty((len(m_values), reps))
-    variances = np.empty((len(m_values), reps))
-    rows = []
+    estimates = np.empty((len(methods), len(m_values), reps))
+    variances = np.empty((len(methods), len(m_values), reps))
     for i, m in enumerate(m_values):
         cfg_m = replace(cfg, M=m)
         for rep in range(reps):
             record = sample_counts(cfg_m, replication=rep)
-            estimates[i, rep], variances[i, rep] = _estimate_once(
-                method, record, cfg.amps, cfg.gamma, grid
-            )
-        rows.append(
+            for j, method in enumerate(methods):
+                estimates[j, i, rep], variances[j, i, rep] = _estimate_once(
+                    method, record, cfg.amps, cfg.gamma, grid
+                )
+
+    results = []
+    for j, (method, fisher_ref) in enumerate(zip(methods, fisher_refs)):
+        rows = tuple(
             SweepRow(
                 M=m,
-                mean_ratio=float(estimates[i].mean() / phi_true),
-                sd_of_estimates=float(estimates[i].std(ddof=1)) if reps > 1 else 0.0,
-                mean_variance=float(variances[i].mean()),
+                mean_ratio=float(estimates[j, i].mean() / phi_true),
+                sd_of_estimates=float(estimates[j, i].std(ddof=1)) if reps > 1 else 0.0,
+                mean_variance=float(variances[j, i].mean()),
                 crlb=estimation.crlb_variance(fisher_ref, m),
             )
+            for i, m in enumerate(m_values)
         )
-    return SweepResult(
-        method=method,
-        rows=tuple(rows),
-        m_list=tuple(m_values),
-        estimates=estimates,
-        variances=variances,
-    )
+        results.append(
+            SweepResult(
+                method=method,
+                rows=rows,
+                m_list=tuple(m_values),
+                estimates=estimates[j],
+                variances=variances[j],
+            )
+        )
+    return tuple(results)
+
+
+def run_convergence_sweep(
+    cfg: SimConfig,
+    method: str,
+    m_list: Sequence[int] = DEFAULT_M_LIST,
+    grid: PhaseGrid | None = None,
+) -> SweepResult:
+    """:func:`run_convergence_sweeps` for a single estimator ``method``."""
+    return run_convergence_sweeps(cfg, (method,), m_list, grid)[0]
 
 
 def goodness_of_fit(record: CountRecord, pmf: PhotonPmf) -> GofResult:

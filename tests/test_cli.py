@@ -274,6 +274,32 @@ class TestSweepCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--a", "1", "--b", "1", "--m-list", "2"], "at least 3 shots"),
+            (["--a", "0", "--b", "1", "--m-list", "100"], "a and b > 0"),
+        ],
+    )
+    def test_fano_inputs_are_config_errors(self, tmp_path, capsys, args, message):
+        prefix = tmp_path / "sweep"
+        code = run_cli([
+            "sweep", *args, "--phi", "0.3", "--seed", "1", "--replications", "2",
+            "--out", str(prefix),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_fano_checks_skip_other_methods(self, tmp_path):
+        code = run_cli([
+            "sweep", "--a", "0", "--b", "1", "--phi", "0.3", "--seed", "1",
+            "--replications", "2", "--m-list", "2", "--method", "bayes-pnr",
+            "--out", str(tmp_path / "sweep"),
+        ])
+        assert code == 0
+
 
 class TestOutputContracts:
     def test_reparse_and_reserialize_is_lossless(self, tmp_path):

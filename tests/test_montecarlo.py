@@ -1,16 +1,21 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kennedyrx.estimation import CountRecord
 from kennedyrx.montecarlo import (
     DEFAULT_M_LIST,
     InsufficientSupportError,
     SimConfig,
+    _poisson_inversion,
     goodness_of_fit,
     run_convergence_sweep,
+    run_convergence_sweeps,
     run_discrimination,
     sample_counts,
     stream,
@@ -29,6 +34,26 @@ SQRT2 = math.sqrt(2.0)
 
 def amps(a, b):
     return DetectorPlaneAmplitudes(a=a, b=b)
+
+
+def mixture_count_moments(a, b, phi, gamma, nodes=4096):
+    """(mean, variance, fourth central moment) of one shot's photon count.
+
+    The count is Poisson given nu = a^2 + b^2 + s 2ab cos(phi - psi), with the
+    sign s = +-1 equiprobable and psi uniform on [-gamma/2, gamma/2]; the
+    Poisson raw moments are the Touchard polynomials in nu, averaged over s
+    and over psi by the midpoint rule.
+    """
+    psi = -0.5 * gamma + (np.arange(nodes) + 0.5) * (gamma / nodes)
+    x = 2.0 * a * b * np.cos(phi - psi)
+    nu = np.maximum(np.concatenate([a * a + b * b + x, a * a + b * b - x]), 0.0)
+    m1 = nu.mean()
+    m2 = (nu**2 + nu).mean()
+    m3 = (nu**3 + 3 * nu**2 + nu).mean()
+    m4 = (nu**4 + 6 * nu**3 + 7 * nu**2 + nu).mean()
+    var = m2 - m1**2
+    mu4 = m4 - 4 * m1 * m3 + 6 * m1**2 * m2 - 3 * m1**4
+    return m1, var, mu4
 
 
 class TestStream:
@@ -98,6 +123,76 @@ class TestSampleCounts:
         fano_loo = var_loo / mean_loo
         se = math.sqrt((m - 1) / m * np.sum((fano_loo - fano_loo.mean()) ** 2))
         assert abs(fano_hat - fano_factor(amps(SQRT2, SQRT2), 0.3)) <= 3.0 * se
+
+
+class TestSamplerMoments:
+    @given(
+        a=st.floats(0.5, 20.0),
+        b=st.floats(0.5, 20.0),
+        phi=st.floats(0.0, math.pi),
+        gamma=st.floats(0.0, 2.0 * math.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(a=14.0, b=14.0, phi=0.3, gamma=0.0, seed=1)  # nu+ = 767
+    @example(a=20.0, b=20.0, phi=0.3, gamma=0.5, seed=2)  # nu+ up to 1584
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_mean_and_variance_match_the_mixture(self, a, b, phi, gamma, seed):
+        m = 2000
+        cfg = SimConfig(amps=amps(a, b), phi_star=phi, M=m, seed=seed, gamma=gamma)
+        x = sample_counts(cfg).counts.astype(float)
+        mean, var, mu4 = mixture_count_moments(a, b, phi, gamma)
+        assert abs(x.mean() - mean) <= 5.0 * math.sqrt(var / m)
+        assert abs(x.var(ddof=1) - var) <= 5.0 * math.sqrt((mu4 - var * var) / m)
+
+    @pytest.mark.parametrize("beta", [14.0, 20.0])
+    def test_mean_is_right_where_exp_minus_nu_underflows(self, beta):
+        # nu+ = 2 beta^2 (1 + cos 0.3) reaches 767 and 1564: exp(-nu+) is 0 in doubles
+        cfg = SimConfig(amps=amps(beta, beta), phi_star=0.3, M=10_000, seed=9)
+        x = sample_counts(cfg).counts.astype(float)
+        mean, var, _ = mixture_count_moments(beta, beta, 0.3, 0.0)
+        assert mean == pytest.approx(2.0 * beta * beta)
+        assert abs(x.mean() - mean) <= 5.0 * math.sqrt(var / x.size)
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0, 36.0, 650.0])
+    def test_search_matches_the_full_length_masked_loop(self, scale):
+        # below the log-space threshold the compacted search does the same
+        # arithmetic in the same order as a search over all shots at every k
+        def masked(rng, nu, cap):
+            u = rng.random(nu.shape)
+            term = np.exp(-nu)
+            cum = term.copy()
+            out = np.zeros(nu.shape, dtype=np.int64)
+            active = u >= cum
+            k = 0
+            while active.any() and k < cap:
+                k += 1
+                term[active] *= nu[active] / k
+                cum[active] += term[active]
+                out[active] = k
+                active &= u >= cum
+            return out
+
+        nu = scale * stream(5, 1).random(5000)
+        nu[::7] = 0.0
+        cap = int(2 * scale) + 40
+        assert np.array_equal(
+            _poisson_inversion(stream(5, 2), nu, cap), masked(stream(5, 2), nu, cap)
+        )
+
+    def test_search_cost_does_not_follow_the_cap(self):
+        nu = np.full(1000, 2.0)
+        tracemalloc.start()
+        try:
+            far = _poisson_inversion(stream(3), nu, cap=2**62)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert np.array_equal(far, _poisson_inversion(stream(3), nu, cap=64))
+
+    def test_cap_bounds_every_draw(self):
+        counts = _poisson_inversion(stream(4), np.full(100, 50.0), cap=10)
+        assert counts.max() == 10
 
 
 class TestToOnOff:
@@ -222,6 +317,43 @@ class TestConvergenceSweep:
         cfg = SimConfig(amps=amps(1, 1), phi_star=0.3, M=10, seed=1)
         with pytest.raises(ValueError, match="method"):
             run_convergence_sweep(cfg, "maximum-likelihood", (100,))
+
+
+class TestConvergenceSweeps:
+    METHODS = ("bayes-pnr", "bayes-onoff", "fano-inversion")
+
+    def test_shared_records_match_one_method_sweeps(self):
+        for gamma in (0.0, 0.5):
+            cfg = SimConfig(
+                amps=amps(SQRT2, SQRT2), phi_star=0.3, M=1, seed=61, gamma=gamma, replications=4
+            )
+            results = run_convergence_sweeps(cfg, self.METHODS, (100, 300))
+            assert [r.method for r in results] == list(self.METHODS)
+            for result in results:
+                alone = run_convergence_sweep(cfg, result.method, (100, 300))
+                assert np.array_equal(result.estimates, alone.estimates)
+                assert np.array_equal(result.variances, alone.variances)
+                assert result.rows == alone.rows
+
+    def test_draws_each_record_once(self, monkeypatch):
+        import kennedyrx.montecarlo as mc
+
+        drawn = []
+
+        def counting(cfg, replication=0):
+            drawn.append((cfg.M, replication))
+            return sample_counts(cfg, replication)
+
+        monkeypatch.setattr(mc, "sample_counts", counting)
+        cfg = SimConfig(amps=amps(1, 1), phi_star=0.3, M=1, seed=62, replications=3)
+        run_convergence_sweeps(cfg, self.METHODS, (10, 20))
+        assert sorted(drawn) == [(m, rep) for m in (10, 20) for rep in range(3)]
+
+    @pytest.mark.parametrize("methods", [(), ("bayes-pnr", "maximum-likelihood")])
+    def test_rejects_bad_methods(self, methods):
+        cfg = SimConfig(amps=amps(1, 1), phi_star=0.3, M=10, seed=1)
+        with pytest.raises(ValueError, match="method"):
+            run_convergence_sweeps(cfg, methods, (100,))
 
 
 class TestGoodnessOfFit:
