@@ -40,20 +40,20 @@ def mixture_count_moments(a, b, phi, gamma, nodes=4096):
     """(mean, variance, fourth central moment) of one shot's photon count.
 
     The count is Poisson given nu = a^2 + b^2 + s 2ab cos(phi - psi), with the
-    sign s = +-1 equiprobable and psi uniform on [-gamma/2, gamma/2]; the
-    Poisson raw moments are the Touchard polynomials in nu, averaged over s
-    and over psi by the midpoint rule.
+    sign s = +-1 equiprobable and psi uniform on [-gamma/2, gamma/2].  With
+    d = nu - mean, the Poisson central moments (nu, nu, nu + 3 nu^2) give
+    E[(X - mean)^2 | nu] = nu + d^2 and
+    E[(X - mean)^4 | nu] = nu + 3 nu^2 + 4 d nu + 6 d^2 nu + d^4,
+    averaged over s and over psi by the midpoint rule.
     """
     psi = -0.5 * gamma + (np.arange(nodes) + 0.5) * (gamma / nodes)
     x = 2.0 * a * b * np.cos(phi - psi)
     nu = np.maximum(np.concatenate([a * a + b * b + x, a * a + b * b - x]), 0.0)
-    m1 = nu.mean()
-    m2 = (nu**2 + nu).mean()
-    m3 = (nu**3 + 3 * nu**2 + nu).mean()
-    m4 = (nu**4 + 6 * nu**3 + 7 * nu**2 + nu).mean()
-    var = m2 - m1**2
-    mu4 = m4 - 4 * m1 * m3 + 6 * m1**2 * m2 - 3 * m1**4
-    return m1, var, mu4
+    mean = nu.mean()
+    d = nu - mean
+    var = (nu + d * d).mean()
+    mu4 = (nu + 3 * nu * nu + 4 * d * nu + 6 * d * d * nu + d**4).mean()
+    return mean, var, mu4
 
 
 class TestStream:
