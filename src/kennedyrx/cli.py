@@ -55,7 +55,7 @@ from .montecarlo import (
     stream,
     to_onoff,
 )
-from .photonstats import GAMMA_MAX, DetectorPlaneAmplitudes
+from .photonstats import GAMMA_MAX, DetectorPlaneAmplitudes, default_cutoff
 from .receiver import ReceiverParams, detector_amplitudes, error_probability
 
 __all__ = [
@@ -185,7 +185,8 @@ class RunConfig:
     out: str | None = None
 
     def amplitudes(self) -> DetectorPlaneAmplitudes:
-        """Detector-plane amplitudes from (a, b) or from (alpha, beta, tau)."""
+        """Detector-plane amplitudes from (a, b) or from (alpha, beta, tau),
+        within the model's mean-photon bound (see ``default_cutoff``)."""
         direct = self.a is not None or self.b is not None
         physical = self.alpha is not None or self.tau is not None
         if direct and physical:
@@ -193,15 +194,21 @@ class RunConfig:
         if direct:
             if self.a is None or self.b is None:
                 raise ConfigError("both a and b are required when giving detector amplitudes")
-            return DetectorPlaneAmplitudes(a=self.a, b=self.b)
-        if physical:
+            amps = DetectorPlaneAmplitudes(a=self.a, b=self.b)
+        elif physical:
             if self.alpha is None or self.beta is None or self.tau is None:
                 raise ConfigError("alpha, beta and tau are all required for physical parameters")
-            return detector_amplitudes(ReceiverParams(beta=self.beta, alpha=self.alpha, tau=self.tau))
-        if self.beta is not None and self.command == "discriminate":
+            amps = detector_amplitudes(ReceiverParams(beta=self.beta, alpha=self.alpha, tau=self.tau))
+        elif self.beta is not None and self.command == "discriminate":
             # tau -> 1 proxy with matched LO: a = b = beta
-            return DetectorPlaneAmplitudes(a=self.beta, b=self.beta)
-        raise ConfigError("amplitudes unspecified: give a and b, or alpha, beta and tau")
+            amps = DetectorPlaneAmplitudes(a=self.beta, b=self.beta)
+        else:
+            raise ConfigError("amplitudes unspecified: give a and b, or alpha, beta and tau")
+        try:
+            default_cutoff(amps)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        return amps
 
     def require(self, *keys: str):
         missing = [k for k in keys if getattr(self, k) is None]

@@ -2,8 +2,10 @@
 
 The photon statistics are invariant under phi -> -phi and phi -> pi - phi,
 so the phase is identifiable only on [0, pi/2]; that interval carries the
-uniform prior.  Posteriors live on a uniform grid, and all integrals use the
-trapezoid rule.
+uniform prior.  Posteriors live on a uniform grid, and every integral over it
+(normalizer, normalization check, mean, variance, skewness) is a dot product
+with the grid's cached trapezoid weights, so a streaming shot pays no
+quadrature set-up.
 
 One kernel turns the photon-number histogram of a record, its sufficient
 statistic, into a log-likelihood: sum_k w_k ln P_k over the bins k that hold
@@ -107,6 +109,17 @@ def _grid_points(grid: PhaseGrid) -> np.ndarray:
     return pts
 
 
+@lru_cache(maxsize=16)
+def _trapezoid_weights(grid: PhaseGrid) -> np.ndarray:
+    """Weights w with w @ f equal to the trapezoid rule of f over the grid points."""
+    half = 0.5 * np.diff(_grid_points(grid))
+    w = np.zeros(grid.size)
+    w[:-1] += half
+    w[1:] += half
+    w.setflags(write=False)
+    return w
+
+
 def fold_phase(phi: float) -> float:
     """Identifiable representative in [0, pi/2] of a phase, by the invariance of
     the photon statistics under phi -> -phi and phi -> pi - phi."""
@@ -186,7 +199,7 @@ class PhasePosterior:
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        total = np.trapezoid(self.density, self.grid.points)
+        total = float(_trapezoid_weights(self.grid) @ self.density)
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-8):
             raise ValueError(f"posterior density integrates to {total!r}, not 1")
 
@@ -300,7 +313,7 @@ def _normalized(log_unnorm: np.ndarray, grid: PhaseGrid, evidence_log: float) ->
     if not math.isfinite(peak):
         raise DegenerateEvidenceError("likelihood vanishes at every grid point")
     dens = np.exp(log_unnorm - peak)
-    z = np.trapezoid(dens, grid.points)
+    z = float(_trapezoid_weights(grid) @ dens)
     if not (math.isfinite(z) and z > 0.0):
         raise DegenerateEvidenceError("posterior normalization is degenerate")
     log_norm = peak + math.log(z)
@@ -319,17 +332,19 @@ def bayes_estimate(
 ) -> PhaseEstimate:
     """Posterior mean, central variance and skewness by trapezoid quadrature.
 
-    The CRLB reference is supplied by the caller (it depends on the detection
-    model and the point where the Fisher information is evaluated).
+    The moments are taken about the mean, so no raw-moment cancellation
+    occurs.  The CRLB reference is supplied by the caller (it depends on the
+    detection model and the point where the Fisher information is evaluated).
     """
     pts = post.grid.points
-    dens = post.density
-    mean = float(np.trapezoid(dens * pts, pts))
+    weighted = post.density * _trapezoid_weights(post.grid)
+    mean = float(weighted @ pts)
     centered = pts - mean
-    var = float(np.trapezoid(dens * centered * centered, pts))
+    squared = centered * centered
+    var = float(weighted @ squared)
     skew = None
     if var > 0.0:
-        third = float(np.trapezoid(dens * centered**3, pts))
+        third = float(weighted @ (squared * centered))
         skew = third / var**1.5
     return PhaseEstimate(
         mean=mean, variance=var, crlb=crlb, sample_size=sample_size, skewness=skew

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from . import estimation, photonstats
 from .estimation import CountRecord, OnOffRecord, PhaseGrid
@@ -378,4 +378,4 @@ def goodness_of_fit(record: CountRecord, pmf: PhotonPmf) -> GofResult:
     exp = np.asarray(exp_bins)
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(obs_bins) - 1
-    return GofResult(statistic=stat, p_value=float(chi2.sf(stat, dof)))
+    return GofResult(statistic=stat, p_value=float(chdtrc(dof, stat)))

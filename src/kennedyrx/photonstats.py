@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc
 
 __all__ = [
     "DetectorPlaneAmplitudes",
@@ -34,6 +33,7 @@ __all__ = [
     "fano_factor",
     "pmf_fidelity",
     "GL_NODES",
+    "MAX_MEAN_PHOTONS",
 ]
 
 # Default Gauss-Legendre order for the phase-noise average.  The integrand is
@@ -47,6 +47,11 @@ _NU_TINY = 1e-15
 
 # Widest phase-noise window the model accepts (full phase randomization).
 GAMMA_MAX = 2.0 * math.pi
+
+# Largest component mean (a + b)^2 the model accepts: a = b = 20, the
+# brightest regime the sampler is tested in.  Cutoffs, tables and the
+# sequential-search sampler all grow with this mean.
+MAX_MEAN_PHOTONS = 1600.0
 
 
 @dataclass(frozen=True)
@@ -140,8 +145,14 @@ def default_cutoff(amps: DetectorPlaneAmplitudes) -> int:
 
     n_max = ceil(nu_max + 12*sqrt(nu_max + 1) + 25) with nu_max = (a + b)^2,
     the largest component mean over all phases.  Closed-form and conservative
-    for the mean photon numbers (< ~10) this model runs at.
+    for the mean photon numbers (< ~10) this model runs at.  Raises
+    ``ValueError`` when nu_max exceeds :data:`MAX_MEAN_PHOTONS`.
     """
+    if amps.a + amps.b > math.sqrt(MAX_MEAN_PHOTONS):
+        raise ValueError(
+            f"largest mean photon number (a + b)^2 exceeds {MAX_MEAN_PHOTONS:g} "
+            f"(a={amps.a!r}, b={amps.b!r})"
+        )
     nu_max = (amps.a + amps.b) ** 2
     return int(math.ceil(nu_max + 12.0 * math.sqrt(nu_max + 1.0) + 25.0))
 
@@ -291,7 +302,7 @@ def dphi_table(
 
 def _tail_bound_noiseless(amps: DetectorPlaneAmplitudes, phi: float, n_max: int) -> float:
     nu_p, nu_m = nu_plus_minus(amps, phi)
-    return float(0.5 * (poisson.sf(n_max, nu_p) + poisson.sf(n_max, nu_m)))
+    return float(0.5 * (pdtrc(n_max, nu_p) + pdtrc(n_max, nu_m)))
 
 
 def photon_pmf(amps: DetectorPlaneAmplitudes, phi: float, n_max: int | None = None) -> PhotonPmf:
@@ -324,7 +335,7 @@ def photon_pmf_noisy(
         return photon_pmf(amps, phi, n_max=n_max)
     nm = default_cutoff(amps) if n_max is None else int(n_max)
     probs = pmf_table(amps, [phi], gamma, n_max=nm, gl_nodes=gl_nodes)[0]
-    tail = float(poisson.sf(nm, (amps.a + amps.b) ** 2))
+    tail = float(pdtrc(nm, (amps.a + amps.b) ** 2))
     return PhotonPmf(probs=probs, n_max=nm, tail_bound=tail)
 
 
