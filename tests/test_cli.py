@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,15 @@ from kennedyrx.montecarlo import SimConfig, sample_counts
 from kennedyrx.photonstats import DetectorPlaneAmplitudes
 
 SQRT2 = math.sqrt(2.0)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(code: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=timeout
+    )
 
 
 class TestParseConfig:
@@ -350,3 +364,46 @@ class TestOutputContracts:
             "--a", "1", "--b", "1", "--out", str(tmp_path / "o.csv"),
         ])
         assert code == 3
+
+
+class TestHugeAmplitudes:
+    """Amplitudes whose largest mean exceeds MAX_MEAN_PHOTONS are config errors."""
+
+    @pytest.mark.parametrize(
+        "amps",
+        [["--a", "1e200", "--b", "1"], ["--a", "1e10", "--b", "1"],
+         ["--alpha", "1e200", "--beta", "1", "--tau", "0.5"]],
+        ids=["a-overflows", "a-huge", "alpha-overflows"],
+    )
+    def test_simulate_exits_2_quickly_without_traceback(self, tmp_path, amps):
+        args = ["simulate", *amps, "--phi", "0.3", "--M", "10", "--seed", "1",
+                "--out", str(tmp_path / "x.txt")]
+        # the timer starts after the import, so only the command itself is timed
+        proc = run_python(
+            "import json, sys, time\n"
+            "from kennedyrx import cli\n"
+            "t = time.perf_counter()\n"
+            f"rc = cli.main({args!r})\n"
+            "print(json.dumps([rc, time.perf_counter() - t]))\n",
+        )
+        assert "Traceback" not in proc.stderr
+        assert "mean photon number" in proc.stderr
+        rc, seconds = json.loads(proc.stdout.splitlines()[-1])
+        assert rc == 2 and proc.returncode == 0
+        assert seconds < 2.0
+        assert not (tmp_path / "x.txt").exists()
+
+    def test_brightest_accepted_regime_simulates(self, tmp_path):
+        out = tmp_path / "x.txt"
+        args = ["simulate", "--a", "20", "--b", "20", "--phi", "0.3", "--M", "10",
+                "--seed", "1", "--out", str(out)]
+        assert run_cli(args) == 0
+        assert load_counts(str(out)).sample_size == 10
+
+
+def test_import_does_not_load_scipy_stats():
+    proc = run_python(
+        "import sys\nimport kennedyrx, kennedyrx.cli\nprint('scipy.stats' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -10,6 +10,7 @@ from kennedyrx.estimation import (
     OnOffRecord,
     PhaseEstimate,
     PhaseGrid,
+    PhasePosterior,
     UndefinedFanoError,
     bayes_estimate,
     crlb_variance,
@@ -24,6 +25,7 @@ from kennedyrx.estimation import (
     sequential_update,
     uniform_posterior,
 )
+from kennedyrx.estimation import _trapezoid_weights
 from kennedyrx.montecarlo import SimConfig, sample_counts, to_onoff
 from kennedyrx.photonstats import DetectorPlaneAmplitudes, fano_factor, photon_pmf
 
@@ -179,6 +181,55 @@ class TestBayesEstimate:
             record = sample_counts(cfg)
             est = bayes_estimate(posterior(log_likelihood_pnr(record, cfg.amps, 0.0, GRID), GRID))
             assert 0.0 <= est.mean <= math.pi / 2
+
+
+def trapezoid_moments(post):
+    """Mean, variance and skewness of a posterior by three np.trapezoid calls."""
+    pts, dens = post.grid.points, post.density
+    mean = np.trapezoid(dens * pts, pts)
+    centered = pts - mean
+    var = np.trapezoid(dens * centered * centered, pts)
+    return mean, var, np.trapezoid(dens * centered**3, pts) / var**1.5
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize(
+        "grid", [GRID, PhaseGrid(size=2), PhaseGrid(lo=0.1, hi=1.3, size=257)],
+        ids=["default", "two-point", "shifted"],
+    )
+    def test_weights_match_trapezoid(self, grid):
+        pts = grid.points
+        rng = np.random.default_rng(grid.size)
+        for f in (np.ones(grid.size), pts, np.exp(-pts), rng.random(grid.size)):
+            assert _trapezoid_weights(grid) @ f == pytest.approx(
+                np.trapezoid(f, pts), rel=1e-15, abs=0.0
+            )
+
+    def test_weights_are_cached_and_read_only(self):
+        w = _trapezoid_weights(GRID)
+        assert _trapezoid_weights(PhaseGrid()) is w
+        assert not w.flags.writeable
+
+    def test_flat_posterior_moments_match_trapezoid(self):
+        est = bayes_estimate(uniform_posterior(GRID))
+        mean, var, skew = trapezoid_moments(uniform_posterior(GRID))
+        assert est.mean == pytest.approx(mean, rel=1e-13, abs=0.0)
+        assert est.variance == pytest.approx(var, rel=1e-13, abs=0.0)
+        assert est.skewness == pytest.approx(skew, abs=1e-13)
+
+    def test_record_posterior_moments_match_trapezoid(self):
+        cfg = SimConfig(amps=amps(SQRT2, SQRT2), phi_star=0.3, M=4000, seed=31)
+        post = posterior(log_likelihood_pnr(sample_counts(cfg), cfg.amps, 0.0, GRID), GRID)
+        est = bayes_estimate(post)
+        mean, var, skew = trapezoid_moments(post)
+        assert est.mean == pytest.approx(mean, rel=1e-13, abs=0.0)
+        assert est.variance == pytest.approx(var, rel=1e-13, abs=0.0)
+        assert est.skewness == pytest.approx(skew, rel=1e-13, abs=0.0)
+
+    def test_unnormalized_density_raises(self):
+        flat = uniform_posterior(GRID)
+        with pytest.raises(ValueError, match="integrates to"):
+            PhasePosterior(GRID, flat.log_density, 2.0 * flat.density, flat.evidence_log)
 
 
 class TestSequentialUpdate:

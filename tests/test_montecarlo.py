@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtrc
+from scipy.stats import chi2
 
 from kennedyrx.estimation import CountRecord
 from kennedyrx.montecarlo import (
@@ -23,6 +25,7 @@ from kennedyrx.montecarlo import (
 )
 from kennedyrx.photonstats import (
     DetectorPlaneAmplitudes,
+    PhotonPmf,
     fano_factor,
     photon_pmf,
     photon_pmf_noisy,
@@ -102,6 +105,25 @@ class TestSampleCounts:
         pmf = photon_pmf_noisy(cfg.amps, 0.3, math.pi / 4)
         _, p_value = goodness_of_fit(record, pmf)
         assert p_value > 1e-3
+
+    def test_chdtrc_is_chi2_sf(self):
+        rng = np.random.default_rng(12)
+        df = rng.integers(1, 200, size=20_000)
+        x = rng.uniform(0.0, 400.0, size=20_000)
+        x[::50] = 0.0
+        assert np.array_equal(chdtrc(df, x), chi2.sf(x, df))
+
+    @pytest.mark.parametrize(
+        "counts, probs, dof",
+        [
+            ([0] * 27 + [1] * 20 + [2] * 13, [0.5, 0.3, 0.2], 2),
+            (list(np.random.default_rng(13).integers(0, 10, size=100)), [0.1] * 10, 9),
+        ],
+    )
+    def test_gof_p_value_matches_chi2_sf(self, counts, probs, dof):
+        pmf = PhotonPmf(probs=np.array(probs), n_max=len(probs) - 1, tail_bound=0.0)
+        stat, p_value = goodness_of_fit(CountRecord(np.array(counts)), pmf)
+        assert p_value == float(chi2.sf(stat, dof))
 
     def test_empirical_mean_converges(self):
         cfg = SimConfig(amps=amps(1.12, 0.79), phi_star=0.25, M=200_000, seed=7)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import pdtrc
 from scipy.stats import poisson
 
 import helpers
 from kennedyrx.photonstats import (
+    MAX_MEAN_PHOTONS,
     DetectorPlaneAmplitudes,
     PhotonPmf,
     default_cutoff,
@@ -78,6 +80,15 @@ class TestPhotonPmf:
             nm = default_cutoff(amps(a, b))
             assert poisson.sf(nm, (a + b) ** 2) <= 1e-12
 
+    def test_cutoff_accepts_the_brightest_tested_regime(self):
+        assert (20.0 + 20.0) ** 2 <= MAX_MEAN_PHOTONS
+        assert default_cutoff(amps(20.0, 20.0)) > MAX_MEAN_PHOTONS
+
+    @pytest.mark.parametrize("a, b", [(20.0, 20.001), (1e10, 1.0), (1e200, 1.0), (1e308, 1e308)])
+    def test_cutoff_rejects_means_above_the_bound(self, a, b):
+        with pytest.raises(ValueError, match="mean photon number"):
+            default_cutoff(amps(a, b))
+
     def test_mean_is_total_energy(self):
         for a, b, phi in [(1, 1, 0.3), (SQRT2, SQRT2, 1.1), (1.12, 0.79, 0.0)]:
             p = photon_pmf(amps(a, b), phi)
@@ -131,6 +142,31 @@ class TestPmfColumns:
     def test_rejects_photon_numbers_that_are_not_counts(self, ns):
         with pytest.raises(ValueError, match="nonnegative integers"):
             pmf_columns(amps(1, 1), [0.3], ns)
+
+
+class TestTailBoundsMatchScipyStats:
+    """Tail bounds use scipy.special.pdtrc, which is what poisson.sf evaluates."""
+
+    def test_pdtrc_is_poisson_sf(self):
+        rng = np.random.default_rng(11)
+        k = rng.integers(0, 3000, size=20_000)
+        mu = rng.uniform(0.0, 3000.0, size=20_000)
+        mu[::50] = 0.0
+        assert np.array_equal(pdtrc(k, mu), poisson.sf(k, mu))
+
+    @pytest.mark.parametrize(
+        "a, b, phi, n_max",
+        [(SQRT2, SQRT2, 0.3, None), (1, 1, 0.0, None), (1.12, 0.79, 0.25, 5), (20, 20, 1.0, None)],
+    )
+    def test_noiseless_tail_bound(self, a, b, phi, n_max):
+        p = photon_pmf(amps(a, b), phi, n_max=n_max)
+        nu_p, nu_m = nu_plus_minus(amps(a, b), phi)
+        assert p.tail_bound == float(0.5 * (poisson.sf(p.n_max, nu_p) + poisson.sf(p.n_max, nu_m)))
+
+    @pytest.mark.parametrize("a, b, n_max", [(SQRT2, SQRT2, None), (1.3, 0.8, 6)])
+    def test_noisy_tail_bound(self, a, b, n_max):
+        p = photon_pmf_noisy(amps(a, b), 0.4, 0.5, n_max=n_max)
+        assert p.tail_bound == float(poisson.sf(p.n_max, (a + b) ** 2))
 
 
 class TestPhotonPmfNoisy:
