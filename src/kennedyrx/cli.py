@@ -74,6 +74,9 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DEGENERATE = 4
 
+# Largest phase grid: 10x the default; keeps the 256-column ln p_n cache <= 41 MB.
+MAX_GRID_POINTS = 20_001
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
@@ -151,7 +154,7 @@ _CONVERTERS = {
     "M": lambda v: _parse_int("M", v, lo=1),
     "seed": lambda v: _parse_int("seed", v, lo=0, hi=2**64 - 1),
     "replications": lambda v: _parse_int("replications", v, lo=1),
-    "grid": lambda v: _parse_int("grid", v, lo=2),
+    "grid": lambda v: _parse_int("grid", v, lo=2, hi=MAX_GRID_POINTS),
     "method": lambda v: _parse_choice(
         "method", v, ("bayes-pnr", "bayes-onoff", "fano-inversion", "all")
     ),
@@ -406,24 +409,22 @@ def _cmd_estimate(cfg: RunConfig) -> int:
     grid = PhaseGrid(size=cfg.grid if cfg.grid is not None else 2001)
     m_total = record.sample_size
 
-    post_pnr = posterior(log_likelihood_pnr(record, amps, cfg.gamma, grid), grid)
-    est_pnr = bayes_estimate(post_pnr, sample_size=m_total)
-    est_pnr = dataclasses.replace(
-        est_pnr, crlb=crlb_variance(fisher_pnr(amps, est_pnr.mean, cfg.gamma), m_total)
-    )
-    post_off = posterior(log_likelihood_onoff(to_onoff(record), amps, cfg.gamma, grid), grid)
-    est_off = bayes_estimate(post_off, sample_size=m_total)
-    est_off = dataclasses.replace(
-        est_off, crlb=crlb_variance(fisher_onoff(amps, est_off.mean, cfg.gamma), m_total)
-    )
+    densities, summaries = [], []
+    for tag, loglik, fisher in (
+        ("pnr", log_likelihood_pnr(record, amps, cfg.gamma, grid), fisher_pnr),
+        ("onoff", log_likelihood_onoff(to_onoff(record), amps, cfg.gamma, grid), fisher_onoff),
+    ):
+        post = posterior(loglik, grid)
+        est = bayes_estimate(post, sample_size=m_total)
+        crlb = crlb_variance(fisher(amps, est.mean, cfg.gamma), m_total)
+        densities.append(post.density)
+        summaries.append(_estimate_summary(tag, dataclasses.replace(est, crlb=crlb)))
 
     comments = _config_block(cfg, ("a", "b", "alpha", "beta", "tau", "gamma", "grid", "counts", "out"))
-    comments.append("# " + _estimate_summary("pnr", est_pnr))
-    comments.append("# " + _estimate_summary("onoff", est_off))
-    rows = zip(grid.points, post_pnr.density, post_off.density)
+    comments += ["# " + line for line in summaries]
+    rows = zip(grid.points, *densities)
     _write_csv(cfg.out, comments, ["phi", "density_pnr", "density_onoff"], rows)
-    print(_estimate_summary("pnr", est_pnr))
-    print(_estimate_summary("onoff", est_off))
+    print("\n".join(summaries))
     print(f"wrote posterior table to {cfg.out}")
     return EXIT_OK
 
@@ -432,13 +433,8 @@ def _cmd_fisher(cfg: RunConfig) -> int:
     cfg.require("out")
     amps = cfg.amplitudes()
     size = cfg.grid if cfg.grid is not None else 200
-    if size < 2:
-        raise ConfigError("config key 'grid': must be >= 2")
-    phis = np.linspace(0.0, math.pi / 2, size)
-    rows = [
-        (phi, fisher_pnr(amps, phi, cfg.gamma), fisher_onoff(amps, phi, cfg.gamma))
-        for phi in phis
-    ]
+    phis = PhaseGrid(size=size).points
+    rows = zip(phis, fisher_pnr(amps, phis, cfg.gamma), fisher_onoff(amps, phis, cfg.gamma))
     comments = _config_block(cfg, ("a", "b", "alpha", "beta", "tau", "gamma", "grid", "out"))
     _write_csv(cfg.out, comments, ["phi", "F_pnr", "F_onoff"], rows)
     print(f"wrote {size} Fisher-information rows to {cfg.out}")

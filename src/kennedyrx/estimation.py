@@ -12,14 +12,15 @@ statistic, into a log-likelihood: sum_k w_k ln P_k over the bins k that hold
 w_k > 0 shots.  Photon-number-resolved ("pnr") bins are the distinct counts;
 on/off bins are their coarse-graining {0}, {n >= 1}.  Batch and streaming
 read ln p_n from one bounded per-count cache, so memory never follows the
-size of a count.
+size of a count.  One more kernel gives the Fisher information of both kinds,
+sum_k (dP_k/dphi)^2 / P_k over the bins with P_k > 0 (pnr: n = 0..cutoff).
 
 Estimators share the detection record used for bit discrimination:
 
 * Bayes posterior mean and variance, for photon-number-resolved ("pnr") and
   on/off detection, in batch form or via shot-by-shot streaming updates;
-* Fisher informations of both detection models and the Cramer-Rao variance
-  reference 1/(M*F);
+* Fisher informations of both detection models, scalar or one per phase of
+  an array, and the Cramer-Rao variance reference 1/(M*F);
 * a moment-based alternative that inverts the phase dependence of the Fano
   factor, with a leave-one-out jackknife uncertainty.
 
@@ -67,9 +68,8 @@ __all__ = [
 
 DetectorKind = Literal["onoff", "pnr"]
 
-# Likelihood terms with model probability below this are dropped from Fisher
-# sums; they carry no usable information and would divide by ~0.
-_FISHER_SUPPORT_EPS = 1e-30
+# Table cells per block of Fisher phases: photonstats' noise-average budget.
+_FISHER_BLOCK_CELLS = 2_000_000
 
 
 class DegenerateEvidenceError(ValueError):
@@ -138,8 +138,8 @@ class CountRecord:
             raise ValueError("counts must be one-dimensional")
         if counts.size and not np.issubdtype(counts.dtype, np.integer):
             raise ValueError("counts must be integers")
-        if counts.size and counts.min() < 0:
-            raise ValueError("counts must be nonnegative")
+        if counts.size and (counts.min() < 0 or counts.max() > np.iinfo(np.int64).max):
+            raise ValueError("counts must be nonnegative and at most 2**63 - 1")
         counts = counts.astype(np.int64, copy=True)
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
@@ -325,16 +325,13 @@ def _normalized(log_unnorm: np.ndarray, grid: PhaseGrid, evidence_log: float) ->
     )
 
 
-def bayes_estimate(
-    post: PhasePosterior,
-    sample_size: int = 0,
-    crlb: float | None = None,
-) -> PhaseEstimate:
+def bayes_estimate(post: PhasePosterior, sample_size: int = 0) -> PhaseEstimate:
     """Posterior mean, central variance and skewness by trapezoid quadrature.
 
     The moments are taken about the mean, so no raw-moment cancellation
-    occurs.  The CRLB reference is supplied by the caller (it depends on the
-    detection model and the point where the Fisher information is evaluated).
+    occurs.  ``crlb`` is left unset: it depends on the detection model and
+    on the point where the Fisher information is evaluated, which callers
+    attach with ``dataclasses.replace``.
     """
     pts = post.grid.points
     weighted = post.density * _trapezoid_weights(post.grid)
@@ -348,7 +345,7 @@ def bayes_estimate(
         third = float(weighted @ (squared * centered))
         skew = third / var**1.5
     return PhaseEstimate(
-        mean=mean, variance=var, crlb=crlb, sample_size=sample_size, skewness=skew
+        mean=mean, variance=var, sample_size=sample_size, skewness=skew
     )
 
 
@@ -383,30 +380,42 @@ def uniform_posterior(grid: PhaseGrid) -> PhasePosterior:
     return posterior(np.zeros(grid.size), grid)
 
 
-def fisher_pnr(amps: DetectorPlaneAmplitudes, phi: float, gamma: float = 0.0) -> float:
-    """Fisher information of the photon-number-resolved model,
-    F = sum_n (d p_n/d phi)^2 / p_n over the truncated support.
+def _fisher(amps: DetectorPlaneAmplitudes, phi, gamma: float, n_max: int | None, bins):
+    """The Fisher kernel, sum_k (dP_k/dphi)^2 / P_k over the bins k with P_k > 0;
+    ``bins(p, dp)`` maps the rows of p_n and d p_n/d phi over n = 0..n_max to
+    rows of P_k and dP_k/dphi.  Phases go in blocks of bounded table size."""
+    phis = np.asarray(phi, dtype=float)
+    flat = phis.ravel()
+    cols = (photonstats.default_cutoff(amps) if n_max is None else n_max) + 1
+    step = max(1, _FISHER_BLOCK_CELLS // cols)
+    info = np.empty(flat.size)
+    for start in range(0, flat.size, step):
+        block = flat[start : start + step]
+        p, dp = bins(
+            photonstats.pmf_table(amps, block, gamma, n_max=n_max),
+            photonstats.dphi_table(amps, block, gamma, n_max=n_max),
+        )
+        terms = np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0)
+        info[start : start + step] = terms.sum(axis=1)
+    return float(info[0]) if phis.ndim == 0 else info.reshape(phis.shape)
 
-    Vanishes at phi = 0 and pi/2 where the statistics are stationary in phi;
-    a zero marks the degenerate (no-information) regime rather than an error.
+
+def fisher_pnr(amps: DetectorPlaneAmplitudes, phi, gamma: float = 0.0) -> float | np.ndarray:
+    """Fisher information of the photon-number-resolved model, the kernel
+    sum_n (d p_n/d phi)^2 / p_n over the bins n = 0..cutoff with p_n > 0, at a
+    phase (a float) or at each phase of an array.  Zero at phi = 0 and pi/2,
+    where the statistics are stationary: the no-information regime, not an error.
     """
-    p = photonstats.pmf_table(amps, [phi], gamma)[0]
-    dp = photonstats.dphi_table(amps, [phi], gamma)[0]
-    support = p > _FISHER_SUPPORT_EPS
-    return float(np.sum(dp[support] ** 2 / p[support]))
+    return _fisher(amps, phi, gamma, None, lambda p, dp: (p, dp))
 
 
-def fisher_onoff(amps: DetectorPlaneAmplitudes, phi: float, gamma: float = 0.0) -> float:
-    """Fisher information of the on/off model, (d P_off/d phi)^2 / (P_off P_on).
-
-    Returns 0.0 in degenerate regimes (P_off at 0 or 1, or stationary
-    statistics) instead of raising; endpoint queries are legitimate in sweeps.
-    """
-    p_off = float(photonstats.pmf_table(amps, [phi], gamma, n_max=0)[0, 0])
-    if not 0.0 < p_off < 1.0:
-        return 0.0
-    dp_off = float(photonstats.dphi_table(amps, [phi], gamma, n_max=0)[0, 0])
-    return dp_off * dp_off / (p_off * (1.0 - p_off))
+def fisher_onoff(amps: DetectorPlaneAmplitudes, phi, gamma: float = 0.0) -> float | np.ndarray:
+    """Fisher information of the on/off model: the same kernel over the
+    coarse-grained bins {0}, {n >= 1}, P = (p_0, 1 - p_0) with P > 0.  Phases
+    as for :func:`fisher_pnr`; 0.0 where a bin is certain or p_0 is stationary."""
+    return _fisher(
+        amps, phi, gamma, 0, lambda p, dp: (np.hstack([p, 1.0 - p]), np.hstack([dp, -dp]))
+    )
 
 
 def crlb_variance(fisher: float, sample_size: int) -> float | None:

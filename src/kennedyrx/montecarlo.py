@@ -231,20 +231,16 @@ def _estimate_once(
     gamma: float,
     grid: PhaseGrid,
 ) -> tuple[float, float]:
-    if method == "bayes-pnr":
-        post = estimation.posterior(
-            estimation.log_likelihood_pnr(record, amps, gamma, grid), grid
-        )
-        est = estimation.bayes_estimate(post, sample_size=record.sample_size)
-    elif method == "bayes-onoff":
-        post = estimation.posterior(
-            estimation.log_likelihood_onoff(to_onoff(record), amps, gamma, grid), grid
-        )
-        est = estimation.bayes_estimate(post, sample_size=record.sample_size)
-    elif method == "fano-inversion":
+    if method == "fano-inversion":
         est = estimation.fano_inversion_estimate(record, amps)
     else:
-        raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
+        if method == "bayes-pnr":
+            ll = estimation.log_likelihood_pnr(record, amps, gamma, grid)
+        else:
+            ll = estimation.log_likelihood_onoff(to_onoff(record), amps, gamma, grid)
+        est = estimation.bayes_estimate(
+            estimation.posterior(ll, grid), sample_size=record.sample_size
+        )
     return est.mean, est.variance
 
 

@@ -31,9 +31,6 @@ class ReceiverParams:
     alpha: float
     tau: float
 
-    PRIOR_BIT0 = 0.5
-    PRIOR_BIT1 = 0.5
-
     def __post_init__(self) -> None:
         for name in ("beta", "alpha"):
             v = getattr(self, name)

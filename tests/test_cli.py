@@ -221,6 +221,45 @@ class TestFisherCommand:
         assert first[1] < 1e-9 and first[2] < 1e-9
         assert last[1] < 1e-9 and last[2] < 1e-9
 
+    def test_largest_grid_succeeds(self, tmp_path):
+        out = tmp_path / "fisher.csv"
+        code = run_cli(["fisher", "--a", "1.12", "--b", "0.79", "--grid", "20001", "--out", str(out)])
+        assert code == 0
+        _, _, rows = read_table(str(out))
+        assert len(rows) == 20001
+        assert rows[-1][0] == math.pi / 2
+
+
+class TestGridBound:
+    """Grids above MAX_GRID_POINTS are config errors, caught before any table."""
+
+    @pytest.mark.parametrize("size", ["20002", "1000000000000"])
+    @pytest.mark.parametrize("command", ["fisher", "estimate", "sweep"])
+    def test_oversized_grid_exits_2_quickly(self, tmp_path, command, size):
+        counts = tmp_path / "counts.txt"
+        counts.write_text("0\n1\n2\n")
+        out = tmp_path / "out"
+        args = {
+            "fisher": [],
+            "estimate": ["--counts", str(counts)],
+            "sweep": ["--phi", "0.3", "--seed", "1", "--replications", "2", "--m-list", "100"],
+        }[command]
+        args = [command, "--a", "1.12", "--b", "0.79", *args, "--grid", size, "--out", str(out)]
+        # the timer starts after the import, so only the command itself is timed
+        proc = run_python(
+            "import json, sys, time\n"
+            "from kennedyrx import cli\n"
+            "t = time.perf_counter()\n"
+            f"rc = cli.main({args!r})\n"
+            "print(json.dumps([rc, time.perf_counter() - t]))\n",
+        )
+        assert "Traceback" not in proc.stderr
+        assert f"must be <= {cli.MAX_GRID_POINTS}" in proc.stderr
+        rc, seconds = json.loads(proc.stdout.splitlines()[-1])
+        assert rc == 2 and proc.returncode == 0
+        assert seconds < 2.0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.txt"]
+
 
 class TestFanoCommand:
     def test_reports_estimate(self, tmp_path, capsys):

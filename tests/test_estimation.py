@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,13 @@ from kennedyrx.estimation import (
 )
 from kennedyrx.estimation import _trapezoid_weights
 from kennedyrx.montecarlo import SimConfig, sample_counts, to_onoff
-from kennedyrx.photonstats import DetectorPlaneAmplitudes, fano_factor, photon_pmf
+from kennedyrx.photonstats import (
+    DetectorPlaneAmplitudes,
+    dphi_table,
+    fano_factor,
+    photon_pmf,
+    pmf_table,
+)
 
 SQRT2 = math.sqrt(2.0)
 GRID = PhaseGrid()
@@ -47,6 +54,16 @@ class TestRecords:
     def test_count_record_rejects_negative(self):
         with pytest.raises(ValueError):
             CountRecord(counts=np.array([1, -1]))
+
+    def test_count_record_rejects_unsigned_counts_beyond_int64(self):
+        # 2**63 would wrap to a negative count in the int64 record
+        with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
+            CountRecord(counts=np.array([2**63, 3], dtype=np.uint64))
+
+    def test_count_record_keeps_largest_int64_count(self):
+        rec = CountRecord(counts=np.array([2**63 - 1, 3], dtype=np.uint64))
+        assert rec.counts.dtype == np.int64
+        assert rec.counts.tolist() == [2**63 - 1, 3]
 
     def test_onoff_partition(self):
         rec = OnOffRecord(m_on=3, m_off=1)
@@ -313,6 +330,60 @@ class TestFisher:
         for phi in np.linspace(0.0, math.pi / 2, 500):
             gap = fisher_onoff(a, phi, gamma) - fisher_pnr(a, phi, gamma)
             assert gap <= 1e-12
+
+    @pytest.mark.parametrize("pair", [(0.5, 0.5), (1.12, 0.79), (SQRT2, SQRT2), (3.0, 3.0)])
+    def test_array_of_phases_matches_scalar_calls(self, pair):
+        a = amps(*pair)
+        phis = np.linspace(0.0, math.pi / 2, 200)
+        for fisher in (fisher_pnr, fisher_onoff):
+            scalar = np.array([fisher(a, p) for p in phis])
+            assert np.array_equal(fisher(a, phis), scalar)  # bit for bit at gamma 0
+        scalar = np.array([fisher_pnr(a, p, math.pi / 4) for p in phis])
+        together = fisher_pnr(a, phis, math.pi / 4)
+        assert together.shape == phis.shape
+        assert np.max(np.abs(together - scalar)) <= 1e-15 * np.max(scalar)
+
+    def test_scalar_phase_gives_float(self):
+        assert type(fisher_pnr(amps(1, 1), 0.3)) is float
+        assert type(fisher_onoff(amps(1, 1), np.float64(0.3), 0.5)) is float
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("pair", [(1.12, 0.79), (20.0, 20.0)])
+    def test_onoff_is_the_coarse_grained_kernel(self, pair, gamma):
+        # dp_0^2 / (p_0 (1 - p_0)) is the two-bin sum over {0}, {n >= 1}
+        a = amps(*pair)
+        phis = np.linspace(0.05, 1.5, 120)
+        p0 = pmf_table(a, phis, gamma, n_max=0)[:, 0]
+        dp0 = dphi_table(a, phis, gamma, n_max=0)[:, 0]
+        support = (p0 > 0.0) & (p0 < 1.0)
+        closed = dp0[support] ** 2 / (p0[support] * (1.0 - p0[support]))
+        got = fisher_onoff(a, phis, gamma)[support]
+        assert np.all(np.abs(got - closed) <= 1e-15 * closed)
+        if pair == (20.0, 20.0) and gamma == 0.0:
+            # phases where a support cut at p_0 > 1e-30 would lose all of F
+            assert np.count_nonzero((closed > 0.0) & (p0[support] < 1e-30)) >= 10
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("pair", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
+    def test_no_information_without_interference(self, pair, gamma):
+        a = amps(*pair)
+        phis = np.linspace(0.0, math.pi / 2, 50)
+        for fisher in (fisher_pnr, fisher_onoff):
+            assert fisher(a, 0.7, gamma) == 0.0
+            assert crlb_variance(fisher(a, 0.7, gamma), 100) is None
+            assert np.all(fisher(a, phis, gamma) == 0.0)
+
+    def test_many_phases_in_bounded_memory(self):
+        # one unblocked 4000-phase table at a = b = 20 is 67 MB before temporaries
+        phis = np.linspace(0.0, math.pi / 2, 4000)
+        tracemalloc.start()
+        try:
+            info = fisher_pnr(amps(20.0, 20.0), phis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.shape == (4000,) and np.all(np.isfinite(info))
+        assert peak < 128 * 2**20
 
     def test_matches_likelihood_curvature(self):
         cfg = SimConfig(amps=amps(SQRT2, SQRT2), phi_star=0.3, M=200_000, seed=8)
