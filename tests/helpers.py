@@ -7,6 +7,8 @@ differences, so the dual-route checks stay meaningful.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import gammaln
 
@@ -59,6 +61,22 @@ def moments_by_summation(probs: np.ndarray) -> tuple[float, float]:
 def fd_dphi(pmf_fn, phi: float, h: float = 1e-6) -> np.ndarray:
     """Central finite difference of a pmf-valued function of phi."""
     return (pmf_fn(phi + h) - pmf_fn(phi - h)) / (2.0 * h)
+
+
+def fano_jackknife_brute(counts: np.ndarray, a: float, b: float) -> tuple[float, float]:
+    """Fano-inversion phase and its leave-one-out jackknife variance, with the
+    sample moments recomputed from scratch for the record minus each shot."""
+    x = np.asarray(counts, dtype=float)
+    scale = (a * a + b * b) / (4.0 * a * a * b * b)
+
+    def phase(sample: np.ndarray) -> float:
+        mean = sample.mean()
+        fano = sample.var(ddof=1) / mean if mean > 0.0 else 1.0
+        return math.acos(math.sqrt(min(max((fano - 1.0) * scale, 0.0), 1.0)))
+
+    loo = np.array([phase(np.delete(x, i)) for i in range(x.size)])
+    m = x.size
+    return phase(x), (m - 1) / m * float(np.sum((loo - loo.mean()) ** 2))
 
 
 def truncated_normal_moments(mu: float, sigma: float, lo: float, hi: float) -> tuple[float, float]:

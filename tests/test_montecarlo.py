@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 from scipy.special import chdtrc
 from scipy.stats import chi2
 
-from kennedyrx.estimation import CountRecord
+import helpers
+from kennedyrx.estimation import (
+    CountRecord,
+    PhaseGrid,
+    bayes_estimate,
+    log_likelihood_onoff,
+    log_likelihood_pnr,
+    posterior,
+)
 from kennedyrx.montecarlo import (
     DEFAULT_M_LIST,
     InsufficientSupportError,
@@ -370,6 +378,47 @@ class TestConvergenceSweeps:
         cfg = SimConfig(amps=amps(1, 1), phi_star=0.3, M=1, seed=62, replications=3)
         run_convergence_sweeps(cfg, self.METHODS, (10, 20))
         assert sorted(drawn) == [(m, rep) for m in (10, 20) for rep in range(3)]
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_matches_the_per_record_route(self, gamma):
+        # Bayes: one posterior per record; Fano: a jackknife that recomputes
+        # the moments of the record minus each shot
+        m_list = (30, 100, 300)
+        cfg = SimConfig(
+            amps=amps(SQRT2, SQRT2), phi_star=0.3, M=1, seed=63, gamma=gamma, replications=4
+        )
+        grid = PhaseGrid()
+        results = run_convergence_sweeps(cfg, self.METHODS, m_list, grid)
+        expected = np.empty((len(self.METHODS), 2, len(m_list), cfg.replications))
+        for i, m in enumerate(m_list):
+            for rep in range(cfg.replications):
+                record = sample_counts(replace(cfg, M=m), replication=rep)
+                for j, ll in enumerate((
+                    log_likelihood_pnr(record, cfg.amps, gamma, grid),
+                    log_likelihood_onoff(to_onoff(record), cfg.amps, gamma, grid),
+                )):
+                    est = bayes_estimate(posterior(ll, grid), sample_size=m)
+                    expected[j, :, i, rep] = est.mean, est.variance
+                expected[2, :, i, rep] = helpers.fano_jackknife_brute(record.counts, SQRT2, SQRT2)
+        for j, result in enumerate(results):
+            np.testing.assert_allclose(result.estimates, expected[j, 0], rtol=1e-10, atol=0)
+            np.testing.assert_allclose(result.variances, expected[j, 1], rtol=1e-10, atol=0)
+
+    def test_many_replications_on_a_fine_grid_in_bounded_memory(self):
+        # 2000 log-likelihood rows of 20001 points would take 320 MB at once
+        cfg = SimConfig(amps=amps(SQRT2, SQRT2), phi_star=0.3, M=1, seed=64, replications=2000)
+        tracemalloc.start()
+        try:
+            results = run_convergence_sweeps(
+                cfg, ("bayes-pnr", "bayes-onoff"), (3,), PhaseGrid(size=20001)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        for result in results:
+            assert result.estimates.shape == (1, 2000)
+            assert np.isfinite(result.estimates).all() and np.isfinite(result.variances).all()
 
     @pytest.mark.parametrize("methods", [(), ("bayes-pnr", "maximum-likelihood")])
     def test_rejects_bad_methods(self, methods):
