@@ -441,10 +441,21 @@ def _cmd_fisher(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _require_fano_amplitudes(amps) -> None:
+    if amps.a * amps.b <= 0.0:
+        raise ConfigError("fano-inversion needs both detector amplitudes a and b > 0")
+
+
 def _cmd_fano(cfg: RunConfig) -> int:
     cfg.require("counts")
     amps = cfg.amplitudes()
+    _require_fano_amplitudes(amps)
     record = load_counts(cfg.counts)
+    if record.sample_size < 3:
+        raise DataError(
+            f"{cfg.counts}: fano-inversion needs at least 3 shots for its jackknife "
+            f"variance, got {record.sample_size}"
+        )
     est = fano_inversion_estimate(record, amps)
     fano = empirical_fano(record)
     print(
@@ -505,8 +516,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         ("bayes-pnr", "bayes-onoff", "fano-inversion") if cfg.method == "all" else (cfg.method,)
     )
     if "fano-inversion" in methods:
-        if amps.a * amps.b <= 0.0:
-            raise ConfigError("fano-inversion needs both detector amplitudes a and b > 0")
+        _require_fano_amplitudes(amps)
         if cfg.m_list[0] < 3:
             raise ConfigError(
                 "config key 'm_list': fano-inversion needs at least 3 shots per record "

@@ -7,12 +7,15 @@ uniform prior.  Posteriors live on a uniform grid, and every integral over it
 with the grid's cached trapezoid weights, so a streaming shot pays no
 quadrature set-up.
 
-One kernel turns the photon-number histogram of a record, its sufficient
-statistic, into a log-likelihood: sum_k w_k ln P_k over the bins k that hold
-w_k > 0 shots.  Photon-number-resolved ("pnr") bins are the distinct counts;
-on/off bins are their coarse-graining {0}, {n >= 1}.  Batch and streaming
-read ln p_n from one bounded per-count cache, so memory never follows the
-size of a count.  One more kernel gives the Fisher information of both kinds,
+One kernel turns photon-number histograms, the sufficient statistic, into
+log-likelihoods: a (records x bins) matrix of occupations w_k times the
+(bins x grid) table of ln P_k, one row sum_k w_k ln P_k per record, where an
+empty bin adds 0 even at grid points where its ln P_k is -inf.  One record
+is one row; :func:`bayes_estimates` passes the histograms of many records in
+blocks of rows of bounded size.  Photon-number-resolved ("pnr") bins are the
+distinct counts; on/off bins are their coarse-graining {0}, {n >= 1}.
+Batch and streaming read ln p_n from one bounded per-count cache, so memory
+never follows the size of a count.  One more kernel gives the Fisher information of both kinds,
 sum_k (dP_k/dphi)^2 / P_k over the bins with P_k > 0 (pnr: n = 0..cutoff).
 
 Estimators share the detection record used for bit discrimination:
@@ -22,7 +25,9 @@ Estimators share the detection record used for bit discrimination:
 * Fisher informations of both detection models, scalar or one per phase of
   an array, and the Cramer-Rao variance reference 1/(M*F);
 * a moment-based alternative that inverts the phase dependence of the Fano
-  factor, with a leave-one-out jackknife uncertainty.
+  factor, with a leave-one-out jackknife uncertainty; both run over the
+  distinct counts of the histogram, with the mean from the exact integer
+  sum of the counts.
 
 Posterior values are immutable in spirit: updates return new objects, so
 distinct posteriors may be processed in parallel; a single streaming chain
@@ -34,8 +39,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Literal
+from functools import cached_property, lru_cache
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -56,6 +61,7 @@ __all__ = [
     "posterior",
     "uniform_posterior",
     "bayes_estimate",
+    "bayes_estimates",
     "sequential_update",
     "fisher_pnr",
     "fisher_onoff",
@@ -68,8 +74,9 @@ __all__ = [
 
 DetectorKind = Literal["onoff", "pnr"]
 
-# Table cells per block of Fisher phases: photonstats' noise-average budget.
-_FISHER_BLOCK_CELLS = 2_000_000
+# Cells per block of Fisher table rows (phases) or of log-likelihood rows
+# (records): photonstats' noise-average budget.
+_BLOCK_CELLS = 2_000_000
 
 
 class DegenerateEvidenceError(ValueError):
@@ -147,6 +154,15 @@ class CountRecord:
     @property
     def sample_size(self) -> int:
         return int(self.counts.size)
+
+    @cached_property
+    def histogram(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sufficient statistic in sparse form, from one ``np.unique``: the
+        distinct counts n in ascending order and the occurrences m_n of each."""
+        values, occurrences = np.unique(self.counts, return_counts=True)
+        values.setflags(write=False)
+        occurrences.setflags(write=False)
+        return values, occurrences
 
     def occurrences(self, minlength: int = 0) -> np.ndarray:
         """Occurrence counts m_n (the sufficient statistics); sum(m) == M."""
@@ -249,17 +265,31 @@ def _log_onoff(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, on:
         return np.log1p(-np.exp(log_off))
 
 
-def _loglik(log_p, bins, weights, grid: PhaseGrid) -> np.ndarray:
-    """The likelihood kernel: sum_k w_k ln P_k over the bins k with w_k > 0.
+def _pnr_columns(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, ns) -> np.ndarray:
+    """ln p_n over the grid, one row per photon number n of ``ns``."""
+    cols = [_log_pmf(amps, gamma, grid, int(n)) for n in ns]
+    return np.array(cols).reshape(len(cols), grid.size)
 
-    ``log_p(k)`` is ln P_k over the grid.  Empty bins never enter the sum, so
-    no 0 * -inf arises, and a grid point where an observed bin is impossible
+
+def _onoff_columns(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid) -> np.ndarray:
+    """ln P over the grid for the on/off bins {0} and {n >= 1}, one row each."""
+    return np.vstack([_log_onoff(amps, gamma, grid, on) for on in (0, 1)])
+
+
+def _loglik(weights: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """The likelihood kernel: row r of the result is sum_k w_rk ln P_k.
+
+    ``weights`` holds one row of bin occupations w_rk per record (rows x
+    bins) and ``log_p`` one row of ln P_k over the grid per bin (bins x
+    grid).  An empty bin adds 0 even where its ln P_k is -inf, so no
+    0 * -inf arises, and a grid point where an occupied bin is impossible
     gets -inf.
     """
-    ll = np.zeros(grid.size)
-    for k, w in zip(bins, weights):
-        if w > 0:
-            ll += w * log_p(k)
+    impossible = np.isneginf(log_p)
+    if not impossible.any():
+        return weights @ log_p
+    ll = weights @ np.where(impossible, 0.0, log_p)
+    ll[(weights > 0) @ impossible] = -np.inf
     return ll
 
 
@@ -271,12 +301,12 @@ def log_likelihood_pnr(
 ) -> np.ndarray:
     """Log-likelihood sum_n m_n ln p_n(a, b, phi, gamma) at every grid point.
 
-    Works from the occurrence counts m_n of the distinct counts n in the
-    record.  Grid points where an observed n has zero model probability get
-    -inf, never an exception.
+    Works from the record's histogram: the occurrence counts m_n of its
+    distinct counts n.  Grid points where an observed n has zero model
+    probability get -inf, never an exception.
     """
-    ns, m = np.unique(record.counts, return_counts=True)
-    return _loglik(lambda n: _log_pmf(amps, float(gamma), grid, int(n)), ns, m, grid)
+    ns, m = record.histogram
+    return _loglik(m[None, :].astype(float), _pnr_columns(amps, float(gamma), grid, ns))[0]
 
 
 def log_likelihood_onoff(
@@ -286,10 +316,8 @@ def log_likelihood_onoff(
     grid: PhaseGrid,
 ) -> np.ndarray:
     """Log-likelihood m_off ln P_off + m_on ln(1 - P_off) with P_off = p_0."""
-    return _loglik(
-        lambda on: _log_onoff(amps, float(gamma), grid, on),
-        (0, 1), (record.m_off, record.m_on), grid,
-    )
+    weights = np.array([[record.m_off, record.m_on]], dtype=float)
+    return _loglik(weights, _onoff_columns(amps, float(gamma), grid))[0]
 
 
 def posterior(loglik, grid: PhaseGrid) -> PhasePosterior:
@@ -349,6 +377,43 @@ def bayes_estimate(post: PhasePosterior, sample_size: int = 0) -> PhaseEstimate:
     )
 
 
+def bayes_estimates(
+    histograms: Sequence[tuple[np.ndarray, np.ndarray]],
+    amps: DetectorPlaneAmplitudes,
+    gamma: float,
+    grid: PhaseGrid,
+    detector_kind: DetectorKind = "pnr",
+) -> list[PhaseEstimate]:
+    """:func:`bayes_estimate` of the posterior of each of many records.
+
+    Each record comes as its histogram, a pair (distinct counts, occurrences)
+    like :attr:`CountRecord.histogram`; on/off detection coarse-grains it to
+    the bins {0}, {n >= 1}.  The histograms become one weight matrix over the
+    union of their bins, and the log-likelihoods come from the kernel one
+    block of rows at a time, so memory does not follow the number of records.
+    """
+    ns = np.unique(np.concatenate([v for v, _ in histograms])) if histograms else []
+    weights = np.zeros((len(histograms), len(ns)))
+    for row, (v, occ) in zip(weights, histograms):
+        row[np.searchsorted(ns, v)] = occ
+    sizes = weights.sum(axis=1)
+    if detector_kind == "pnr":
+        log_p = _pnr_columns(amps, float(gamma), grid, ns)
+    elif detector_kind == "onoff":
+        off = weights[:, 0] if len(ns) and ns[0] == 0 else np.zeros(len(weights))
+        weights = np.column_stack([off, sizes - off])
+        log_p = _onoff_columns(amps, float(gamma), grid)
+    else:
+        raise ValueError(f"detector_kind must be 'onoff' or 'pnr', got {detector_kind!r}")
+    step = max(1, _BLOCK_CELLS // grid.size)
+    estimates = []
+    for start in range(0, len(weights), step):
+        block = _loglik(weights[start : start + step], log_p)
+        for ll, size in zip(block, sizes[start : start + step]):
+            estimates.append(bayes_estimate(posterior(ll, grid), sample_size=int(size)))
+    return estimates
+
+
 def sequential_update(
     post: PhasePosterior,
     event: int,
@@ -387,7 +452,7 @@ def _fisher(amps: DetectorPlaneAmplitudes, phi, gamma: float, n_max: int | None,
     phis = np.asarray(phi, dtype=float)
     flat = phis.ravel()
     cols = (photonstats.default_cutoff(amps) if n_max is None else n_max) + 1
-    step = max(1, _FISHER_BLOCK_CELLS // cols)
+    step = max(1, _BLOCK_CELLS // cols)
     info = np.empty(flat.size)
     for start in range(0, flat.size, step):
         block = flat[start : start + step]
@@ -429,15 +494,25 @@ def crlb_variance(fisher: float, sample_size: int) -> float | None:
     return 1.0 / (sample_size * fisher)
 
 
+def _fano_moments(record: CountRecord) -> tuple[int, np.ndarray, float]:
+    """Sum of the counts (an exact integer), the deviations n - mean of the
+    distinct counts and the centered sum of squares sum_n m_n (n - mean)^2,
+    from the record's histogram."""
+    values, occ = record.histogram
+    total = sum(map(operator.mul, values.tolist(), occ.tolist()))
+    if total == 0:
+        raise UndefinedFanoError("sample mean is zero; Fano factor undefined")
+    y = values - total / record.sample_size
+    return total, y, float(occ @ (y * y))
+
+
 def empirical_fano(record: CountRecord) -> float:
     """Sample Fano factor: unbiased sample variance over sample mean."""
-    x = record.counts.astype(float)
-    if x.size < 2:
-        raise ValueError(f"Fano factor needs at least 2 shots, got {x.size}")
-    mean = x.mean()
-    if mean == 0.0:
-        raise UndefinedFanoError("sample mean is zero; Fano factor undefined")
-    return float(x.var(ddof=1) / mean)
+    m = record.sample_size
+    if m < 2:
+        raise ValueError(f"Fano factor needs at least 2 shots, got {m}")
+    total, _, q = _fano_moments(record)
+    return q / (m - 1) / (total / m)
 
 
 def invert_fano(fano: float, amps: DetectorPlaneAmplitudes) -> tuple[float, bool]:
@@ -461,25 +536,28 @@ def fano_inversion_estimate(
 
     The point estimate inverts variance/mean (unbiased sample variance); the
     uncertainty is a leave-one-out jackknife over the shots, which needs at
-    least 3 of them.  Records whose sample mean vanishes carry no Fano
-    information and raise :class:`UndefinedFanoError`.
+    least 3 of them.  Shots with equal counts leave out the same moments, so
+    all of it runs over the distinct counts of the record's histogram.
+    Records whose sample mean vanishes carry no Fano information and raise
+    :class:`UndefinedFanoError`.
     """
-    x = record.counts.astype(float)
-    m = x.size
+    m = record.sample_size
     if m < 3:
         raise ValueError(f"jackknife uncertainty needs at least 3 shots, got {m}")
-    phi_hat, clamped = invert_fano(empirical_fano(record), amps)
-    mean = x.mean()
+    values, occ = record.histogram
+    total, y, q = _fano_moments(record)
+    phi_hat, clamped = invert_fano(q / (m - 1) / (total / m), amps)
 
-    # leave-one-out moments from centered sums (numerically stable)
-    y = x - mean
-    q = float(np.dot(y, y))
-    mean_loo = mean - y / (m - 1)
+    # leave-one-out moments per distinct count: the mean from the exact sum
+    # (0 when the only nonzero shot leaves), the variance from centered sums
+    mean_loo = (float(total) - values) / (m - 1)
     var_loo = np.maximum(q - y * y * (m / (m - 1)), 0.0) / (m - 2)
     ratio = np.where(mean_loo > 0.0, var_loo / np.maximum(mean_loo, 1e-300), 1.0)
     ratio = np.clip((ratio - 1.0) * amps.mean_photons / (4.0 * amps.a**2 * amps.b**2), 0.0, 1.0)
     phi_loo = np.arccos(np.sqrt(ratio))
-    jack_var = float((m - 1) / m * np.sum((phi_loo - phi_loo.mean()) ** 2))
+    w = occ.astype(float)
+    d = phi_loo - (w @ phi_loo) / m
+    jack_var = (m - 1) / m * float(w @ (d * d))
 
     return PhaseEstimate(
         mean=phi_hat,

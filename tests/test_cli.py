@@ -285,6 +285,24 @@ class TestFanoCommand:
         code = run_cli(["fano", "--counts", str(counts), "--a", "1", "--b", "1"])
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "amplitudes, counts, code, message",
+        [
+            # the counts file does not exist: the amplitudes fail first
+            (["--a", "0", "--b", "1"], None, 2, "a and b > 0"),
+            (["--a", "1", "--b", "1"], "1\n2\n", 3, "at least 3 shots"),
+        ],
+        ids=["amplitude-zero", "two-shots"],
+    )
+    def test_bad_inputs_exit_without_traceback(self, tmp_path, amplitudes, counts, code, message):
+        path = tmp_path / "counts.txt"
+        if counts is not None:
+            path.write_text(counts)
+        args = ["fano", "--counts", str(path), *amplitudes]
+        proc = run_python(f"import sys\nfrom kennedyrx import cli\nsys.exit(cli.main({args!r}))\n")
+        assert proc.returncode == code
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestDiscriminateCommand:
     def test_matches_analytic(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kennedyrx.estimation import (
     PhasePosterior,
     UndefinedFanoError,
     bayes_estimate,
+    bayes_estimates,
     crlb_variance,
     empirical_fano,
     fano_inversion_estimate,
@@ -26,7 +28,8 @@ from kennedyrx.estimation import (
     sequential_update,
     uniform_posterior,
 )
-from kennedyrx.estimation import _trapezoid_weights
+from kennedyrx import estimation
+from kennedyrx.estimation import _loglik, _pnr_columns, _trapezoid_weights
 from kennedyrx.montecarlo import SimConfig, sample_counts, to_onoff
 from kennedyrx.photonstats import (
     DetectorPlaneAmplitudes,
@@ -65,6 +68,15 @@ class TestRecords:
         assert rec.counts.dtype == np.int64
         assert rec.counts.tolist() == [2**63 - 1, 3]
 
+    def test_histogram_is_the_sparse_occurrence_count(self):
+        rec = CountRecord(counts=np.array([3, 0, 3, 7, 0, 3]))
+        values, occ = rec.histogram
+        assert values.tolist() == [0, 3, 7] and occ.tolist() == [2, 3, 1]
+        assert rec.histogram is rec.histogram
+        assert not values.flags.writeable and not occ.flags.writeable
+        empty = CountRecord(counts=np.array([], dtype=int)).histogram
+        assert empty[0].size == 0 and empty[1].size == 0
+
     def test_onoff_partition(self):
         rec = OnOffRecord(m_on=3, m_off=1)
         assert rec.sample_size == 4
@@ -102,6 +114,49 @@ class TestLogLikelihoodPnr:
         record = sample_counts(cfg)
         ll = log_likelihood_pnr(record, cfg.amps, 0.0, GRID)
         assert abs(GRID.points[np.argmax(ll)] - 0.3) < 0.02
+
+
+class TestLikelihoodKernel:
+    def test_rows_equal_their_one_row_results(self):
+        # at a = b = 14 a count of 1500 underflows to p = 0 towards pi/2 only;
+        # the second row leaves that bin empty, where 0 * -inf must not arise
+        a14 = amps(14, 14)
+        log_p = _pnr_columns(a14, 0.0, GRID, [700, 1500])
+        assert 0 < np.isneginf(log_p[1]).sum() < GRID.size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = _loglik(np.array([[1.0, 1.0], [2.0, 0.0]]), log_p)
+        singles = [
+            log_likelihood_pnr(CountRecord(counts=np.array(c)), a14, 0.0, GRID)
+            for c in ([700, 1500], [700, 700])
+        ]
+        assert not np.isnan(rows).any()
+        assert np.isneginf(rows[0]).any() and np.isfinite(rows[1]).all()
+        for row, single in zip(rows, singles):
+            assert np.array_equal(np.isneginf(row), np.isneginf(single))
+            finite = np.isfinite(single)
+            np.testing.assert_allclose(row[finite], single[finite], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("kind", ["pnr", "onoff"])
+    def test_blocked_rows_match_per_record_posteriors(self, kind, monkeypatch):
+        # three rows per block, so seven records span a partial last block
+        monkeypatch.setattr(estimation, "_BLOCK_CELLS", 3 * GRID.size)
+        cfg = SimConfig(amps=amps(SQRT2, SQRT2), phi_star=0.3, M=200, seed=23)
+        records = [sample_counts(cfg, replication=rep) for rep in range(7)]
+        got = bayes_estimates([r.histogram for r in records], cfg.amps, 0.0, GRID, kind)
+        for record, est in zip(records, got):
+            if kind == "pnr":
+                ll = log_likelihood_pnr(record, cfg.amps, 0.0, GRID)
+            else:
+                ll = log_likelihood_onoff(to_onoff(record), cfg.amps, 0.0, GRID)
+            want = bayes_estimate(posterior(ll, GRID), sample_size=200)
+            assert est.sample_size == 200
+            assert est.mean == pytest.approx(want.mean, rel=1e-12)
+            assert est.variance == pytest.approx(want.variance, rel=1e-10)
+
+    def test_unknown_detector_kind_raises(self):
+        with pytest.raises(ValueError, match="detector_kind"):
+            bayes_estimates([CountRecord(counts=np.array([1])).histogram], amps(1, 1), 0.0, GRID, "apd")
 
 
 class TestLogLikelihoodOnoff:
@@ -460,6 +515,14 @@ class TestFanoInversion:
     def test_zero_mean_record_raises(self):
         with pytest.raises(UndefinedFanoError):
             fano_inversion_estimate(CountRecord(counts=np.zeros(10, dtype=int)), amps(1, 1))
+
+    def test_jackknife_leaving_out_the_only_nonzero_shot(self):
+        # that leave-one-out mean is exactly 0, so its ratio falls back to 1
+        counts = np.array([0] * 9 + [5])
+        est = fano_inversion_estimate(CountRecord(counts=counts), amps(1, 1))
+        phi, var = helpers.fano_jackknife_brute(counts, 1.0, 1.0)
+        assert est.mean == pytest.approx(phi, rel=1e-12)
+        assert est.variance == pytest.approx(var, rel=1e-10)
 
     def test_empirical_fano_of_constant_record(self):
         assert empirical_fano(CountRecord(counts=np.full(50, 3))) == 0.0
