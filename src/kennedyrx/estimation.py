@@ -392,15 +392,15 @@ def bayes_estimates(
     union of their bins, and the log-likelihoods come from the kernel one
     block of rows at a time, so memory does not follow the number of records.
     """
-    ns = np.unique(np.concatenate([v for v, _ in histograms])) if histograms else []
-    weights = np.zeros((len(histograms), len(ns)))
+    ns = np.unique(np.concatenate([v for v, _ in histograms]))
+    weights = np.zeros((len(histograms), ns.size))
     for row, (v, occ) in zip(weights, histograms):
         row[np.searchsorted(ns, v)] = occ
     sizes = weights.sum(axis=1)
     if detector_kind == "pnr":
         log_p = _pnr_columns(amps, float(gamma), grid, ns)
     elif detector_kind == "onoff":
-        off = weights[:, 0] if len(ns) and ns[0] == 0 else np.zeros(len(weights))
+        off = weights[:, 0] if ns.size and ns[0] == 0 else np.zeros(len(weights))
         weights = np.column_stack([off, sizes - off])
         log_p = _onoff_columns(amps, float(gamma), grid)
     else:
