@@ -15,8 +15,9 @@ is one row; :func:`bayes_estimates` passes the histograms of many records in
 blocks of rows of bounded size.  Photon-number-resolved ("pnr") bins are the
 distinct counts; on/off bins are their coarse-graining {0}, {n >= 1}.
 Batch and streaming read ln p_n from one bounded per-count cache, so memory
-never follows the size of a count.  One more kernel gives the Fisher information of both kinds,
-sum_k (dP_k/dphi)^2 / P_k over the bins with P_k > 0 (pnr: n = 0..cutoff).
+never follows the size of a count.  One more kernel gives the Fisher
+information of both kinds, sum_k (dP_k/dphi)^2 / P_k over the bins with
+P_k > 0 (pnr: n = 0..cutoff).
 
 Estimators share the detection record used for bit discrimination:
 

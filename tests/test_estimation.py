@@ -155,8 +155,9 @@ class TestLikelihoodKernel:
             assert est.variance == pytest.approx(want.variance, rel=1e-10)
 
     def test_unknown_detector_kind_raises(self):
+        histogram = CountRecord(counts=np.array([1])).histogram
         with pytest.raises(ValueError, match="detector_kind"):
-            bayes_estimates([CountRecord(counts=np.array([1])).histogram], amps(1, 1), 0.0, GRID, "apd")
+            bayes_estimates([histogram], amps(1, 1), 0.0, GRID, "apd")
 
 
 class TestLogLikelihoodOnoff:
