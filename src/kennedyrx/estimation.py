@@ -7,17 +7,16 @@ uniform prior.  Posteriors live on a uniform grid, and every integral over it
 with the grid's cached trapezoid weights, so a streaming shot pays no
 quadrature set-up.
 
-One kernel turns photon-number histograms, the sufficient statistic, into
-log-likelihoods: a (records x bins) matrix of occupations w_k times the
-(bins x grid) table of ln P_k, one row sum_k w_k ln P_k per record, where an
-empty bin adds 0 even at grid points where its ln P_k is -inf.  One record
-is one row; :func:`bayes_estimates` passes the histograms of many records in
-blocks of rows of bounded size.  Photon-number-resolved ("pnr") bins are the
-distinct counts; on/off bins are their coarse-graining {0}, {n >= 1}.
-Batch and streaming read ln p_n from one bounded per-count cache, so memory
-never follows the size of a count.  One more kernel gives the Fisher
-information of both kinds, sum_k (dP_k/dphi)^2 / P_k over the bins with
-P_k > 0 (pnr: n = 0..cutoff).
+One kernel turns a photon-number histogram, the sufficient statistic, into
+a log-likelihood: sum_k w_k ln P_k over the grid, the occupations w_k of the
+bins times their ln P_k columns, block by block of bins, where an empty bin
+adds 0 even at grid points where its ln P_k is -inf.  Photon-number-resolved
+("pnr") bins are the distinct counts; on/off bins are their coarse-graining
+{0}, {n >= 1}.  Batch and streaming read ln p_n from one bounded per-count
+cache, so memory never follows the size of a count or the number of
+distinct counts.  One more kernel gives the Fisher information of both
+kinds, sum_k (dP_k/dphi)^2 / P_k over the bins with P_k > 0 (pnr: n =
+0..cutoff).
 
 Estimators share the detection record used for bit discrimination:
 
@@ -41,7 +40,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -62,7 +61,6 @@ __all__ = [
     "posterior",
     "uniform_posterior",
     "bayes_estimate",
-    "bayes_estimates",
     "sequential_update",
     "fisher_pnr",
     "fisher_onoff",
@@ -75,8 +73,8 @@ __all__ = [
 
 DetectorKind = Literal["onoff", "pnr"]
 
-# Cells per block of Fisher table rows (phases) or of log-likelihood rows
-# (records): photonstats' noise-average budget.
+# Cells per block of Fisher table rows (phases) or of likelihood columns
+# (bins): photonstats' noise-average budget.
 _BLOCK_CELLS = 2_000_000
 
 
@@ -266,31 +264,26 @@ def _log_onoff(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, on:
         return np.log1p(-np.exp(log_off))
 
 
-def _pnr_columns(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, ns) -> np.ndarray:
-    """ln p_n over the grid, one row per photon number n of ``ns``."""
-    cols = [_log_pmf(amps, gamma, grid, int(n)) for n in ns]
-    return np.array(cols).reshape(len(cols), grid.size)
+def _loglik(log_p, bins, weights, grid: PhaseGrid) -> np.ndarray:
+    """The likelihood kernel: sum_k w_k ln P_k over the grid.
 
-
-def _onoff_columns(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid) -> np.ndarray:
-    """ln P over the grid for the on/off bins {0} and {n >= 1}, one row each."""
-    return np.vstack([_log_onoff(amps, gamma, grid, on) for on in (0, 1)])
-
-
-def _loglik(weights: np.ndarray, log_p: np.ndarray) -> np.ndarray:
-    """The likelihood kernel: row r of the result is sum_k w_rk ln P_k.
-
-    ``weights`` holds one row of bin occupations w_rk per record (rows x
-    bins) and ``log_p`` one row of ln P_k over the grid per bin (bins x
-    grid).  An empty bin adds 0 even where its ln P_k is -inf, so no
-    0 * -inf arises, and a grid point where an occupied bin is impossible
-    gets -inf.
+    ``log_p(k)`` is ln P_k over the grid and ``weights`` the occupations w_k
+    of ``bins``.  Each block of at most ``_BLOCK_CELLS`` table cells is one
+    matrix product, so memory does not follow the number of bins.  An empty
+    bin adds 0 even where its ln P_k is -inf, so no 0 * -inf arises, and a
+    grid point where an occupied bin is impossible gets -inf.
     """
-    impossible = np.isneginf(log_p)
-    if not impossible.any():
-        return weights @ log_p
-    ll = weights @ np.where(impossible, 0.0, log_p)
-    ll[(weights > 0) @ impossible] = -np.inf
+    weights = np.asarray(weights, dtype=float)
+    ll = np.zeros(grid.size)
+    step = max(1, _BLOCK_CELLS // grid.size)
+    for start in range(0, weights.size, step):
+        w = weights[start : start + step]
+        cols = np.array([log_p(k) for k in bins[start : start + step]])
+        impossible = cols == -np.inf
+        if impossible.any():
+            cols[impossible] = 0.0
+            ll[(w > 0) @ impossible] = -np.inf
+        ll += w @ cols
     return ll
 
 
@@ -307,7 +300,8 @@ def log_likelihood_pnr(
     probability get -inf, never an exception.
     """
     ns, m = record.histogram
-    return _loglik(m[None, :].astype(float), _pnr_columns(amps, float(gamma), grid, ns))[0]
+    gamma = float(gamma)
+    return _loglik(lambda n: _log_pmf(amps, gamma, grid, n), ns.tolist(), m, grid)
 
 
 def log_likelihood_onoff(
@@ -317,8 +311,10 @@ def log_likelihood_onoff(
     grid: PhaseGrid,
 ) -> np.ndarray:
     """Log-likelihood m_off ln P_off + m_on ln(1 - P_off) with P_off = p_0."""
-    weights = np.array([[record.m_off, record.m_on]], dtype=float)
-    return _loglik(weights, _onoff_columns(amps, float(gamma), grid))[0]
+    gamma = float(gamma)
+    return _loglik(
+        lambda on: _log_onoff(amps, gamma, grid, on), (0, 1), (record.m_off, record.m_on), grid
+    )
 
 
 def posterior(loglik, grid: PhaseGrid) -> PhasePosterior:
@@ -376,43 +372,6 @@ def bayes_estimate(post: PhasePosterior, sample_size: int = 0) -> PhaseEstimate:
     return PhaseEstimate(
         mean=mean, variance=var, sample_size=sample_size, skewness=skew
     )
-
-
-def bayes_estimates(
-    histograms: Sequence[tuple[np.ndarray, np.ndarray]],
-    amps: DetectorPlaneAmplitudes,
-    gamma: float,
-    grid: PhaseGrid,
-    detector_kind: DetectorKind = "pnr",
-) -> list[PhaseEstimate]:
-    """:func:`bayes_estimate` of the posterior of each of many records.
-
-    Each record comes as its histogram, a pair (distinct counts, occurrences)
-    like :attr:`CountRecord.histogram`; on/off detection coarse-grains it to
-    the bins {0}, {n >= 1}.  The histograms become one weight matrix over the
-    union of their bins, and the log-likelihoods come from the kernel one
-    block of rows at a time, so memory does not follow the number of records.
-    """
-    ns = np.unique(np.concatenate([v for v, _ in histograms]))
-    weights = np.zeros((len(histograms), ns.size))
-    for row, (v, occ) in zip(weights, histograms):
-        row[np.searchsorted(ns, v)] = occ
-    sizes = weights.sum(axis=1)
-    if detector_kind == "pnr":
-        log_p = _pnr_columns(amps, float(gamma), grid, ns)
-    elif detector_kind == "onoff":
-        off = weights[:, 0] if ns.size and ns[0] == 0 else np.zeros(len(weights))
-        weights = np.column_stack([off, sizes - off])
-        log_p = _onoff_columns(amps, float(gamma), grid)
-    else:
-        raise ValueError(f"detector_kind must be 'onoff' or 'pnr', got {detector_kind!r}")
-    step = max(1, _BLOCK_CELLS // grid.size)
-    estimates = []
-    for start in range(0, len(weights), step):
-        block = _loglik(weights[start : start + step], log_p)
-        for ll, size in zip(block, sizes[start : start + step]):
-            estimates.append(bayes_estimate(posterior(ll, grid), sample_size=int(size)))
-    return estimates
 
 
 def sequential_update(

@@ -7,10 +7,9 @@ by CDF inversion with a sequential search that only touches the shots it has
 not yet decided.  Every experiment derives its generator from (seed, spawn
 key), so replications are independent streams that can run in any order (or
 in parallel) and still reproduce bit-for-bit.  A convergence sweep draws each
-(M, replication) record once and keeps only its photon-count histogram, the
-sufficient statistic, which every estimator it compares reads: the Bayes
-estimators take the histograms of all replications of one M at once, so
-the M-shot records are never held together.
+(M, replication) record once and hands it to every estimator it compares;
+they all read its photon-count histogram, the sufficient statistic, which
+the record sorts out once.
 """
 
 from __future__ import annotations
@@ -226,7 +225,6 @@ def run_discrimination(cfg: SimConfig, bits: Sequence[int]) -> DiscriminationRes
 
 
 _METHODS = ("bayes-pnr", "bayes-onoff", "fano-inversion")
-_BAYES_KINDS = {"bayes-pnr": "pnr", "bayes-onoff": "onoff"}
 
 
 def _reference_fisher(method: str, amps, phi: float, gamma: float) -> float:
@@ -245,13 +243,12 @@ def run_convergence_sweeps(
 ) -> tuple[SweepResult, ...]:
     """Estimator benchmark over growing sample sizes, cfg.replications runs each.
 
-    Every (M, replication) pair draws one independent record and keeps only
-    its histogram (:attr:`CountRecord.histogram`), which every method in
-    ``methods`` then estimates from; each logs its point estimate and
-    variance.  The Bayes methods estimate all replications of one M at once
-    (:func:`estimation.bayes_estimates`).  A method's rows aggregate the
-    ensemble mean ratio to phi_star, the spread of the estimates, the mean
-    reported variance and the CRLB reference 1/(M*F) at phi_star.  phi_star enters both as its
+    Every (M, replication) pair draws one independent record, which every
+    method in ``methods`` then estimates from, all of them through its
+    histogram (:attr:`CountRecord.histogram`); each logs its point estimate
+    and variance.  A method's rows aggregate the ensemble mean ratio to
+    phi_star, the spread of the estimates, the mean reported variance and
+    the CRLB reference 1/(M*F) at phi_star.  phi_star enters both as its
     representative in [0, pi/2], where the estimates lie
     (:func:`estimation.fold_phase`); that must be nonzero.  Results come
     back in the order of ``methods``.
@@ -273,25 +270,23 @@ def run_convergence_sweeps(
 
     fisher_refs = [_reference_fisher(m, cfg.amps, phi_true, cfg.gamma) for m in methods]
     reps = cfg.replications
-    fano_j = methods.index("fano-inversion") if "fano-inversion" in methods else None
     estimates = np.empty((len(methods), len(m_values), reps))
     variances = np.empty((len(methods), len(m_values), reps))
     for i, m in enumerate(m_values):
         cfg_m = replace(cfg, M=m)
-        histograms = []
         for rep in range(reps):
             record = sample_counts(cfg_m, replication=rep)
-            histograms.append(record.histogram)
-            if fano_j is not None:
-                est = estimation.fano_inversion_estimate(record, cfg.amps)
-                estimates[fano_j, i, rep], variances[fano_j, i, rep] = est.mean, est.variance
-        for j, method in enumerate(methods):
-            if method in _BAYES_KINDS:
-                ests = estimation.bayes_estimates(
-                    histograms, cfg.amps, cfg.gamma, grid, _BAYES_KINDS[method]
-                )
-                estimates[j, i] = [est.mean for est in ests]
-                variances[j, i] = [est.variance for est in ests]
+            for j, method in enumerate(methods):
+                if method == "fano-inversion":
+                    est = estimation.fano_inversion_estimate(record, cfg.amps)
+                else:
+                    if method == "bayes-pnr":
+                        ll = estimation.log_likelihood_pnr(record, cfg.amps, cfg.gamma, grid)
+                    else:
+                        onoff = to_onoff(record)
+                        ll = estimation.log_likelihood_onoff(onoff, cfg.amps, cfg.gamma, grid)
+                    est = estimation.bayes_estimate(estimation.posterior(ll, grid), sample_size=m)
+                estimates[j, i, rep], variances[j, i, rep] = est.mean, est.variance
 
     results = []
     for j, (method, fisher_ref) in enumerate(zip(methods, fisher_refs)):

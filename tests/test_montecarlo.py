@@ -365,6 +365,15 @@ class TestConvergenceSweeps:
                 assert np.array_equal(result.variances, alone.variances)
                 assert result.rows == alone.rows
 
+    def test_repeated_methods_each_get_their_own_results(self):
+        cfg = SimConfig(amps=amps(SQRT2, SQRT2), phi_star=0.3, M=1, seed=65, replications=3)
+        methods = ("fano-inversion", "bayes-pnr", "fano-inversion", "bayes-pnr")
+        results = run_convergence_sweeps(cfg, methods, (30, 100))
+        for result in results:
+            alone = run_convergence_sweep(cfg, result.method, (30, 100))
+            assert np.array_equal(result.estimates, alone.estimates)
+            assert np.array_equal(result.variances, alone.variances)
+
     def test_draws_each_record_once(self, monkeypatch):
         import kennedyrx.montecarlo as mc
 
