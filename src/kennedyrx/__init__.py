@@ -14,6 +14,7 @@ from .estimation import (
     PhasePosterior,
     UndefinedFanoError,
     bayes_estimate,
+    bayes_estimates,
     crlb_variance,
     empirical_fano,
     fano_inversion_estimate,

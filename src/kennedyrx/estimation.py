@@ -7,16 +7,18 @@ uniform prior.  Posteriors live on a uniform grid, and every integral over it
 with the grid's cached trapezoid weights, so a streaming shot pays no
 quadrature set-up.
 
-One kernel turns a photon-number histogram, the sufficient statistic, into
-a log-likelihood: sum_k w_k ln P_k over the grid, the occupations w_k of the
-bins times their ln P_k columns, block by block of bins, where an empty bin
-adds 0 even at grid points where its ln P_k is -inf.  Photon-number-resolved
-("pnr") bins are the distinct counts; on/off bins are their coarse-graining
-{0}, {n >= 1}.  Batch and streaming read ln p_n from one bounded per-count
-cache, so memory never follows the size of a count or the number of
-distinct counts.  One more kernel gives the Fisher information of both
-kinds, sum_k (dP_k/dphi)^2 / P_k over the bins with P_k > 0 (pnr: n =
-0..cutoff).
+One kernel turns photon-number histograms, the sufficient statistic, into
+log-likelihoods: a (records x bins) matrix of occupations w_k times the
+(bins x grid) table of ln P_k, one row sum_k w_k ln P_k per record, where an
+empty bin adds 0 even at grid points where its ln P_k is -inf.  The table
+goes in blocks of bins, and :func:`bayes_estimates` passes many records in
+blocks of rows, each of bounded size; one record is one row.
+Photon-number-resolved ("pnr") bins are the distinct counts; on/off bins
+are their coarse-graining {0}, {n >= 1}.  Batch and streaming read ln p_n
+from one bounded per-count cache, so memory follows neither the size of a
+count nor the number of distinct counts.  One more kernel gives the Fisher
+information of both kinds, sum_k (dP_k/dphi)^2 / P_k over the bins with
+P_k > 0 (pnr: n = 0..cutoff).
 
 Estimators share the detection record used for bit discrimination:
 
@@ -40,7 +42,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -61,6 +63,7 @@ __all__ = [
     "posterior",
     "uniform_posterior",
     "bayes_estimate",
+    "bayes_estimates",
     "sequential_update",
     "fisher_pnr",
     "fisher_onoff",
@@ -73,8 +76,9 @@ __all__ = [
 
 DetectorKind = Literal["onoff", "pnr"]
 
-# Cells per block of Fisher table rows (phases) or of likelihood columns
-# (bins): photonstats' noise-average budget.
+# Cells per block of Fisher table rows (phases), of likelihood columns
+# (bins) or of log-likelihood rows (records): photonstats' noise-average
+# budget.
 _BLOCK_CELLS = 2_000_000
 
 
@@ -264,21 +268,43 @@ def _log_onoff(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, on:
         return np.log1p(-np.exp(log_off))
 
 
-def _loglik(log_p, bins, weights, grid: PhaseGrid) -> np.ndarray:
-    """The likelihood kernel: sum_k w_k ln P_k over the grid.
+def _bins(histograms, detector_kind: DetectorKind):
+    """The ln P column of a detector kind's bins (``_log_pmf`` or
+    ``_log_onoff``), the bins, and one row of bin occupations per histogram.
 
-    ``log_p(k)`` is ln P_k over the grid and ``weights`` the occupations w_k
-    of ``bins``.  Each block of at most ``_BLOCK_CELLS`` table cells is one
-    matrix product, so memory does not follow the number of bins.  An empty
-    bin adds 0 even where its ln P_k is -inf, so no 0 * -inf arises, and a
-    grid point where an occupied bin is impossible gets -inf.
+    Histograms are pairs (distinct counts, occurrences) like
+    :attr:`CountRecord.histogram`.  Photon-number-resolved bins are the union
+    of their distinct counts; on/off bins are the coarse-graining {0},
+    {n >= 1} of it.
+    """
+    ns = np.unique(np.concatenate([v for v, _ in histograms]))
+    weights = np.zeros((len(histograms), ns.size))
+    for row, (v, occ) in zip(weights, histograms):
+        row[np.searchsorted(ns, v)] = occ
+    if detector_kind == "pnr":
+        return _log_pmf, ns, weights
+    if detector_kind == "onoff":
+        off = weights[:, 0] if ns.size and ns[0] == 0 else np.zeros(len(weights))
+        return _log_onoff, (0, 1), np.column_stack([off, weights.sum(axis=1) - off])
+    raise ValueError(f"detector_kind must be 'onoff' or 'pnr', got {detector_kind!r}")
+
+
+def _loglik(column, bins, weights, amps, gamma: float, grid: PhaseGrid) -> np.ndarray:
+    """The likelihood kernel: row r of the result is sum_k w_rk ln P_k.
+
+    ``weights`` holds one row of occupations w_rk of ``bins`` per record,
+    and ``column(amps, gamma, grid, k)`` is ln P_k over the grid.  Each block
+    of at most ``_BLOCK_CELLS`` table cells is one matrix product, so memory
+    does not follow the number of bins.  An empty bin adds 0 even where its
+    ln P_k is -inf, so no 0 * -inf arises, and a grid point where an
+    occupied bin is impossible gets -inf.
     """
     weights = np.asarray(weights, dtype=float)
-    ll = np.zeros(grid.size)
+    ll = np.zeros((len(weights), grid.size))
     step = max(1, _BLOCK_CELLS // grid.size)
-    for start in range(0, weights.size, step):
-        w = weights[start : start + step]
-        cols = np.array([log_p(k) for k in bins[start : start + step]])
+    for start in range(0, len(bins), step):
+        w = weights[:, start : start + step]
+        cols = np.array([column(amps, gamma, grid, int(k)) for k in bins[start : start + step]])
         impossible = cols == -np.inf
         if impossible.any():
             cols[impossible] = 0.0
@@ -299,9 +325,7 @@ def log_likelihood_pnr(
     distinct counts n.  Grid points where an observed n has zero model
     probability get -inf, never an exception.
     """
-    ns, m = record.histogram
-    gamma = float(gamma)
-    return _loglik(lambda n: _log_pmf(amps, gamma, grid, n), ns.tolist(), m, grid)
+    return _loglik(*_bins([record.histogram], "pnr"), amps, float(gamma), grid)[0]
 
 
 def log_likelihood_onoff(
@@ -311,10 +335,8 @@ def log_likelihood_onoff(
     grid: PhaseGrid,
 ) -> np.ndarray:
     """Log-likelihood m_off ln P_off + m_on ln(1 - P_off) with P_off = p_0."""
-    gamma = float(gamma)
-    return _loglik(
-        lambda on: _log_onoff(amps, gamma, grid, on), (0, 1), (record.m_off, record.m_on), grid
-    )
+    weights = [[record.m_off, record.m_on]]
+    return _loglik(_log_onoff, (0, 1), weights, amps, float(gamma), grid)[0]
 
 
 def posterior(loglik, grid: PhaseGrid) -> PhasePosterior:
@@ -372,6 +394,31 @@ def bayes_estimate(post: PhasePosterior, sample_size: int = 0) -> PhaseEstimate:
     return PhaseEstimate(
         mean=mean, variance=var, sample_size=sample_size, skewness=skew
     )
+
+
+def bayes_estimates(
+    histograms: Sequence[tuple[np.ndarray, np.ndarray]],
+    amps: DetectorPlaneAmplitudes,
+    gamma: float,
+    grid: PhaseGrid,
+    detector_kind: DetectorKind,
+) -> list[PhaseEstimate]:
+    """:func:`bayes_estimate` of the posterior of each of many records.
+
+    Each record comes as its histogram, a pair (distinct counts, occurrences)
+    like :attr:`CountRecord.histogram`.  The records go in blocks of at most
+    ``_BLOCK_CELLS`` log-likelihood cells, each one call of the likelihood
+    kernel over the bins of its histograms, so memory does not follow the
+    number of records.
+    """
+    step = max(1, _BLOCK_CELLS // grid.size)
+    estimates = []
+    for start in range(0, len(histograms), step):
+        column, bins, weights = _bins(histograms[start : start + step], detector_kind)
+        block = _loglik(column, bins, weights, amps, float(gamma), grid)
+        for ll, size in zip(block, weights.sum(axis=1)):
+            estimates.append(bayes_estimate(posterior(ll, grid), sample_size=int(size)))
+    return estimates
 
 
 def sequential_update(

@@ -7,9 +7,10 @@ by CDF inversion with a sequential search that only touches the shots it has
 not yet decided.  Every experiment derives its generator from (seed, spawn
 key), so replications are independent streams that can run in any order (or
 in parallel) and still reproduce bit-for-bit.  A convergence sweep draws each
-(M, replication) record once and hands it to every estimator it compares;
-they all read its photon-count histogram, the sufficient statistic, which
-the record sorts out once.
+(M, replication) record once and keeps only its photon-count histogram, the
+sufficient statistic, which every estimator it compares reads: the Bayes
+estimators take the histograms of all replications of one M at once, so
+the M-shot records are never held together.
 """
 
 from __future__ import annotations
@@ -193,9 +194,8 @@ def sample_counts(cfg: SimConfig, replication: int = 0) -> CountRecord:
 
 def to_onoff(record: CountRecord) -> OnOffRecord:
     """Coarse-grain a count record to on/off events."""
-    values, occ = record.histogram
-    m_off = int(occ[0]) if values.size and values[0] == 0 else 0
-    return OnOffRecord(m_on=record.sample_size - m_off, m_off=m_off)
+    _, _, ((m_off, m_on),) = estimation._bins([record.histogram], "onoff")
+    return OnOffRecord(m_on=int(m_on), m_off=int(m_off))
 
 
 def run_discrimination(cfg: SimConfig, bits: Sequence[int]) -> DiscriminationResult:
@@ -225,6 +225,7 @@ def run_discrimination(cfg: SimConfig, bits: Sequence[int]) -> DiscriminationRes
 
 
 _METHODS = ("bayes-pnr", "bayes-onoff", "fano-inversion")
+_BAYES_KINDS = {"bayes-pnr": "pnr", "bayes-onoff": "onoff"}
 
 
 def _reference_fisher(method: str, amps, phi: float, gamma: float) -> float:
@@ -243,13 +244,14 @@ def run_convergence_sweeps(
 ) -> tuple[SweepResult, ...]:
     """Estimator benchmark over growing sample sizes, cfg.replications runs each.
 
-    Every (M, replication) pair draws one independent record, which every
-    method in ``methods`` then estimates from, all of them through its
-    histogram (:attr:`CountRecord.histogram`); each logs its point estimate
-    and variance.  A method's rows aggregate the ensemble mean ratio to
-    phi_star, the spread of the estimates, the mean reported variance and
-    the CRLB reference 1/(M*F) at phi_star.  phi_star enters both as its
-    representative in [0, pi/2], where the estimates lie
+    Every (M, replication) pair draws one independent record and keeps only
+    its histogram (:attr:`CountRecord.histogram`), which every method in
+    ``methods`` then estimates from; each logs its point estimate and
+    variance.  The Bayes methods estimate all replications of one M at once
+    (:func:`estimation.bayes_estimates`).  A method's rows aggregate the
+    ensemble mean ratio to phi_star, the spread of the estimates, the mean
+    reported variance and the CRLB reference 1/(M*F) at phi_star.  phi_star
+    enters both as its representative in [0, pi/2], where the estimates lie
     (:func:`estimation.fold_phase`); that must be nonzero.  Results come
     back in the order of ``methods``.
     """
@@ -274,19 +276,21 @@ def run_convergence_sweeps(
     variances = np.empty((len(methods), len(m_values), reps))
     for i, m in enumerate(m_values):
         cfg_m = replace(cfg, M=m)
+        histograms, fano = [], []
         for rep in range(reps):
             record = sample_counts(cfg_m, replication=rep)
-            for j, method in enumerate(methods):
-                if method == "fano-inversion":
-                    est = estimation.fano_inversion_estimate(record, cfg.amps)
-                else:
-                    if method == "bayes-pnr":
-                        ll = estimation.log_likelihood_pnr(record, cfg.amps, cfg.gamma, grid)
-                    else:
-                        onoff = to_onoff(record)
-                        ll = estimation.log_likelihood_onoff(onoff, cfg.amps, cfg.gamma, grid)
-                    est = estimation.bayes_estimate(estimation.posterior(ll, grid), sample_size=m)
-                estimates[j, i, rep], variances[j, i, rep] = est.mean, est.variance
+            histograms.append(record.histogram)
+            if "fano-inversion" in methods:
+                fano.append(estimation.fano_inversion_estimate(record, cfg.amps))
+        for j, method in enumerate(methods):
+            if method == "fano-inversion":
+                ests = fano
+            else:
+                ests = estimation.bayes_estimates(
+                    histograms, cfg.amps, cfg.gamma, grid, _BAYES_KINDS[method]
+                )
+            estimates[j, i] = [est.mean for est in ests]
+            variances[j, i] = [est.variance for est in ests]
 
     results = []
     for j, (method, fisher_ref) in enumerate(zip(methods, fisher_refs)):

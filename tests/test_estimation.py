@@ -15,6 +15,7 @@ from kennedyrx.estimation import (
     PhasePosterior,
     UndefinedFanoError,
     bayes_estimate,
+    bayes_estimates,
     crlb_variance,
     empirical_fano,
     fano_inversion_estimate,
@@ -27,6 +28,7 @@ from kennedyrx.estimation import (
     sequential_update,
     uniform_posterior,
 )
+from kennedyrx import estimation
 from kennedyrx.estimation import _log_pmf, _loglik, _trapezoid_weights
 from kennedyrx.montecarlo import SimConfig, sample_counts, to_onoff
 from kennedyrx.photonstats import (
@@ -115,26 +117,24 @@ class TestLogLikelihoodPnr:
 
 
 class TestLikelihoodKernel:
-    def test_empty_bin_with_impossible_cells_adds_nothing(self):
+    def test_rows_equal_their_one_row_results(self):
         # at a = b = 14 a count of 1500 underflows to p = 0 towards pi/2 only;
-        # an empty 1500 bin must add 0 there, not 0 * -inf
+        # the second row leaves that bin empty, where 0 * -inf must not arise
         a14 = amps(14, 14)
-
-        def log_p(n):
-            return _log_pmf(a14, 0.0, GRID, n)
-
-        assert 0 < np.isneginf(log_p(1500)).sum() < GRID.size
+        assert 0 < np.isneginf(_log_pmf(a14, 0.0, GRID, 1500)).sum() < GRID.size
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            both = _loglik(log_p, [700, 1500], [1, 1], GRID)
-            one = _loglik(log_p, [700, 1500], [2, 0], GRID)
-        assert not np.isnan(both).any() and not np.isnan(one).any()
-        assert np.isneginf(both).any() and np.isfinite(one).all()
-        for got, counts in ((both, [700, 1500]), (one, [700, 700])):
-            want = log_likelihood_pnr(CountRecord(counts=np.array(counts)), a14, 0.0, GRID)
-            assert np.array_equal(np.isneginf(got), np.isneginf(want))
-            finite = np.isfinite(want)
-            np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=0)
+            rows = _loglik(_log_pmf, [700, 1500], [[1.0, 1.0], [2.0, 0.0]], a14, 0.0, GRID)
+        singles = [
+            log_likelihood_pnr(CountRecord(counts=np.array(c)), a14, 0.0, GRID)
+            for c in ([700, 1500], [700, 700])
+        ]
+        assert not np.isnan(rows).any()
+        assert np.isneginf(rows[0]).any() and np.isfinite(rows[1]).all()
+        for row, single in zip(rows, singles):
+            assert np.array_equal(np.isneginf(row), np.isneginf(single))
+            finite = np.isfinite(single)
+            np.testing.assert_allclose(row[finite], single[finite], rtol=1e-13, atol=0)
 
     def test_many_distinct_counts_on_a_fine_grid_in_bounded_memory(self):
         # 500 ln p_n columns of 20001 points would take 80 MB at once, and
@@ -149,12 +149,34 @@ class TestLikelihoodKernel:
             tracemalloc.stop()
         assert peak < 96 * 2**20
         want = np.zeros(fine.size)
-        with np.errstate(invalid="ignore"):
-            for n in range(500):
-                want += _log_pmf(a20, 0.0, fine, n)
+        for n in range(500):
+            want += _log_pmf(a20, 0.0, fine, n)
         assert np.array_equal(np.isneginf(ll), np.isneginf(want))
         finite = np.isfinite(want)
         np.testing.assert_allclose(ll[finite], want[finite], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["pnr", "onoff"])
+    def test_blocked_rows_match_per_record_posteriors(self, kind, monkeypatch):
+        # blocks of three rows and of three bins, so seven records span a
+        # partial last block of each
+        monkeypatch.setattr(estimation, "_BLOCK_CELLS", 3 * GRID.size)
+        cfg = SimConfig(amps=amps(SQRT2, SQRT2), phi_star=0.3, M=200, seed=23)
+        records = [sample_counts(cfg, replication=rep) for rep in range(7)]
+        got = bayes_estimates([r.histogram for r in records], cfg.amps, 0.0, GRID, kind)
+        for record, est in zip(records, got):
+            if kind == "pnr":
+                ll = log_likelihood_pnr(record, cfg.amps, 0.0, GRID)
+            else:
+                ll = log_likelihood_onoff(to_onoff(record), cfg.amps, 0.0, GRID)
+            want = bayes_estimate(posterior(ll, GRID), sample_size=200)
+            assert est.sample_size == 200
+            assert est.mean == pytest.approx(want.mean, rel=1e-12)
+            assert est.variance == pytest.approx(want.variance, rel=1e-10)
+
+    def test_unknown_detector_kind_raises(self):
+        histogram = CountRecord(counts=np.array([1])).histogram
+        with pytest.raises(ValueError, match="detector_kind"):
+            bayes_estimates([histogram], amps(1, 1), 0.0, GRID, "apd")
 
 
 class TestLogLikelihoodOnoff:
