@@ -23,6 +23,8 @@ from kennedyrx.photonstats import DetectorPlaneAmplitudes
 
 SQRT2 = math.sqrt(2.0)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+# 80 shots drawn by `kennedyrx simulate --a 1.2 --b 0.7 --phi 0.3 --M 80 --seed 11`
+COUNTS_80 = str(Path(__file__).resolve().parent / "data" / "counts_80.txt")
 
 
 def run_python(code: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
@@ -392,6 +394,11 @@ class TestOutputContracts:
             [
                 "discriminate", "--beta", "1", "--phi", "0.05", "--M", "2000", "--seed", "3",
             ],
+            [
+                "estimate", "--alpha", "2", "--beta", "1", "--tau", "0.99", "--gamma", "0.4",
+                "--grid", "60", "--counts", COUNTS_80,
+            ],
+            ["fano", "--a", "1.2", "--b", "0.7", "--counts", COUNTS_80],
         ],
     )
     def test_comment_block_replays_command(self, tmp_path, args):
@@ -411,6 +418,30 @@ class TestOutputContracts:
             line for line in path.read_text().splitlines() if not line.startswith("#")
         ]
         assert strip(first) == strip(second)
+
+    def test_sweep_comment_block_replays_command(self, tmp_path):
+        first = tmp_path / "first"
+        second = tmp_path / "second"
+        assert run_cli([
+            "sweep", "--a", "1.2", "--b", "0.7", "--phi", "0.3", "--seed", "5",
+            "--replications", "3", "--m-list", "50,100", "--grid", "50", "--method", "all",
+            "--out", str(first),
+        ]) == 0
+        replay = ["sweep"]
+        for line in Path(f"{first}_bayes-pnr.csv").read_text().splitlines():
+            if line.startswith("# ") and "=" in line:
+                key, value = line[2:].split("=", 1)
+                if key in cli._CONVERTERS and key != "out":
+                    replay += ["--" + key.replace("_", "-"), value]
+        assert run_cli(replay + ["--out", str(second)]) == 0
+        strip = lambda path: [
+            line for line in Path(path).read_text().splitlines() if not line.startswith("#")
+        ]
+        for method in ("bayes-pnr", "bayes-onoff", "fano-inversion"):
+            for suffix in (".csv", "_reps.csv"):
+                body = strip(f"{first}_{method}{suffix}")
+                assert len(body) > 1
+                assert body == strip(f"{second}_{method}{suffix}")
 
     def test_config_error_exit_code(self):
         assert run_cli(["fisher", "--a", "-3", "--b", "1", "--out", "x.csv"]) == 2
