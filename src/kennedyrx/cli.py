@@ -47,6 +47,7 @@ from .estimation import (
 )
 from .montecarlo import (
     DEFAULT_M_LIST,
+    METHODS,
     InsufficientSupportError,
     SimConfig,
     run_convergence_sweeps,
@@ -86,28 +87,23 @@ class DataError(ValueError):
     """Unreadable or malformed data file."""
 
 
-def _parse_float(key: str, raw: str, lo=None, hi=None, lo_open=False, hi_open=False) -> float:
+def _parse_float(key: str, raw: str, lo: float = -math.inf, hi: float = math.inf) -> float:
     try:
         v = float(raw)
     except ValueError:
         raise ConfigError(f"config key '{key}': expected a real number, got {raw!r}") from None
     if not math.isfinite(v):
         raise ConfigError(f"config key '{key}': must be finite, got {raw!r}")
-    if lo is not None and (v < lo or (lo_open and v == lo)):
-        raise ConfigError(f"config key '{key}': {_range_text(key, lo, hi, lo_open, hi_open)}")
-    if hi is not None and (v > hi or (hi_open and v == hi)):
-        raise ConfigError(f"config key '{key}': {_range_text(key, lo, hi, lo_open, hi_open)}")
+    if not lo <= v <= hi:
+        raise ConfigError(f"config key '{key}': {key} must lie in [{lo:g}, {hi:g}]")
     return v
 
 
-def _range_text(key, lo, hi, lo_open, hi_open) -> str:
-    if key == "tau":
-        return "tau must lie in (0,1)"
-    left = "(" if lo_open else "["
-    right = ")" if hi_open else "]"
-    lo_s = "-inf" if lo is None else f"{lo:g}"
-    hi_s = "inf" if hi is None else f"{hi:g}"
-    return f"{key} must lie in {left}{lo_s}, {hi_s}{right}"
+def _parse_tau(raw: str) -> float:
+    v = _parse_float("tau", raw)
+    if not 0.0 < v < 1.0:
+        raise ConfigError("config key 'tau': tau must lie in (0,1)")
+    return v
 
 
 def _parse_int(key: str, raw: str, lo=None, hi=None) -> int:
@@ -148,16 +144,14 @@ _CONVERTERS = {
     "b": lambda v: _parse_float("b", v, lo=0.0),
     "alpha": lambda v: _parse_float("alpha", v, lo=0.0),
     "beta": lambda v: _parse_float("beta", v, lo=0.0),
-    "tau": lambda v: _parse_float("tau", v, lo=0.0, hi=1.0, lo_open=True, hi_open=True),
+    "tau": _parse_tau,
     "phi": lambda v: _parse_float("phi", v),
     "gamma": lambda v: _parse_float("gamma", v, lo=0.0, hi=GAMMA_MAX),
     "M": lambda v: _parse_int("M", v, lo=1),
     "seed": lambda v: _parse_int("seed", v, lo=0, hi=2**64 - 1),
     "replications": lambda v: _parse_int("replications", v, lo=1),
     "grid": lambda v: _parse_int("grid", v, lo=2, hi=MAX_GRID_POINTS),
-    "method": lambda v: _parse_choice(
-        "method", v, ("bayes-pnr", "bayes-onoff", "fano-inversion", "all")
-    ),
+    "method": lambda v: _parse_choice("method", v, (*METHODS, "all")),
     "m_list": lambda v: _parse_m_list("m_list", v),
     "counts": str,
     "out": str,
@@ -213,6 +207,13 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
         return amps
 
+    def sim_config(self, M: int) -> SimConfig:
+        """The simulated experiment of this run, with M shots per record."""
+        return SimConfig(
+            amps=self.amplitudes(), phi_star=self.phi, M=M, seed=self.seed, gamma=self.gamma,
+            replications=self.replications,
+        )
+
     def require(self, *keys: str):
         missing = [k for k in keys if getattr(self, k) is None]
         if missing:
@@ -242,25 +243,14 @@ def _read_config_file(path: str) -> dict[str, str]:
     return pairs
 
 
-_COMMANDS = ("simulate", "estimate", "fisher", "fano", "discriminate", "sweep")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kennedyrx",
         description="Kennedy-like BPSK receiver simulator with Bayesian phase monitoring",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    help_text = {
-        "simulate": "draw a detection record and write a counts file",
-        "estimate": "Bayesian phase estimate from a counts file (both detector kinds)",
-        "fisher": "tabulate PNR and on/off Fisher information over a phase grid",
-        "fano": "Fano-inversion phase estimate from a counts file",
-        "discriminate": "empirical discrimination error vs the analytic formula",
-        "sweep": "estimator convergence sweep over sample sizes",
-    }
-    for command in _COMMANDS:
-        sp = sub.add_parser(command, help=help_text[command])
+    for command, (_, help_line) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_line)
         sp.add_argument("--config", help="flat key=value config file")
         for key in _FLAG_KEYS:
             flag = "--" + key.replace("_", "-")
@@ -380,12 +370,7 @@ def read_table(path: str):
 
 def _cmd_simulate(cfg: RunConfig) -> int:
     cfg.require("phi", "M", "seed", "out")
-    amps = cfg.amplitudes()
-    sim = SimConfig(
-        amps=amps, phi_star=cfg.phi, M=cfg.M, seed=cfg.seed, gamma=cfg.gamma,
-        replications=cfg.replications,
-    )
-    record = sample_counts(sim)
+    record = sample_counts(cfg.sim_config(cfg.M))
     lines = _config_block(cfg, ("a", "b", "alpha", "beta", "tau", "phi", "gamma", "M", "seed", "out"))
     lines += [str(int(n)) for n in record.counts]
     _write_lines(cfg.out, lines)
@@ -476,14 +461,10 @@ def _cmd_fano(cfg: RunConfig) -> int:
 
 def _cmd_discriminate(cfg: RunConfig) -> int:
     cfg.require("phi", "M", "seed")
-    amps = cfg.amplitudes()
-    sim = SimConfig(
-        amps=amps, phi_star=cfg.phi, M=cfg.M, seed=cfg.seed, gamma=cfg.gamma,
-        replications=cfg.replications,
-    )
+    sim = cfg.sim_config(cfg.M)
     bits = stream(cfg.seed, 1).integers(0, 2, size=cfg.M)
     result = run_discrimination(sim, bits)
-    beta_ref = cfg.beta if cfg.beta is not None else amps.b
+    beta_ref = cfg.beta if cfg.beta is not None else sim.amps.b
     analytic = error_probability(beta_ref, cfg.phi)
     print(
         f"discriminate: errors={result.n_errors}/{result.sample_size} "
@@ -506,17 +487,11 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     cfg.require("phi", "seed", "out")
     if fold_phase(cfg.phi) == 0.0:
         raise ConfigError("config key 'phi': sweep needs a phase that is not a multiple of pi")
-    amps = cfg.amplitudes()
+    sim = cfg.sim_config(cfg.m_list[-1])
     grid = PhaseGrid(size=cfg.grid if cfg.grid is not None else 2001)
-    sim = SimConfig(
-        amps=amps, phi_star=cfg.phi, M=cfg.m_list[-1], seed=cfg.seed, gamma=cfg.gamma,
-        replications=cfg.replications,
-    )
-    methods = (
-        ("bayes-pnr", "bayes-onoff", "fano-inversion") if cfg.method == "all" else (cfg.method,)
-    )
+    methods = METHODS if cfg.method == "all" else (cfg.method,)
     if "fano-inversion" in methods:
-        _require_fano_amplitudes(amps)
+        _require_fano_amplitudes(sim.amps)
         if cfg.m_list[0] < 3:
             raise ConfigError(
                 "config key 'm_list': fano-inversion needs at least 3 shots per record "
@@ -547,19 +522,21 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "fisher": _cmd_fisher,
-    "fano": _cmd_fano,
-    "discriminate": _cmd_discriminate,
-    "sweep": _cmd_sweep,
+# subcommand -> (handler, help line), in the order the parser lists them
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "draw a detection record and write a counts file"),
+    "estimate": (_cmd_estimate, "Bayesian phase estimate from a counts file (both detector kinds)"),
+    "fisher": (_cmd_fisher, "tabulate PNR and on/off Fisher information over a phase grid"),
+    "fano": (_cmd_fano, "Fano-inversion phase estimate from a counts file"),
+    "discriminate": (_cmd_discriminate, "empirical discrimination error vs the analytic formula"),
+    "sweep": (_cmd_sweep, "estimator convergence sweep over sample sizes"),
 }
 
 
 def dispatch(cfg: RunConfig) -> int:
     """Run one subcommand; returns the process exit status."""
-    return _DISPATCH[cfg.command](cfg)
+    handler, _ = _COMMANDS[cfg.command]
+    return handler(cfg)
 
 
 def main(argv=None) -> int:

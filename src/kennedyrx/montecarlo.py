@@ -42,10 +42,14 @@ __all__ = [
     "run_convergence_sweeps",
     "goodness_of_fit",
     "DEFAULT_M_LIST",
+    "METHODS",
 ]
 
 # Default sweep sample sizes: two and a half decades, log-spaced.
 DEFAULT_M_LIST = (100, 300, 1000, 3000, 10000, 30000)
+
+# The estimators a convergence sweep compares.
+METHODS = ("bayes-pnr", "bayes-onoff", "fano-inversion")
 
 _MIN_EXPECTED_PER_BIN = 5.0
 
@@ -224,7 +228,6 @@ def run_discrimination(cfg: SimConfig, bits: Sequence[int]) -> DiscriminationRes
     )
 
 
-_METHODS = ("bayes-pnr", "bayes-onoff", "fano-inversion")
 _BAYES_KINDS = {"bayes-pnr": "pnr", "bayes-onoff": "onoff"}
 
 
@@ -257,10 +260,10 @@ def run_convergence_sweeps(
     """
     methods = tuple(methods)
     if not methods:
-        raise ValueError(f"no method given; expected some of {_METHODS}")
+        raise ValueError(f"no method given; expected some of {METHODS}")
     for method in methods:
-        if method not in _METHODS:
-            raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     m_values = [int(m) for m in m_list]
     if not m_values or any(m2 <= m1 for m1, m2 in zip(m_values, m_values[1:])):
         raise ValueError("m_list must be non-empty and strictly increasing")
