@@ -77,6 +77,11 @@ EXIT_DEGENERATE = 4
 
 # Largest phase grid: 10x the default; keeps the 256-column ln p_n cache <= 41 MB.
 MAX_GRID_POINTS = 20_001
+# Largest record: 33x the 3e5 shots of the acceptance runs; the sampler's
+# temporaries take ~93 B per shot, so about 0.9 GB.
+MAX_SHOTS = 10**7
+# Most sweep replications per sample size.
+MAX_REPLICATIONS = 10**5
 
 
 class ConfigError(ValueError):
@@ -133,6 +138,8 @@ def _parse_m_list(key: str, raw: str) -> tuple[int, ...]:
         ) from None
     if not values or any(v < 1 for v in values):
         raise ConfigError(f"config key '{key}': sample sizes must be positive")
+    if any(v > MAX_SHOTS for v in values):
+        raise ConfigError(f"config key '{key}': sample sizes must be <= {MAX_SHOTS}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError(f"config key '{key}': sample sizes must be strictly increasing")
     return values
@@ -147,9 +154,9 @@ _CONVERTERS = {
     "tau": _parse_tau,
     "phi": lambda v: _parse_float("phi", v),
     "gamma": lambda v: _parse_float("gamma", v, lo=0.0, hi=GAMMA_MAX),
-    "M": lambda v: _parse_int("M", v, lo=1),
+    "M": lambda v: _parse_int("M", v, lo=1, hi=MAX_SHOTS),
     "seed": lambda v: _parse_int("seed", v, lo=0, hi=2**64 - 1),
-    "replications": lambda v: _parse_int("replications", v, lo=1),
+    "replications": lambda v: _parse_int("replications", v, lo=1, hi=MAX_REPLICATIONS),
     "grid": lambda v: _parse_int("grid", v, lo=2, hi=MAX_GRID_POINTS),
     "method": lambda v: _parse_choice("method", v, (*METHODS, "all")),
     "m_list": lambda v: _parse_m_list("m_list", v),
@@ -227,7 +234,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(lines, 1):
@@ -277,7 +284,7 @@ def load_counts(path: str) -> CountRecord:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read counts file {path}: {exc}") from None
     values: list[int] = []
     for lineno, raw in enumerate(lines, 1):

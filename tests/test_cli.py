@@ -263,6 +263,46 @@ class TestGridBound:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.txt"]
 
 
+class TestRecordSizeBound:
+    """Records above MAX_SHOTS and sweeps above MAX_REPLICATIONS are config
+    errors, caught before anything is allocated."""
+
+    @pytest.mark.parametrize("over", ["bound+1", "1e15"])
+    @pytest.mark.parametrize(
+        "command, key",
+        [("simulate", "M"), ("discriminate", "M"), ("sweep", "m_list"), ("sweep", "replications")],
+    )
+    def test_oversized_record_exits_2_quickly(self, tmp_path, command, key, over):
+        bound = cli.MAX_REPLICATIONS if key == "replications" else cli.MAX_SHOTS
+        flags = {"phi": "0.3", "seed": "1", "M": "100", "replications": "2", "m_list": "100"}
+        flags[key] = str(bound + 1 if over == "bound+1" else 10**15)
+        args = [command, "--a", "1.12", "--b", "0.79", "--out", str(tmp_path / "out")]
+        for k, v in flags.items():
+            args += ["--" + k.replace("_", "-"), v]
+        # the timer starts after the import, so only the command itself is timed
+        proc = run_python(
+            "import json, sys, time\n"
+            "from kennedyrx import cli\n"
+            "t = time.perf_counter()\n"
+            f"rc = cli.main({args!r})\n"
+            "print(json.dumps([rc, time.perf_counter() - t]))\n",
+        )
+        assert "Traceback" not in proc.stderr
+        assert f"must be <= {bound}" in proc.stderr
+        rc, seconds = json.loads(proc.stdout.splitlines()[-1])
+        assert rc == 2 and proc.returncode == 0
+        assert seconds < 2.0
+        assert not list(tmp_path.iterdir())
+
+    def test_bounds_themselves_parse(self):
+        cfg = parse_config([
+            "sweep", "--M", str(cli.MAX_SHOTS), "--m-list", f"100,{cli.MAX_SHOTS}",
+            "--replications", str(cli.MAX_REPLICATIONS),
+        ])
+        assert cfg.M == cli.MAX_SHOTS and cfg.m_list == (100, cli.MAX_SHOTS)
+        assert cfg.replications == cli.MAX_REPLICATIONS
+
+
 class TestFanoCommand:
     def test_reports_estimate(self, tmp_path, capsys):
         counts = tmp_path / "counts.txt"
@@ -445,6 +485,16 @@ class TestOutputContracts:
 
     def test_config_error_exit_code(self):
         assert run_cli(["fisher", "--a", "-3", "--b", "1", "--out", "x.csv"]) == 2
+
+    @pytest.mark.parametrize("flag, code", [("--counts", 3), ("--config", 2)])
+    def test_non_utf8_file_exits_with_its_code(self, tmp_path, capsys, flag, code):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"\xff\xfe")
+        out = tmp_path / "e.csv"
+        assert run_cli(["estimate", "--a", "1", "--b", "1", flag, str(path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert f"cannot read {flag[2:]} file {path}" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_data_error_exit_code(self, tmp_path):
         code = run_cli([
