@@ -167,12 +167,6 @@ class CountRecord:
         occurrences.setflags(write=False)
         return values, occurrences
 
-    def occurrences(self, minlength: int = 0) -> np.ndarray:
-        """Occurrence counts m_n (the sufficient statistics); sum(m) == M."""
-        if self.counts.size == 0:
-            return np.zeros(minlength, dtype=np.int64)
-        return np.bincount(self.counts, minlength=minlength)
-
 
 @dataclass(frozen=True)
 class OnOffRecord:
@@ -259,13 +253,16 @@ def _log_pmf(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, n: in
     return col
 
 
+@lru_cache(maxsize=64)
 def _log_onoff(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, on: int) -> np.ndarray:
     """ln P over the grid for the on/off bin {0} (on = 0) or {n >= 1} (on = 1)."""
     log_off = _log_pmf(amps, gamma, grid, 0)
     if not on:
         return log_off
     with np.errstate(divide="ignore"):
-        return np.log1p(-np.exp(log_off))
+        col = np.log1p(-np.exp(log_off))
+    col.setflags(write=False)
+    return col
 
 
 def _bins(histograms, detector_kind: DetectorKind):

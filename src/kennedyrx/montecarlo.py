@@ -340,7 +340,10 @@ def goodness_of_fit(record: CountRecord, pmf: PhotonPmf) -> GofResult:
     m_total = record.sample_size
     if m_total < 50:
         raise ValueError(f"goodness of fit needs at least 50 samples, got {m_total}")
-    observed_full = record.occurrences(minlength=pmf.probs.size)
+    values, occurrences = record.histogram
+    inside = values < pmf.probs.size
+    observed = np.zeros(pmf.probs.size, dtype=np.int64)
+    observed[values[inside]] = occurrences[inside]
     expected_full = m_total * pmf.probs
 
     obs_bins: list[float] = []
@@ -348,7 +351,7 @@ def goodness_of_fit(record: CountRecord, pmf: PhotonPmf) -> GofResult:
     acc_o = 0.0
     acc_e = 0.0
     for n in range(pmf.probs.size):
-        acc_o += float(observed_full[n]) if n < observed_full.size else 0.0
+        acc_o += float(observed[n])
         acc_e += float(expected_full[n])
         if acc_e >= _MIN_EXPECTED_PER_BIN:
             obs_bins.append(acc_o)
@@ -357,7 +360,7 @@ def goodness_of_fit(record: CountRecord, pmf: PhotonPmf) -> GofResult:
             acc_e = 0.0
     # remainder: mass above the last closed bin, plus the model tail and any
     # observed counts beyond the pmf cutoff
-    acc_o += float(observed_full[pmf.probs.size :].sum())
+    acc_o += float(occurrences[~inside].sum())
     acc_e += m_total * pmf.tail_bound
     if not obs_bins:
         raise InsufficientSupportError("expected counts cannot fill a single bin")

@@ -48,12 +48,6 @@ def amps(a, b):
 
 
 class TestRecords:
-    def test_count_record_occurrences(self):
-        rec = CountRecord(counts=np.array([0, 2, 0, 5]))
-        occ = rec.occurrences()
-        assert occ[0] == 2 and occ[2] == 1 and occ[5] == 1
-        assert occ.sum() == rec.sample_size == 4
-
     def test_count_record_rejects_negative(self):
         with pytest.raises(ValueError):
             CountRecord(counts=np.array([1, -1]))
@@ -190,6 +184,14 @@ class TestLogLikelihoodOnoff:
         p0 = photon_pmf(amps(1, 1), 0.0).probs[0]
         # spot-check the first grid point against the closed form
         assert ll[0] == pytest.approx(m * math.log1p(-p0), rel=1e-12)
+
+    def test_on_column_is_cached_and_read_only(self):
+        a = amps(1.12, 0.79)
+        on = estimation._log_onoff(a, 0.5, GRID, 1)
+        assert estimation._log_onoff(a, 0.5, GRID, 1) is on
+        assert not on.flags.writeable
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(on, np.log1p(-np.exp(_log_pmf(a, 0.5, GRID, 0))))
 
     def test_coarse_grained_equivalence(self):
         # on/off likelihood == PNR likelihood with all n>0 merged into one bin

@@ -454,6 +454,19 @@ class TestGoodnessOfFit:
         with pytest.raises(ValueError, match="50"):
             goodness_of_fit(sample_counts(cfg), photon_pmf(amps(1, 1), 0.3))
 
+    def test_memory_does_not_follow_the_largest_count(self):
+        # a dense occurrence vector up to n = 10^7 would take 76 MB
+        record = CountRecord(counts=np.array([0, 1, 2, 3] * 15 + [10**7]))
+        pmf = photon_pmf(amps(1, 1), 0.3)
+        tracemalloc.start()
+        try:
+            stat, p = goodness_of_fit(record, pmf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert stat > 0.0 and 0.0 <= p <= 1.0
+
     def test_statistic_is_nonnegative(self):
         cfg = SimConfig(amps=amps(1, 1), phi_star=0.5, M=5000, seed=6)
         stat, p = goodness_of_fit(sample_counts(cfg), photon_pmf(amps(1, 1), 0.5))
