@@ -250,13 +250,7 @@ def _tabulate(rows_fn, amps: DetectorPlaneAmplitudes, phis, n: np.ndarray, gamma
     return _noise_average(lambda p: rows_fn(amps.a, amps.b, p, n), phis, gamma, gl_nodes, n.size)
 
 
-def pmf_columns(
-    amps: DetectorPlaneAmplitudes,
-    phis,
-    ns,
-    gamma: float = 0.0,
-    gl_nodes: int = GL_NODES,
-) -> np.ndarray:
+def pmf_columns(amps: DetectorPlaneAmplitudes, phis, ns, gamma: float = 0.0) -> np.ndarray:
     """Photon-number pmf p_n for every phase in ``phis`` and photon number in ``ns``.
 
     Returns an array of shape ``(len(phis), len(ns))``; the cost grows with
@@ -268,9 +262,12 @@ def pmf_columns(
     n = np.atleast_1d(np.asarray(ns))
     if n.ndim != 1 or (n.size and (not np.issubdtype(n.dtype, np.integer) or n.min() < 0)):
         raise ValueError("photon numbers must be a 1-D sequence of nonnegative integers")
-    return _tabulate(_pmf_rows, amps, phis, n, gamma, gl_nodes)
+    return _tabulate(_pmf_rows, amps, phis, n, gamma, GL_NODES)
 
 
+# pmf_table and dphi_table keep ``gl_nodes``, which no caller sets, until the
+# benchmark tracer stops binding it: perfbench/spans.py ``table_cells`` reads it
+# to count quadrature cells whenever gamma > 0 (ROADMAP open item 1).
 def pmf_table(
     amps: DetectorPlaneAmplitudes,
     phis,
@@ -281,7 +278,7 @@ def pmf_table(
     """Photon-number pmf rows for every phase in ``phis``: :func:`pmf_columns`
     over n = 0..n_max, shape ``(len(phis), n_max + 1)``."""
     nm = default_cutoff(amps) if n_max is None else int(n_max)
-    return pmf_columns(amps, phis, np.arange(nm + 1), gamma, gl_nodes)
+    return _tabulate(_pmf_rows, amps, phis, np.arange(nm + 1), gamma, gl_nodes)
 
 
 def dphi_table(
@@ -321,7 +318,6 @@ def photon_pmf_noisy(
     phi: float,
     gamma: float,
     n_max: int | None = None,
-    gl_nodes: int = GL_NODES,
 ) -> PhotonPmf:
     """Photon-number distribution averaged over uniform phase noise.
 
@@ -334,7 +330,7 @@ def photon_pmf_noisy(
     if gamma == 0.0:
         return photon_pmf(amps, phi, n_max=n_max)
     nm = default_cutoff(amps) if n_max is None else int(n_max)
-    probs = pmf_table(amps, [phi], gamma, n_max=nm, gl_nodes=gl_nodes)[0]
+    probs = pmf_table(amps, [phi], gamma, n_max=nm)[0]
     tail = float(pdtrc(nm, (amps.a + amps.b) ** 2))
     return PhotonPmf(probs=probs, n_max=nm, tail_bound=tail)
 
@@ -344,10 +340,9 @@ def photon_pmf_dphi(
     phi: float,
     gamma: float = 0.0,
     n_max: int | None = None,
-    gl_nodes: int = GL_NODES,
 ) -> np.ndarray:
     """Derivative d p_n / d phi for n = 0..n_max (analytic, not finite-differenced)."""
-    return dphi_table(amps, [phi], gamma, n_max=n_max, gl_nodes=gl_nodes)[0]
+    return dphi_table(amps, [phi], gamma, n_max=n_max)[0]
 
 
 def fano_factor(amps: DetectorPlaneAmplitudes, phi: float, gamma: float = 0.0) -> float:
