@@ -9,8 +9,14 @@ fano          Fano-inversion phase estimate from a counts file
 discriminate  empirical bit-error rate vs the analytic error probability
 sweep         estimator convergence curves over growing sample sizes
 
+One table, ``_COMMANDS``, maps each subcommand to its handler and help line;
+the parser and :func:`dispatch` both read it.
+
 Configuration comes from an optional flat ``key=value`` file (one pair per
-line, ``#`` comments) merged with command-line flags; flags win.  All tabular
+line, ``#`` comments) merged with command-line flags; flags win.  Config and
+counts files must be UTF-8 text.  Sizes are bounded before anything is
+allocated: ``M`` and every ``m_list`` entry by ``MAX_SHOTS``, ``replications``
+by ``MAX_REPLICATIONS`` and ``grid`` by ``MAX_GRID_POINTS``.  All tabular
 output is CSV with a leading ``# key=value`` comment block that records the
 fully resolved configuration, so any output can be reproduced by turning
 those pairs back into flags.  Angles are always radians; reals are written

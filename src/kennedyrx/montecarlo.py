@@ -335,7 +335,8 @@ def goodness_of_fit(record: CountRecord, pmf: PhotonPmf) -> GofResult:
     Adjacent photon-number bins are pooled left to right until each pooled
     bin expects at least 5 counts; whatever remains (including the analytic
     tail above the cutoff) merges into the last bin.  Needs M >= 50 and at
-    least two pooled bins.
+    least two pooled bins.  The observed side is the record's sparse
+    histogram, so memory follows the pmf cutoff, not the largest count.
     """
     m_total = record.sample_size
     if m_total < 50:
