@@ -63,12 +63,30 @@ def _digest(counts: np.ndarray) -> str:
     return hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
 
 
+# (a = b, phi*, replication, sha256 of the counts) at gamma = 0, M = 1000, seed 11:
+# nu+ of about 766 and 1566 takes the log-space terms; a = b at phi* = 0 has nu- = 0
+GOLDEN_LARGE_AND_ZERO_MEAN = [
+    (14.0, 0.3, 0, "39c0c12e6743ea9de796de1f3b9339ff5d5accf8e722e97d24ec4e685150fa9a"),
+    (14.0, 0.3, 7, "f70eaf68ca7a5383562416744331fc3594777ed5800b57be7ef52903f2bb68e5"),
+    (20.0, 0.3, 0, "ec865631228a30d45389eed8e3b4a3dcfd3821e8d318a1ff160f77060af8700c"),
+    (20.0, 0.3, 7, "c0a1c7f7500c406652a8dc66640b9f0f44990495163cd0f0b8f7c29369220493"),
+    (1.0, 0.0, 0, "41d904371511c743cfd9c10a90561df057cdd12a23b3837824d93f50f025cbdb"),
+    (1.0, 0.0, 7, "08737084e5d9f4df685ca52ae9b0074197658d320d7a97041d7201792cb7824b"),
+]
+
+
 @pytest.mark.parametrize("gamma,ab,m,rep,digest", GOLDEN)
 def test_record_is_pinned(gamma, ab, m, rep, digest):
     a, b = AMPS[ab]
     cfg = SimConfig(
         amps=DetectorPlaneAmplitudes(a=a, b=b), phi_star=0.3, M=m, seed=11, gamma=GAMMAS[gamma]
     )
+    assert _digest(sample_counts(cfg, replication=rep).counts) == digest
+
+
+@pytest.mark.parametrize("ab,phi,rep,digest", GOLDEN_LARGE_AND_ZERO_MEAN)
+def test_large_and_zero_mean_record_is_pinned(ab, phi, rep, digest):
+    cfg = SimConfig(amps=DetectorPlaneAmplitudes(a=ab, b=ab), phi_star=phi, M=1000, seed=11)
     assert _digest(sample_counts(cfg, replication=rep).counts) == digest
 
 
@@ -79,3 +97,10 @@ def test_discrimination_error_count_is_pinned(gamma, n_errors):
     )
     bits = stream(12, 1).integers(0, 2, size=cfg.M)
     assert run_discrimination(cfg, bits).n_errors == n_errors
+
+
+def test_large_mean_discrimination_error_count_is_pinned():
+    # nu+ of about 784 takes the log-space terms
+    cfg = SimConfig(amps=DetectorPlaneAmplitudes(a=14.0, b=14.0), phi_star=0.05, M=20_000, seed=12)
+    bits = stream(12, 1).integers(0, 2, size=cfg.M)
+    assert run_discrimination(cfg, bits).n_errors == 3835
