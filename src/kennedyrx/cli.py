@@ -84,7 +84,8 @@ EXIT_DEGENERATE = 4
 # Largest phase grid: 10x the default; keeps the 256-column ln p_n cache <= 41 MB.
 MAX_GRID_POINTS = 20_001
 # Largest record: 33x the 3e5 shots of the acceptance runs; the sampler's
-# temporaries take ~93 B per shot, so about 0.9 GB.
+# temporaries take ~86 B per shot with phase noise (about 0.9 GB) and ~49 B
+# without (about 0.5 GB).
 MAX_SHOTS = 10**7
 # Most sweep replications per sample size.
 MAX_REPLICATIONS = 10**5

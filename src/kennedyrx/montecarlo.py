@@ -3,20 +3,26 @@
 Records are drawn from the exact receiver model: each shot picks one of the
 two encoded signs with probability 1/2, optionally a uniform phase-noise
 offset, and then a Poisson photon count with the corresponding mean, drawn
-by CDF inversion with a sequential search that only touches the shots it has
-not yet decided.  Every experiment derives its generator from (seed, spawn
-key), so replications are independent streams that can run in any order (or
-in parallel) and still reproduce bit-for-bit.  A convergence sweep draws each
-(M, replication) record once and keeps only its photon-count histogram, the
-sufficient statistic, which every estimator it compares reads: the Bayes
-estimators take the histograms of all replications of one M at once, so
-the M-shot records are never held together.
+by CDF inversion.  Without phase noise every shot has one of two means, so
+the CDFs of both are tabulated once per configuration and each shot is
+looked up through a guide table; with phase noise every shot has its own
+mean, and a sequential search runs over the shots it has not yet decided.
+Both paths form the CDF with the same arithmetic, so they draw the same
+count from the same uniform.  Every experiment derives its generator from
+(seed, spawn key), so replications are independent streams that can run in
+any order (or in parallel) and still reproduce bit-for-bit.  A convergence
+sweep draws each (M, replication) record once and keeps only its
+photon-count histogram, the sufficient statistic, which every estimator it
+compares reads: the Bayes estimators take the histograms of all
+replications of one M at once, so the M-shot records are never held
+together.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -135,30 +141,40 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 _LOG_SPACE_MEAN = 700.0
 
 
+def _next_terms(term: np.ndarray, nu: np.ndarray, k: int) -> None:
+    """Advance the Poisson terms p_{k-1} of the means ``nu`` to p_k, in place.
+
+    p_k = p_{k-1} * nu/k, except for means above ``_LOG_SPACE_MEAN``, which
+    take p_k from log space (k ln nu - nu - ln k!): there exp(-nu) underflows
+    and would stall the recurrence at 0.
+    """
+    term *= nu / k
+    big = nu > _LOG_SPACE_MEAN
+    if big.any():
+        term[big] = np.exp(photonstats._log_poisson_rows(nu[big], np.array([k]))[:, 0])
+
+
 def _poisson_inversion(rng: np.random.Generator, nu: np.ndarray, cap: int) -> np.ndarray:
     """Poisson draws by CDF inversion with sequential search, one uniform per draw.
 
-    Step k adds p_k = p_{k-1} * nu/k to the running CDF of every shot whose
-    uniform it has not yet passed, and drops the shots it passes, so the
-    work is O(M + sum of the counts).  Shots with a mean above
-    ``_LOG_SPACE_MEAN`` take p_k from log space (k ln nu - nu - ln k!), where
-    exp(-nu) would underflow and stall the recurrence at 0.  Independent of
-    any library sampling algorithm, so records are stable across numpy
-    versions.  Draws stop at ``cap``.
+    The sampler for records with phase noise, where every shot has its own
+    mean.  Step k adds p_k (:func:`_next_terms`) to the running CDF of every
+    shot whose uniform it has not yet passed, and drops the shots it passes,
+    so the work is O(M + sum of the counts): in effect a per-shot CDF table
+    built only as far as each shot needs it.  Independent of any library
+    sampling algorithm, so records are stable across numpy versions.  Draws
+    stop at ``cap``.  Records without phase noise take :func:`_cdf_lookup`,
+    which returns what this search returns on the same uniforms.
     """
     u = rng.random(nu.shape)
     out = np.zeros(nu.shape, dtype=np.int64)
     p0 = np.exp(-nu)
     idx = np.flatnonzero(u >= p0)
     term, cum, u, nu = p0[idx], p0[idx], u[idx], nu[idx]
-    log_space = bool(np.any(nu > _LOG_SPACE_MEAN))
     k = 0
     while idx.size and k < cap:
         k += 1
-        term *= nu / k
-        if log_space:
-            big = nu > _LOG_SPACE_MEAN
-            term[big] = np.exp(photonstats._log_poisson_rows(nu[big], np.array([k]))[:, 0])
+        _next_terms(term, nu, k)
         cum += term
         out[idx] = k
         keep = u >= cum
@@ -166,21 +182,81 @@ def _poisson_inversion(rng: np.random.Generator, nu: np.ndarray, cap: int) -> np
     return out
 
 
+@lru_cache(maxsize=16)
+def _cdf_table(means: tuple[float, ...], cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """CDF rows of the Poisson ``means`` for k = 0..cap, and their guide table.
+
+    Row j holds the running sums the sequential search of
+    :func:`_poisson_inversion` forms for a shot of mean means[j], by the same
+    arithmetic, then an inf sentinel: cap + 2 entries per row, returned
+    flattened.  The guide has L buckets per row, L the smallest power of two
+    >= 2 (cap + 1); bucket i of row j holds the number of entries of row j
+    <= i/L.  A power of two keeps u * L exact, so floor(u * L) never rounds a
+    uniform into the bucket above its own, whose start could overshoot it.
+    Both arrays are read-only; the table depends on the means and cap alone,
+    so one table serves every record of a configuration.
+    """
+    nu = np.array(means)
+    rows = np.empty((nu.size, cap + 2))
+    term = np.exp(-nu)
+    cum = term.copy()
+    rows[:, 0] = cum
+    for k in range(1, cap + 1):
+        _next_terms(term, nu, k)
+        cum += term
+        rows[:, k] = cum
+    rows[:, -1] = np.inf
+    n_buckets = 1 << (2 * cap + 1).bit_length()
+    edges = np.arange(n_buckets) / n_buckets
+    guide = np.concatenate([np.searchsorted(row, edges, side="right") for row in rows])
+    flat = rows.ravel()
+    flat.setflags(write=False)
+    guide.setflags(write=False)
+    return flat, guide
+
+
+def _cdf_lookup(u: np.ndarray, row: np.ndarray, means: tuple[float, ...], cap: int) -> np.ndarray:
+    """Poisson draws by CDF inversion from the table of :func:`_cdf_table`.
+
+    Shot i has mean means[row[i]] (``row`` of dtype intp, so the flat
+    offsets cannot overflow) and uniform u[i].  Each shot starts at the guide
+    entry of its bucket and steps up while its uniform reaches the next CDF
+    entry, which gives the number of entries <= u: the count at which the
+    sequential search stops.  Draws stop at ``cap``.
+    """
+    flat, guide = _cdf_table(means, cap)
+    n_buckets = guide.size // len(means)
+    out = guide[row * n_buckets + (u * n_buckets).astype(np.intp)]
+    base = row * (cap + 2)
+    step = np.flatnonzero(u >= flat[base + out])
+    while step.size:
+        out[step] += 1
+        step = step[u[step] >= flat[base[step] + out[step]]]
+    return np.minimum(out, cap)
+
+
 def _draw_counts(
     rng: np.random.Generator,
     amps: DetectorPlaneAmplitudes,
     phi: float,
     gamma: float,
-    signs: np.ndarray,
+    plus: np.ndarray,
 ) -> np.ndarray:
+    """Counts of shots whose sign is + where ``plus`` is true, - elsewhere.
+
+    Without phase noise every shot has one of the two means nu-/+, and the
+    draws come from their CDF table; with it, from the per-shot search.
+    """
     a, b = amps.a, amps.b
+    cap = photonstats.default_cutoff(amps) + 64
     if gamma > 0.0:
-        psi = rng.uniform(-0.5 * gamma, 0.5 * gamma, size=signs.size)
-        cos_term = np.cos(phi - psi)
-    else:
-        cos_term = math.cos(phi)
-    nu = np.maximum(a * a + b * b + signs * (2.0 * a * b) * cos_term, 0.0)
-    return _poisson_inversion(rng, nu, cap=photonstats.default_cutoff(amps) + 64)
+        psi = rng.uniform(-0.5 * gamma, 0.5 * gamma, size=plus.size)
+        signs = np.where(plus, 1.0, -1.0)
+        nu = np.maximum(a * a + b * b + signs * (2.0 * a * b) * np.cos(phi - psi), 0.0)
+        return _poisson_inversion(rng, nu, cap)
+    s, x = a * a + b * b, 2.0 * a * b * math.cos(phi)
+    means = (max(s - x, 0.0), max(s + x, 0.0))
+    return _cdf_lookup(rng.random(plus.size), plus.astype(np.intp), means, cap)
 
 
 def sample_counts(cfg: SimConfig, replication: int = 0) -> CountRecord:
@@ -191,8 +267,7 @@ def sample_counts(cfg: SimConfig, replication: int = 0) -> CountRecord:
     Identical (cfg, replication) always gives the identical record.
     """
     rng = stream(cfg.seed, cfg.M, replication)
-    signs = np.where(rng.random(cfg.M) < 0.5, 1.0, -1.0)
-    counts = _draw_counts(rng, cfg.amps, cfg.phi_star, cfg.gamma, signs)
+    counts = _draw_counts(rng, cfg.amps, cfg.phi_star, cfg.gamma, rng.random(cfg.M) < 0.5)
     return CountRecord(counts=counts)
 
 
@@ -215,8 +290,7 @@ def run_discrimination(cfg: SimConfig, bits: Sequence[int]) -> DiscriminationRes
     if bits_arr.size and not np.isin(bits_arr, (0, 1)).all():
         raise ValueError("bits must be 0 or 1")
     rng = stream(cfg.seed)
-    signs = np.where(bits_arr == 1, 1.0, -1.0)
-    counts = _draw_counts(rng, cfg.amps, cfg.phi_star, cfg.gamma, signs)
+    counts = _draw_counts(rng, cfg.amps, cfg.phi_star, cfg.gamma, bits_arr == 1)
     decided = (counts > 0).astype(bits_arr.dtype)
     n_err = int(np.count_nonzero(decided != bits_arr))
     rate = n_err / cfg.M

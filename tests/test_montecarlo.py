@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtrc
 from scipy.stats import chi2
@@ -22,6 +22,8 @@ from kennedyrx.montecarlo import (
     DEFAULT_M_LIST,
     InsufficientSupportError,
     SimConfig,
+    _cdf_lookup,
+    _cdf_table,
     _poisson_inversion,
     goodness_of_fit,
     run_convergence_sweep,
@@ -34,6 +36,7 @@ from kennedyrx.montecarlo import (
 from kennedyrx.photonstats import (
     DetectorPlaneAmplitudes,
     PhotonPmf,
+    default_cutoff,
     fano_factor,
     photon_pmf,
     photon_pmf_noisy,
@@ -223,6 +226,97 @@ class TestSamplerMoments:
     def test_cap_bounds_every_draw(self):
         counts = _poisson_inversion(stream(4), np.full(100, 50.0), cap=10)
         assert counts.max() == 10
+
+
+class TestCdfTable:
+    """Records without phase noise come from the CDF table of the two means."""
+
+    @given(
+        a=st.floats(0.0, 40.0),
+        b=st.floats(0.0, 40.0),
+        phi=st.floats(0.0, math.pi),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 2000),
+    )
+    @example(a=14.0, b=14.0, phi=0.3, seed=1, m=2000)  # nu+ = 766: log-space terms
+    @example(a=20.0, b=20.0, phi=0.0, seed=2, m=2000)  # nu+ = 1600, nu- = 0
+    @example(a=1.0, b=1.0, phi=0.0, seed=3, m=500)  # nu- = 0 exactly
+    @example(a=0.0, b=0.0, phi=0.3, seed=4, m=100)
+    @example(a=0.0, b=2.0, phi=0.3, seed=5, m=100)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_table_draws_what_the_search_draws(self, a, b, phi, seed, m):
+        # the reference is the per-shot search on the same stream, signs drawn first
+        assume((a + b) ** 2 <= 1600.0)
+        rng = stream(seed, m, 0)
+        signs = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+        nu = np.maximum(a * a + b * b + signs * (2.0 * a * b) * math.cos(phi), 0.0)
+        expected = _poisson_inversion(rng, nu, cap=default_cutoff(amps(a, b)) + 64)
+        cfg = SimConfig(amps=amps(a, b), phi_star=phi, M=m, seed=seed)
+        assert np.array_equal(sample_counts(cfg).counts, expected)
+
+    def test_table_truncates_at_the_cap_like_the_search(self):
+        means = (0.5, 30.0)
+        row = (stream(6, 1).random(5000) < 0.5).astype(np.intp)
+        counts = _cdf_lookup(stream(6, 2).random(5000), row, means, 10)
+        assert counts.max() == 10
+        assert np.array_equal(counts, _poisson_inversion(stream(6, 2), np.array(means)[row], 10))
+
+    @pytest.mark.parametrize("a,b,phi", [(SQRT2, SQRT2, 0.3), (1.0, 1.0, 0.0), (20.0, 19.5, 0.01)])
+    def test_uniforms_on_table_entries_and_bucket_edges(self, a, b, phi):
+        # u equal to a CDF entry passes it; u one ulp below does not; the
+        # guide must not start a uniform past an entry it has not reached
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, shape):
+                return self.u.copy()
+
+        cap = default_cutoff(amps(a, b)) + 64
+        means = tuple(np.maximum(a * a + b * b + np.array([-1.0, 1.0]) * 2 * a * b * math.cos(phi), 0))
+        flat, guide = _cdf_table(means, cap)
+        n_buckets = guide.size // 2
+        edges = np.arange(1, n_buckets + 1) / n_buckets
+        entries = flat[np.isfinite(flat)]
+        u = np.concatenate(
+            [entries, np.nextafter(entries, 0.0), np.nextafter(entries, 1.0), edges, np.nextafter(edges, 0.0)]
+        )
+        u = u[u < 1.0]
+        # floor(u * L) never rounds a uniform up into the bucket above its own
+        assert np.all(np.floor(u * n_buckets) / n_buckets <= u)
+        for j, nu in enumerate(means):
+            row = np.full(u.size, j, dtype=np.intp)
+            expected = _poisson_inversion(Fixed(u), np.full(u.size, nu), cap)
+            assert np.array_equal(_cdf_lookup(u, row, means, cap), expected)
+
+    def test_largest_table_is_small(self):
+        cfg = SimConfig(amps=amps(20.0, 20.0), phi_star=0.3, M=1000, seed=7)
+        _cdf_table.cache_clear()
+        tracemalloc.start()
+        try:
+            sample_counts(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_record_memory_per_shot(self):
+        cfg = SimConfig(amps=amps(SQRT2, SQRT2), phi_star=0.3, M=10**6, seed=8)
+        sample_counts(replace(cfg, M=10))  # the table of this configuration
+        tracemalloc.start()
+        try:
+            sample_counts(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * cfg.M
+
+    def test_cached_table_is_read_only(self):
+        flat, guide = _cdf_table((0.5, 30.0), 100)
+        with pytest.raises(ValueError):
+            flat[0] = 0.0
+        with pytest.raises(ValueError):
+            guide[0] = 1
 
 
 class TestToOnOff:
