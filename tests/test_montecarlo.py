@@ -261,8 +261,11 @@ class TestCdfTable:
         assert counts.max() == 10
         assert np.array_equal(counts, _poisson_inversion(stream(6, 2), np.array(means)[row], 10))
 
-    @pytest.mark.parametrize("a,b,phi", [(SQRT2, SQRT2, 0.3), (1.0, 1.0, 0.0), (20.0, 19.5, 0.01)])
-    def test_uniforms_on_table_entries_and_bucket_edges(self, a, b, phi):
+    # about the acceptance means, a zero mean, and a log-space mean, at their caps
+    @pytest.mark.parametrize(
+        "means,cap", [((0.18, 7.8), 133), ((0.0, 4.0), 120), ((0.29, 1560.2), 2124)]
+    )
+    def test_uniforms_on_table_entries_and_bucket_edges(self, means, cap):
         # u equal to a CDF entry passes it; u one ulp below does not; the
         # guide must not start a uniform past an entry it has not reached
         class Fixed:
@@ -272,15 +275,12 @@ class TestCdfTable:
             def random(self, shape):
                 return self.u.copy()
 
-        cap = default_cutoff(amps(a, b)) + 64
-        means = tuple(np.maximum(a * a + b * b + np.array([-1.0, 1.0]) * 2 * a * b * math.cos(phi), 0))
         flat, guide = _cdf_table(means, cap)
         n_buckets = guide.size // 2
         edges = np.arange(1, n_buckets + 1) / n_buckets
         entries = flat[np.isfinite(flat)]
-        u = np.concatenate(
-            [entries, np.nextafter(entries, 0.0), np.nextafter(entries, 1.0), edges, np.nextafter(edges, 0.0)]
-        )
+        u = np.concatenate([entries, edges])
+        u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
         u = u[u < 1.0]
         # floor(u * L) never rounds a uniform up into the bucket above its own
         assert np.all(np.floor(u * n_buckets) / n_buckets <= u)
