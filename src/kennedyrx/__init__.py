@@ -8,7 +8,6 @@ photon-number-resolving detection, with or without uniform phase noise.
 from .estimation import (
     CountRecord,
     DegenerateEvidenceError,
-    OnOffRecord,
     PhaseEstimate,
     PhaseGrid,
     PhasePosterior,
@@ -41,7 +40,6 @@ from .montecarlo import (
     run_discrimination,
     sample_counts,
     stream,
-    to_onoff,
 )
 from .photonstats import (
     DetectorPlaneAmplitudes,
@@ -51,7 +49,6 @@ from .photonstats import (
     nu_plus_minus,
     photon_pmf,
     photon_pmf_dphi,
-    photon_pmf_noisy,
     pmf_fidelity,
 )
 from .receiver import (

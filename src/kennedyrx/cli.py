@@ -40,6 +40,7 @@ from .estimation import (
     DegenerateEvidenceError,
     PhaseGrid,
     UndefinedFanoError,
+    _fano_scale,
     bayes_estimate,
     crlb_variance,
     empirical_fano,
@@ -60,7 +61,6 @@ from .montecarlo import (
     run_discrimination,
     sample_counts,
     stream,
-    to_onoff,
 )
 from .photonstats import GAMMA_MAX, DetectorPlaneAmplitudes, default_cutoff
 from .receiver import ReceiverParams, detector_amplitudes, error_probability
@@ -411,7 +411,7 @@ def _cmd_estimate(cfg: RunConfig) -> int:
     densities, summaries = [], []
     for tag, loglik, fisher in (
         ("pnr", log_likelihood_pnr(record, amps, cfg.gamma, grid), fisher_pnr),
-        ("onoff", log_likelihood_onoff(to_onoff(record), amps, cfg.gamma, grid), fisher_onoff),
+        ("onoff", log_likelihood_onoff(record, amps, cfg.gamma, grid), fisher_onoff),
     ):
         post = posterior(loglik, grid)
         est = bayes_estimate(post, sample_size=m_total)
@@ -441,8 +441,13 @@ def _cmd_fisher(cfg: RunConfig) -> int:
 
 
 def _require_fano_amplitudes(amps) -> None:
-    if amps.a * amps.b <= 0.0:
-        raise ConfigError("fano-inversion needs both detector amplitudes a and b > 0")
+    try:
+        _fano_scale(amps)
+    except ValueError:
+        raise ConfigError(
+            "fano-inversion needs both detector amplitudes a and b > 0, "
+            "and 4 a^2 b^2 > 0 in double precision"
+        ) from None
 
 
 def _cmd_fano(cfg: RunConfig) -> int:

@@ -14,7 +14,10 @@ empty bin adds 0 even at grid points where its ln P_k is -inf.  The table
 goes in blocks of bins, and :func:`bayes_estimates` passes many records in
 blocks of rows, each of bounded size; one record is one row.
 Photon-number-resolved ("pnr") bins are the distinct counts; on/off bins
-are their coarse-graining {0}, {n >= 1}.  Batch and streaming read ln p_n
+are their coarse-graining {0}, {n >= 1}, so both kinds read the one record
+type, :class:`CountRecord` (an on/off detector's record is one of 0s and
+1s).  One lookup gives a kind's ln P column and its count-to-bin map, for
+batch and streaming alike.  Batch and streaming read ln p_n
 from one bounded per-count cache, so memory follows neither the size of a
 count nor the number of distinct counts.  One more kernel gives the Fisher
 information of both kinds, sum_k (dP_k/dphi)^2 / P_k over the bins with
@@ -29,7 +32,7 @@ Estimators share the detection record used for bit discrimination:
 * a moment-based alternative that inverts the phase dependence of the Fano
   factor, with a leave-one-out jackknife uncertainty; both run over the
   distinct counts of the histogram, with the mean from the exact integer
-  sum of the counts.
+  sum of the counts, and both divide by one guarded scale 4 a^2 b^2.
 
 Posterior values are immutable in spirit: updates return new objects, so
 distinct posteriors may be processed in parallel; a single streaming chain
@@ -54,7 +57,6 @@ __all__ = [
     "PhasePosterior",
     "PhaseEstimate",
     "CountRecord",
-    "OnOffRecord",
     "DetectorKind",
     "DegenerateEvidenceError",
     "UndefinedFanoError",
@@ -169,24 +171,6 @@ class CountRecord:
 
 
 @dataclass(frozen=True)
-class OnOffRecord:
-    """Coarse-grained record: m_off vacuum shots and m_on bright shots."""
-
-    m_on: int
-    m_off: int
-
-    def __post_init__(self) -> None:
-        if self.m_on < 0 or self.m_off < 0:
-            raise ValueError("event counts must be nonnegative")
-        object.__setattr__(self, "m_on", int(self.m_on))
-        object.__setattr__(self, "m_off", int(self.m_off))
-
-    @property
-    def sample_size(self) -> int:
-        return self.m_on + self.m_off
-
-
-@dataclass(frozen=True)
 class PhasePosterior:
     """Discretized posterior density over the phase grid.
 
@@ -255,35 +239,51 @@ def _log_pmf(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, n: in
 
 @lru_cache(maxsize=64)
 def _log_onoff(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, on: int) -> np.ndarray:
-    """ln P over the grid for the on/off bin {0} (on = 0) or {n >= 1} (on = 1)."""
+    """ln P over the grid for the on/off bin {0} (on = 0) or {n >= 1} (on = 1).
+
+    The noise quadrature can round p_0 of a near-vacuum beam a hair above 1;
+    there P_on is taken as 0 (ln P_on = -inf), not NaN."""
     log_off = _log_pmf(amps, gamma, grid, 0)
     if not on:
         return log_off
     with np.errstate(divide="ignore"):
-        col = np.log1p(-np.exp(log_off))
+        col = np.log1p(-np.exp(np.minimum(log_off, 0.0)))
     col.setflags(write=False)
     return col
 
 
+# detector kind -> (ln P column of a bin, the bin of a photon count n)
+_KINDS = {
+    "pnr": (_log_pmf, lambda n: n),
+    "onoff": (_log_onoff, lambda n: np.minimum(n, 1)),
+}
+
+
+def _kind(detector_kind: DetectorKind):
+    """The ln P column and the count-to-bin map of a detector kind: pnr bins
+    are the photon numbers, on/off bins their coarse-graining {0}, {n >= 1}."""
+    try:
+        return _KINDS[detector_kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"detector_kind must be 'onoff' or 'pnr', got {detector_kind!r}") from None
+
+
 def _bins(histograms, detector_kind: DetectorKind):
-    """The ln P column of a detector kind's bins (``_log_pmf`` or
-    ``_log_onoff``), the bins, and one row of bin occupations per histogram.
+    """The ln P column of a detector kind's bins, the bins occupied by any of
+    the histograms, and one row of bin occupations per histogram.
 
     Histograms are pairs (distinct counts, occurrences) like
-    :attr:`CountRecord.histogram`.  Photon-number-resolved bins are the union
-    of their distinct counts; on/off bins are the coarse-graining {0},
-    {n >= 1} of it.
+    :attr:`CountRecord.histogram`; each count adds its occurrences to its bin.
     """
-    ns = np.unique(np.concatenate([v for v, _ in histograms]))
-    weights = np.zeros((len(histograms), ns.size))
-    for row, (v, occ) in zip(weights, histograms):
-        row[np.searchsorted(ns, v)] = occ
-    if detector_kind == "pnr":
-        return _log_pmf, ns, weights
-    if detector_kind == "onoff":
-        off = weights[:, 0] if ns.size and ns[0] == 0 else np.zeros(len(weights))
-        return _log_onoff, (0, 1), np.column_stack([off, weights.sum(axis=1) - off])
-    raise ValueError(f"detector_kind must be 'onoff' or 'pnr', got {detector_kind!r}")
+    column, bin_of = _kind(detector_kind)
+    binned = [bin_of(v) for v, _ in histograms]
+    ns = np.unique(np.concatenate(binned))
+    # flat cell row * bins + bin of each distinct count; bincount sums its occurrences
+    rows = np.repeat(np.arange(len(binned)) * ns.size, [b.size for b in binned])
+    cells = rows + np.searchsorted(ns, np.concatenate(binned))
+    occurrences = np.concatenate([occ for _, occ in histograms])
+    weights = np.bincount(cells, weights=occurrences, minlength=len(binned) * ns.size)
+    return column, ns, weights.reshape(len(binned), ns.size)
 
 
 def _loglik(column, bins, weights, amps, gamma: float, grid: PhaseGrid) -> np.ndarray:
@@ -326,14 +326,14 @@ def log_likelihood_pnr(
 
 
 def log_likelihood_onoff(
-    record: OnOffRecord,
+    record: CountRecord,
     amps: DetectorPlaneAmplitudes,
     gamma: float,
     grid: PhaseGrid,
 ) -> np.ndarray:
-    """Log-likelihood m_off ln P_off + m_on ln(1 - P_off) with P_off = p_0."""
-    weights = [[record.m_off, record.m_on]]
-    return _loglik(_log_onoff, (0, 1), weights, amps, float(gamma), grid)[0]
+    """Log-likelihood m_off ln P_off + m_on ln(1 - P_off) with P_off = p_0, where
+    m_off counts the shots of the record with n = 0 and m_on the others."""
+    return _loglik(*_bins([record.histogram], "onoff"), amps, float(gamma), grid)[0]
 
 
 def posterior(loglik, grid: PhaseGrid) -> PhasePosterior:
@@ -383,11 +383,12 @@ def bayes_estimate(post: PhasePosterior, sample_size: int = 0) -> PhaseEstimate:
     centered = pts - mean
     squared = centered * centered
     var = float(weighted @ squared)
+    scale = var**1.5  # 0 also for variances so small that it underflows
     skew = None
-    if var > 0.0:
+    if scale > 0.0:
         # squared * centered, not centered**3: np.power is the slowest step here
         third = float(weighted @ (squared * centered))
-        skew = third / var**1.5
+        skew = third / scale
     return PhaseEstimate(
         mean=mean, variance=var, sample_size=sample_size, skewness=skew
     )
@@ -435,12 +436,8 @@ def sequential_update(
     event = operator.index(event)
     if event < 0:
         raise ValueError(f"photon count must be nonnegative, got {event!r}")
-    if detector_kind == "pnr":
-        ll = _log_pmf(amps, float(gamma), post.grid, event)
-    elif detector_kind == "onoff":
-        ll = _log_onoff(amps, float(gamma), post.grid, min(event, 1))
-    else:
-        raise ValueError(f"detector_kind must be 'onoff' or 'pnr', got {detector_kind!r}")
+    column, bin_of = _kind(detector_kind)
+    ll = column(amps, float(gamma), post.grid, bin_of(event))
     return _normalized(post.log_density + ll, post.grid, post.evidence_log)
 
 
@@ -519,15 +516,25 @@ def empirical_fano(record: CountRecord) -> float:
     return q / (m - 1) / (total / m)
 
 
+def _fano_scale(amps: DetectorPlaneAmplitudes) -> float:
+    """4 a^2 b^2, the scale of the phase term of F = 1 + 4a^2b^2 cos^2(phi)/(a^2+b^2),
+    which the Fano inversion divides by.  Raises ``ValueError`` unless it is
+    positive: a or b is zero, or so small that a^2 b^2 underflows to zero."""
+    scale = 4.0 * amps.a**2 * amps.b**2
+    if not scale > 0.0:
+        raise ValueError(
+            f"Fano inversion needs a > 0 and b > 0 with 4 a^2 b^2 > 0, got a={amps.a!r}, b={amps.b!r}"
+        )
+    return scale
+
+
 def invert_fano(fano: float, amps: DetectorPlaneAmplitudes) -> tuple[float, bool]:
     """Phase whose Fano factor equals ``fano``: cos^2(phi) = (F-1)(a^2+b^2)/(4a^2b^2).
 
     The ratio is clamped to [0, 1] before the arccos (sampling noise pushes
     it outside near the edges); the flag reports whether clamping fired.
     """
-    if amps.a * amps.b <= 0.0:
-        raise ValueError("Fano inversion needs a > 0 and b > 0")
-    ratio = (fano - 1.0) * amps.mean_photons / (4.0 * amps.a**2 * amps.b**2)
+    ratio = (fano - 1.0) * amps.mean_photons / _fano_scale(amps)
     clamped = not 0.0 <= ratio <= 1.0
     ratio = min(max(ratio, 0.0), 1.0)
     return math.acos(math.sqrt(ratio)), clamped
@@ -548,6 +555,7 @@ def fano_inversion_estimate(
     m = record.sample_size
     if m < 3:
         raise ValueError(f"jackknife uncertainty needs at least 3 shots, got {m}")
+    scale = _fano_scale(amps)
     values, occ = record.histogram
     total, y, q = _fano_moments(record)
     phi_hat, clamped = invert_fano(q / (m - 1) / (total / m), amps)
@@ -557,7 +565,8 @@ def fano_inversion_estimate(
     mean_loo = (float(total) - values) / (m - 1)
     var_loo = np.maximum(q - y * y * (m / (m - 1)), 0.0) / (m - 2)
     ratio = np.where(mean_loo > 0.0, var_loo / np.maximum(mean_loo, 1e-300), 1.0)
-    ratio = np.clip((ratio - 1.0) * amps.mean_photons / (4.0 * amps.a**2 * amps.b**2), 0.0, 1.0)
+    with np.errstate(over="ignore"):  # a tiny scale sends ratios to +-inf, clipped like any
+        ratio = np.clip((ratio - 1.0) * amps.mean_photons / scale, 0.0, 1.0)
     phi_loo = np.arccos(np.sqrt(ratio))
     w = occ.astype(float)
     d = phi_loo - (w @ phi_loo) / m

@@ -15,7 +15,8 @@ sweep draws each (M, replication) record once and keeps only its
 photon-count histogram, the sufficient statistic, which every estimator it
 compares reads: the Bayes estimators take the histograms of all
 replications of one M at once, so the M-shot records are never held
-together.
+together.  On/off detection reads the same count record as PNR detection,
+through its coarse-graining {0}, {n >= 1}, so no record is converted.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from . import estimation, photonstats
-from .estimation import CountRecord, OnOffRecord, PhaseGrid
+from .estimation import CountRecord, PhaseGrid
 from .photonstats import DetectorPlaneAmplitudes, PhotonPmf
 from .receiver import ReceiverParams, detector_amplitudes
 
@@ -42,7 +43,6 @@ __all__ = [
     "InsufficientSupportError",
     "stream",
     "sample_counts",
-    "to_onoff",
     "run_discrimination",
     "run_convergence_sweep",
     "run_convergence_sweeps",
@@ -269,12 +269,6 @@ def sample_counts(cfg: SimConfig, replication: int = 0) -> CountRecord:
     rng = stream(cfg.seed, cfg.M, replication)
     counts = _draw_counts(rng, cfg.amps, cfg.phi_star, cfg.gamma, rng.random(cfg.M) < 0.5)
     return CountRecord(counts=counts)
-
-
-def to_onoff(record: CountRecord) -> OnOffRecord:
-    """Coarse-grain a count record to on/off events."""
-    _, _, ((m_off, m_on),) = estimation._bins([record.histogram], "onoff")
-    return OnOffRecord(m_on=int(m_on), m_off=int(m_off))
 
 
 def run_discrimination(cfg: SimConfig, bits: Sequence[int]) -> DiscriminationResult:

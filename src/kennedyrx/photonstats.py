@@ -2,10 +2,11 @@
 
 The detected beam is an equal-weight mixture of two Poisson components whose
 means ``nu+- = a^2 + b^2 +- 2ab*cos(phi)`` carry the whole dependence on the
-signal/LO relative phase ``phi``.  This module provides the mixture pmf, its
-average over uniform phase noise of width ``gamma``, the analytic phi
-derivative, photon-number moments (Fano factor) and the Bhattacharyya fidelity
-between distributions.
+signal/LO relative phase ``phi``.  This module provides the mixture pmf and
+its average over uniform phase noise of width ``gamma`` (one constructor,
+:func:`photon_pmf`, for every ``gamma``), the analytic phi derivative,
+photon-number moments (Fano factor) and the Bhattacharyya fidelity between
+distributions.
 
 All operations are pure functions of their inputs and share no state, so they
 are safe to call from concurrent contexts.
@@ -25,7 +26,6 @@ __all__ = [
     "nu_plus_minus",
     "default_cutoff",
     "photon_pmf",
-    "photon_pmf_noisy",
     "photon_pmf_dphi",
     "pmf_columns",
     "pmf_table",
@@ -297,41 +297,30 @@ def dphi_table(
     return _tabulate(_dphi_rows, amps, phis, np.arange(nm + 1), gamma, gl_nodes)
 
 
-def _tail_bound_noiseless(amps: DetectorPlaneAmplitudes, phi: float, n_max: int) -> float:
-    nu_p, nu_m = nu_plus_minus(amps, phi)
-    return float(0.5 * (pdtrc(n_max, nu_p) + pdtrc(n_max, nu_m)))
-
-
-def photon_pmf(amps: DetectorPlaneAmplitudes, phi: float, n_max: int | None = None) -> PhotonPmf:
-    """Photon-number distribution p_n = (e^-nu+ nu+^n/n! + e^-nu- nu-^n/n!)/2.
-
-    Evaluated in log space; the cutoff policy keeps the neglected tail below
-    1e-12.
-    """
-    nm = default_cutoff(amps) if n_max is None else int(n_max)
-    probs = pmf_table(amps, [phi], 0.0, n_max=nm)[0]
-    return PhotonPmf(probs=probs, n_max=nm, tail_bound=_tail_bound_noiseless(amps, phi, nm))
-
-
-def photon_pmf_noisy(
+def photon_pmf(
     amps: DetectorPlaneAmplitudes,
     phi: float,
-    gamma: float,
+    gamma: float = 0.0,
     n_max: int | None = None,
 ) -> PhotonPmf:
-    """Photon-number distribution averaged over uniform phase noise.
+    """Photon-number distribution p_n = (e^-nu+ nu+^n/n! + e^-nu- nu-^n/n!)/2,
+    averaged over uniform phase noise of width ``gamma``.
 
-    p_n(a, b, phi, gamma) = (1/gamma) * integral over psi in [-gamma/2, gamma/2]
-    of p_n(a, b, phi - psi).  ``gamma = 0`` reproduces :func:`photon_pmf`
-    bit-for-bit.  The tail bound uses the worst-case component mean
-    (a + b)^2, which dominates every mean in the noise window.
+    For ``gamma > 0``, p_n(a, b, phi, gamma) = (1/gamma) * integral over psi in
+    [-gamma/2, gamma/2] of p_n(a, b, phi - psi).  Evaluated in log space; the
+    cutoff policy keeps the neglected tail below 1e-12.  The tail bound is
+    exact for the two means at ``gamma = 0``, and otherwise uses the
+    worst-case component mean (a + b)^2, which dominates every mean in the
+    noise window.
     """
     gamma = _check_gamma(gamma)
-    if gamma == 0.0:
-        return photon_pmf(amps, phi, n_max=n_max)
     nm = default_cutoff(amps) if n_max is None else int(n_max)
     probs = pmf_table(amps, [phi], gamma, n_max=nm)[0]
-    tail = float(pdtrc(nm, (amps.a + amps.b) ** 2))
+    if gamma == 0.0:
+        nu_p, nu_m = nu_plus_minus(amps, phi)
+        tail = float(0.5 * (pdtrc(nm, nu_p) + pdtrc(nm, nu_m)))
+    else:
+        tail = float(pdtrc(nm, (amps.a + amps.b) ** 2))
     return PhotonPmf(probs=probs, n_max=nm, tail_bound=tail)
 
 
@@ -359,7 +348,7 @@ def fano_factor(amps: DetectorPlaneAmplitudes, phi: float, gamma: float = 0.0) -
     if gamma == 0.0:
         c = math.cos(phi)
         return 1.0 + 4.0 * amps.a**2 * amps.b**2 * c * c / energy
-    pmf = photon_pmf_noisy(amps, phi, gamma)
+    pmf = photon_pmf(amps, phi, gamma)
     return pmf.variance() / pmf.mean()
 
 

@@ -38,7 +38,6 @@ from kennedyrx.photonstats import (
     fano_factor,
     photon_pmf,
     photon_pmf_dphi,
-    photon_pmf_noisy,
     pmf_fidelity,
 )
 from kennedyrx.receiver import error_probability, helstrom_bound
@@ -233,7 +232,7 @@ def test_criterion_08_experimental_regime_fidelity():
         if gamma == 0.0:
             theory = photon_pmf(EXP_AMPS, phi_bar)
         else:
-            theory = photon_pmf_noisy(EXP_AMPS, phi_bar, gamma)
+            theory = photon_pmf(EXP_AMPS, phi_bar, gamma)
         fidelity = pmf_fidelity(theory, PhotonPmf.from_counts(record.counts))
         ok = ok and fidelity > 0.999
         details.append(f"phi*={phi_star:.4f},gamma={gamma:.4f}:F={fidelity:.6f}")
@@ -255,7 +254,7 @@ def test_criterion_09_oracle_equivalences():
         if gamma == 0.0:
             fd = helpers.fd_dphi(lambda p: photon_pmf(SWEEP_AMPS, p).probs, 0.3)
         else:
-            fd = helpers.fd_dphi(lambda p: photon_pmf_noisy(SWEEP_AMPS, p, gamma).probs, 0.3)
+            fd = helpers.fd_dphi(lambda p: photon_pmf(SWEEP_AMPS, p, gamma).probs, 0.3)
         dphi_err = max(dphi_err, float(np.max(np.abs(d - fd))))
 
     # batch vs streaming posterior on a 4000-shot record
@@ -268,7 +267,7 @@ def test_criterion_09_oracle_equivalences():
     stream_err = float(np.max(np.abs(streaming.density - batch.density)))
 
     # Gauss-Legendre noisy pmf vs 1e5-node midpoint rule
-    noisy = photon_pmf_noisy(SWEEP_AMPS, 0.3, math.pi / 4)
+    noisy = photon_pmf(SWEEP_AMPS, 0.3, math.pi / 4)
     oracle = helpers.midpoint_noisy_pmf(
         SQRT2, SQRT2, 0.3, math.pi / 4, np.arange(noisy.n_max + 1)
     )

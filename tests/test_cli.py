@@ -333,8 +333,10 @@ class TestFanoCommand:
             # the counts file does not exist: the amplitudes fail first
             (["--a", "0", "--b", "1"], None, 2, "a and b > 0"),
             (["--a", "1", "--b", "1"], "1\n2\n", 3, "at least 3 shots"),
+            # 4 a^2 b^2 underflows to 0, which the inversion divides by
+            (["--a", "1e-300", "--b", "1"], "1\n2\n3\n", 2, "a and b > 0"),
         ],
-        ids=["amplitude-zero", "two-shots"],
+        ids=["amplitude-zero", "two-shots", "amplitude-underflow"],
     )
     def test_bad_inputs_exit_without_traceback(self, tmp_path, amplitudes, counts, code, message):
         path = tmp_path / "counts.txt"
@@ -392,6 +394,7 @@ class TestSweepCommand:
         [
             (["--a", "1", "--b", "1", "--m-list", "2"], "at least 3 shots"),
             (["--a", "0", "--b", "1", "--m-list", "100"], "a and b > 0"),
+            (["--a", "5e-324", "--b", "1.4142135623730951", "--m-list", "3,5"], "a and b > 0"),
         ],
     )
     def test_fano_inputs_are_config_errors(self, tmp_path, capsys, args, message):

@@ -1,0 +1,165 @@
+"""Contracts of the ``kennedyrx`` command line, checked as properties.
+
+* Any flag set drawn from a fixed pool of valid and invalid values exits 0,
+  2, 3 or 4: ``cli.main`` never raises.
+* A record impossible under the model exits 4 in bounded memory.
+* Without phase noise the sweep is invariant under phi* -> -phi*.
+"""
+
+import contextlib
+import io
+import tracemalloc
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kennedyrx import cli
+
+SQRT2 = "1.4142135623730951"
+AMPLITUDES = ["0", "0.6", "1", SQRT2, "20", "5e-324", "1e-300", "1e-160"]
+
+# Flag values that parse.  They keep every run small: M <= 50, m_list <= 3,5,
+# replications <= 2, grid <= 17.  "{tmp}" is the directory of FILES.
+VALID = {
+    "phi": ["0", "0.3", "-0.3", "1.5707963267948966", "3", "1e300"],
+    "gamma": ["0", "0.5", "6.283185307179586", "5e-324"],
+    "M": ["1", "3", "50"],
+    "seed": ["0", "1", "18446744073709551615"],
+    "replications": ["1", "2"],
+    "grid": ["2", "5", "17"],
+    "method": ["all", "bayes-pnr", "bayes-onoff", "fano-inversion"],
+    "m_list": ["1,2", "3", "3,5"],
+    "counts": ["{tmp}/mixed", "{tmp}/zeros", "{tmp}/impossible", "{tmp}/two", "{tmp}/largest"],
+    "out": ["{tmp}/out"],
+}
+# Flag values that do not, none of them one that argparse itself rejects
+# before cli.main sees it (such as "-inf").
+INVALID = {
+    "a": ["-1", "nan", "inf", "21", "x"],
+    "b": ["-1", "nan", "21"],
+    "alpha": ["-2", "30"],
+    "tau": ["0", "1", "2"],
+    "phi": ["nan", "inf"],
+    "gamma": ["7", "-0.1"],
+    "M": ["0", "-1", "10000001", "1.5"],
+    "seed": ["-1", "18446744073709551616"],
+    "replications": ["0", "100001"],
+    "grid": ["1", "20002", "x"],
+    "method": ["mle"],
+    "m_list": ["5,3", "0", "", "3,10000001", "a"],
+    "counts": [f"{{tmp}}/{name}" for name in
+               ("empty", "negative", "text", "overflow", "latin1.cfg", "absent")],
+    "out": ["{tmp}/absent/out", ""],
+    "config": [f"{{tmp}}/{name}" for name in
+               ("malformed.cfg", "unknown.cfg", "latin1.cfg", "absent.cfg")],
+}
+FILES = {
+    "mixed": b"0\n1\n2\n3\n5\n0\n",
+    "zeros": b"0\n" * 10,
+    "impossible": b"0\n3\n1000000000000000000\n",
+    "two": b"1\n2\n",
+    "largest": b"0\n1\n9223372036854775807\n",
+    "empty": b"# nothing\n",
+    "negative": b"1\n-1\n",
+    "text": b"1\nx\n",
+    "overflow": b"9223372036854775808\n",
+    "latin1.cfg": b"a=\xff\n",
+    "amps.cfg": b"a=1\nb=1  # both amplitudes\n",
+    "malformed.cfg": b"a\n",
+    "unknown.cfg": b"detector=pnr\n",
+}
+
+
+@pytest.fixture(scope="module")
+def tmp(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contracts")
+    for name, data in FILES.items():
+        (root / name).write_bytes(data)
+    return root
+
+
+def argv(command: str, flags: dict, tmp: Path) -> list[str]:
+    args = [command]
+    for key, value in flags.items():
+        args += ["--" + key.replace("_", "-"), value.format(tmp=tmp)]
+    return args
+
+
+@st.composite
+def flag_sets(draw):
+    """A subcommand with a valid value for every key and one source of
+    amplitudes, then up to two keys set to invalid values and up to two
+    keys dropped."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags = {key: draw(st.sampled_from(values)) for key, values in VALID.items()}
+    amplitude = st.sampled_from(AMPLITUDES)
+    source = draw(st.sampled_from(["direct", "physical", "beta", "config"]))
+    if source == "direct":
+        flags.update(a=draw(amplitude), b=draw(amplitude))
+    elif source == "physical":
+        flags.update(alpha=draw(amplitude), beta=draw(amplitude), tau=draw(st.sampled_from(["0.5", "0.999"])))
+    elif source == "beta":
+        flags.update(beta=draw(amplitude))
+    else:
+        flags.update(config="{tmp}/amps.cfg")
+    for key in draw(st.lists(st.sampled_from(sorted(INVALID)), max_size=2, unique=True)):
+        flags[key] = draw(st.sampled_from(INVALID[key]))
+    for key in draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True)):
+        # an absent M, m_list, grid or replications would take its default,
+        # beyond the sizes above
+        if key not in ("M", "m_list", "grid", "replications"):
+            del flags[key]
+    return command, flags
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(flag_sets())
+@example(("sweep", {**{k: v[0] for k, v in VALID.items()}, "phi": "0.3", "m_list": "3,5",
+                    "a": "5e-324", "b": SQRT2}))
+@example(("fano", {"counts": "{tmp}/mixed", "a": "1e-300", "b": "1"}))
+@example(("estimate", {"counts": "{tmp}/mixed", "a": "1e-160", "b": "1e-160", "gamma": "0.5",
+                       "grid": "17", "out": "{tmp}/out"}))
+@example(("estimate", {"counts": "{tmp}/zeros", "a": "20", "b": "20", "grid": "5", "out": "{tmp}/out"}))
+def test_every_flag_set_exits_with_a_documented_code(tmp, case):
+    command, flags = case
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv(command, flags, tmp))
+    assert code in (0, 2, 3, 4)
+    # a failure names its cause on stderr; a success writes nothing there
+    assert (code == 0) == (err.getvalue() == "")
+
+
+def test_impossible_record_exits_4_in_bounded_memory(tmp):
+    # vacuum never yields a photon; one count of 10^18 must not size anything
+    args = argv("estimate", {"a": "0", "b": "0", "counts": "{tmp}/impossible", "out": "{tmp}/out"}, tmp)
+    tracemalloc.start()
+    try:
+        code = cli.main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert peak < 32 * 2**20
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(phi=st.floats(min_value=0.01, max_value=3.13), a=st.sampled_from(["0.6", "1", SQRT2]))
+def test_sweep_is_invariant_under_phase_reflection(tmp, phi, a):
+    # the photon statistics depend on phi* only through cos(phi*)
+    for sign in ("", "-"):
+        flags = {"a": a, "b": "1", "phi": sign + repr(phi), "seed": "5", "replications": "3",
+                 "m_list": "30,100", "grid": "65", "out": f"{{tmp}}/sweep{sign}"}
+        assert cli.main(argv("sweep", flags, tmp)) == 0
+    paths = sorted(tmp.glob("sweep_*.csv"))
+    assert len(paths) == 6
+    for path in paths:
+        mirrored = [
+            line for line in (tmp / ("sweep-" + path.name[5:])).read_text().splitlines()
+            if not line.startswith(("# phi=", "# out="))
+        ]
+        plain = [line for line in path.read_text().splitlines()
+                 if not line.startswith(("# phi=", "# out="))]
+        assert mirrored == plain

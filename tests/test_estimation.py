@@ -9,7 +9,6 @@ import helpers
 from kennedyrx.estimation import (
     CountRecord,
     DegenerateEvidenceError,
-    OnOffRecord,
     PhaseEstimate,
     PhaseGrid,
     PhasePosterior,
@@ -30,7 +29,7 @@ from kennedyrx.estimation import (
 )
 from kennedyrx import estimation
 from kennedyrx.estimation import _log_pmf, _loglik, _trapezoid_weights
-from kennedyrx.montecarlo import SimConfig, sample_counts, to_onoff
+from kennedyrx.montecarlo import SimConfig, sample_counts
 from kennedyrx.photonstats import (
     DetectorPlaneAmplitudes,
     dphi_table,
@@ -70,10 +69,6 @@ class TestRecords:
         assert not values.flags.writeable and not occ.flags.writeable
         empty = CountRecord(counts=np.array([], dtype=int)).histogram
         assert empty[0].size == 0 and empty[1].size == 0
-
-    def test_onoff_partition(self):
-        rec = OnOffRecord(m_on=3, m_off=1)
-        assert rec.sample_size == 4
 
 
 class TestLogLikelihoodPnr:
@@ -161,7 +156,7 @@ class TestLikelihoodKernel:
             if kind == "pnr":
                 ll = log_likelihood_pnr(record, cfg.amps, 0.0, GRID)
             else:
-                ll = log_likelihood_onoff(to_onoff(record), cfg.amps, 0.0, GRID)
+                ll = log_likelihood_onoff(record, cfg.amps, 0.0, GRID)
             want = bayes_estimate(posterior(ll, GRID), sample_size=200)
             assert est.sample_size == 200
             assert est.mean == pytest.approx(want.mean, rel=1e-12)
@@ -175,12 +170,12 @@ class TestLikelihoodKernel:
 
 class TestLogLikelihoodOnoff:
     def test_empty_record_is_flat(self):
-        ll = log_likelihood_onoff(OnOffRecord(m_on=0, m_off=0), amps(1, 1), 0.0, GRID)
+        ll = log_likelihood_onoff(CountRecord(counts=np.array([], dtype=int)), amps(1, 1), 0.0, GRID)
         assert np.all(ll == 0.0)
 
     def test_all_on_record(self):
         m = 17
-        ll = log_likelihood_onoff(OnOffRecord(m_on=m, m_off=0), amps(1, 1), 0.0, GRID)
+        ll = log_likelihood_onoff(CountRecord(counts=np.ones(m, dtype=int)), amps(1, 1), 0.0, GRID)
         p0 = photon_pmf(amps(1, 1), 0.0).probs[0]
         # spot-check the first grid point against the closed form
         assert ll[0] == pytest.approx(m * math.log1p(-p0), rel=1e-12)
@@ -193,17 +188,27 @@ class TestLogLikelihoodOnoff:
         with np.errstate(divide="ignore"):
             assert np.array_equal(on, np.log1p(-np.exp(_log_pmf(a, 0.5, GRID, 0))))
 
+    @pytest.mark.parametrize("a", [0.0, 1e-160])
+    def test_near_vacuum_on_column_is_never_nan(self, a):
+        # the noise quadrature rounds p_0 of a vacuum beam above 1 at some phase
+        assert (_log_pmf(amps(a, a), 0.5, GRID, 0) > 0.0).any()
+        assert not np.isnan(estimation._log_onoff(amps(a, a), 0.5, GRID, 1)).any()
+        ll = log_likelihood_onoff(CountRecord(counts=np.array([0, 1])), amps(a, a), 0.5, GRID)
+        with pytest.raises(DegenerateEvidenceError):
+            posterior(ll, GRID)
+
     def test_coarse_grained_equivalence(self):
         # on/off likelihood == PNR likelihood with all n>0 merged into one bin
         cfg = SimConfig(amps=amps(1.12, 0.79), phi_star=0.25, M=500, seed=3)
         record = sample_counts(cfg)
-        onoff = to_onoff(record)
-        ll_onoff = log_likelihood_onoff(onoff, cfg.amps, 0.0, GRID)
+        m_off = int(np.count_nonzero(record.counts == 0))
+        m_on = record.sample_size - m_off
+        ll_onoff = log_likelihood_onoff(record, cfg.amps, 0.0, GRID)
         n = np.arange(photon_pmf(cfg.amps, 0.0).n_max + 1)
         merged = np.empty(GRID.size)
         for i, phi in enumerate(GRID.points):
             pmf = helpers.mixture_pmf_direct(1.12, 0.79, phi, n)
-            merged[i] = onoff.m_off * math.log(pmf[0]) + onoff.m_on * math.log(
+            merged[i] = m_off * math.log(pmf[0]) + m_on * math.log(
                 1.0 - pmf[0]
             )
         np.testing.assert_allclose(ll_onoff, merged, atol=1e-10)
@@ -235,7 +240,7 @@ class TestPosterior:
         record = sample_counts(cfg)
         post_pnr = posterior(log_likelihood_pnr(record, cfg.amps, 0.0, GRID), GRID)
         post_off = posterior(
-            log_likelihood_onoff(to_onoff(record), cfg.amps, 0.0, GRID), GRID
+            log_likelihood_onoff(record, cfg.amps, 0.0, GRID), GRID
         )
         peak = GRID.points[np.argmax(post_pnr.density)]
         assert abs(peak - 0.25) < 0.08
@@ -256,6 +261,13 @@ class TestBayesEstimate:
         ll = -((GRID.points - math.pi / 4) ** 2) / (2.0 * 0.02**2)
         est = bayes_estimate(posterior(ll, GRID))
         assert est.skewness == pytest.approx(0.0, abs=1e-6)
+
+    def test_skewness_is_none_where_the_variance_cubed_underflows(self):
+        # variance ~1e-305 > 0, but variance**1.5 rounds to 0
+        grid = PhaseGrid(size=5)
+        est = bayes_estimate(posterior(np.array([0.0, -700.0] + [-np.inf] * 3), grid))
+        assert 0.0 < est.variance < 1e-300 and est.variance**1.5 == 0.0
+        assert est.skewness is None
 
     def test_coverage_over_replications(self):
         # |mean - phi*| <= 3 sd(posterior) in >= 99% of 100 seeded runs
@@ -337,7 +349,7 @@ class TestSequentialUpdate:
     def test_single_off_event_equals_batch(self):
         post = sequential_update(uniform_posterior(GRID), 0, amps(1, 1), 0.0, detector_kind="onoff")
         batch = posterior(
-            log_likelihood_onoff(OnOffRecord(m_on=0, m_off=1), amps(1, 1), 0.0, GRID), GRID
+            log_likelihood_onoff(CountRecord(counts=np.array([0])), amps(1, 1), 0.0, GRID), GRID
         )
         np.testing.assert_allclose(post.density, batch.density, atol=1e-12)
         assert post.evidence_log == pytest.approx(batch.evidence_log, rel=1e-10)
@@ -352,7 +364,7 @@ class TestSequentialUpdate:
         if kind == "pnr":
             ll = log_likelihood_pnr(record, cfg.amps, 0.0, GRID)
         else:
-            ll = log_likelihood_onoff(to_onoff(record), cfg.amps, 0.0, GRID)
+            ll = log_likelihood_onoff(record, cfg.amps, 0.0, GRID)
         batch = posterior(ll, GRID)
         np.testing.assert_allclose(post.density, batch.density, atol=1e-10)
         assert post.evidence_log == pytest.approx(batch.evidence_log, rel=1e-9)
@@ -548,6 +560,21 @@ class TestFanoInversion:
 
     def test_empirical_fano_of_constant_record(self):
         assert empirical_fano(CountRecord(counts=np.full(50, 3))) == 0.0
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1e-300, 1.0), (5e-324, SQRT2), (1e-160, 1e-160)])
+    def test_underflowing_amplitude_product_raises(self, a, b):
+        # a, b > 0, but 4 a^2 b^2 rounds to 0: the inversion would divide by it
+        record = CountRecord(counts=np.array([0, 1, 2, 3]))
+        with pytest.raises(ValueError, match="4 a\\^2 b\\^2 > 0"):
+            invert_fano(1.5, amps(a, b))
+        with pytest.raises(ValueError, match="4 a\\^2 b\\^2 > 0"):
+            fano_inversion_estimate(record, amps(a, b))
+
+    def test_subnormal_amplitude_product_clamps(self):
+        # 4 a^2 b^2 is subnormal but positive: the phase term is invisible in
+        # the counts, so every ratio clamps, and nothing is NaN
+        est = fano_inversion_estimate(CountRecord(counts=np.array([0, 1, 2, 3, 0])), amps(1e-160, 1.0))
+        assert est.clamped and math.isfinite(est.mean) and math.isfinite(est.variance)
 
 
 class TestTypes:

@@ -31,7 +31,6 @@ from kennedyrx.montecarlo import (
     run_discrimination,
     sample_counts,
     stream,
-    to_onoff,
 )
 from kennedyrx.photonstats import (
     DetectorPlaneAmplitudes,
@@ -39,7 +38,6 @@ from kennedyrx.photonstats import (
     default_cutoff,
     fano_factor,
     photon_pmf,
-    photon_pmf_noisy,
 )
 from kennedyrx.receiver import ReceiverParams
 
@@ -113,7 +111,7 @@ class TestSampleCounts:
             amps=amps(SQRT2, SQRT2), phi_star=0.3, M=100_000, seed=2025, gamma=math.pi / 4
         )
         record = sample_counts(cfg)
-        pmf = photon_pmf_noisy(cfg.amps, 0.3, math.pi / 4)
+        pmf = photon_pmf(cfg.amps, 0.3, math.pi / 4)
         _, p_value = goodness_of_fit(record, pmf)
         assert p_value > 1e-3
 
@@ -320,19 +318,37 @@ class TestCdfTable:
 
 
 class TestToOnOff:
+    """On/off detection reads a count record through its coarse-graining
+    {0}, {n >= 1}: m_off ln p_0 + m_on ln(1 - p_0)."""
+
+    GRID = PhaseGrid(size=101)
+
+    def log_p0(self, a, b):
+        nu_p = a * a + b * b + 2.0 * a * b * np.cos(self.GRID.points)
+        nu_m = a * a + b * b - 2.0 * a * b * np.cos(self.GRID.points)
+        return np.log(0.5 * (np.exp(-nu_p) + np.exp(-nu_m)))
+
     def test_all_off(self):
-        rec = to_onoff(CountRecord(counts=np.array([0, 0, 0])))
-        assert (rec.m_on, rec.m_off) == (0, 3)
+        ll = log_likelihood_onoff(CountRecord(counts=np.array([0, 0, 0])), amps(1, 1), 0.0, self.GRID)
+        np.testing.assert_allclose(ll, 3.0 * self.log_p0(1.0, 1.0), rtol=1e-12)
 
     def test_mixed(self):
-        rec = to_onoff(CountRecord(counts=np.array([1, 0, 2, 5])))
-        assert (rec.m_on, rec.m_off) == (3, 1)
+        record = CountRecord(counts=np.array([1, 0, 2, 5]))
+        ll = log_likelihood_onoff(record, amps(1, 1), 0.0, self.GRID)
+        log_p0 = self.log_p0(1.0, 1.0)
+        np.testing.assert_allclose(ll, log_p0 + 3.0 * np.log1p(-np.exp(log_p0)), rtol=1e-12)
 
     def test_partition(self):
+        # the record of an on/off detector is the count record of 0s and 1s
         cfg = SimConfig(amps=amps(1, 1), phi_star=0.4, M=777, seed=3)
         record = sample_counts(cfg)
-        rec = to_onoff(record)
-        assert rec.m_on + rec.m_off == record.sample_size
+        clicks = CountRecord(counts=np.minimum(record.counts, 1))
+        ll = log_likelihood_onoff(record, cfg.amps, 0.0, self.GRID)
+        assert np.array_equal(ll, log_likelihood_onoff(clicks, cfg.amps, 0.0, self.GRID))
+        m_off = int(np.count_nonzero(record.counts == 0))
+        log_p0 = self.log_p0(1.0, 1.0)
+        want = m_off * log_p0 + (record.sample_size - m_off) * np.log1p(-np.exp(log_p0))
+        np.testing.assert_allclose(ll, want, rtol=1e-12)
 
 
 class TestRunDiscrimination:
@@ -498,7 +514,7 @@ class TestConvergenceSweeps:
                 record = sample_counts(replace(cfg, M=m), replication=rep)
                 for j, ll in enumerate((
                     log_likelihood_pnr(record, cfg.amps, gamma, grid),
-                    log_likelihood_onoff(to_onoff(record), cfg.amps, gamma, grid),
+                    log_likelihood_onoff(record, cfg.amps, gamma, grid),
                 )):
                     est = bayes_estimate(posterior(ll, grid), sample_size=m)
                     expected[j, :, i, rep] = est.mean, est.variance

@@ -17,7 +17,6 @@ from kennedyrx.photonstats import (
     nu_plus_minus,
     photon_pmf,
     photon_pmf_dphi,
-    photon_pmf_noisy,
     pmf_columns,
     pmf_fidelity,
     pmf_table,
@@ -165,44 +164,44 @@ class TestTailBoundsMatchScipyStats:
 
     @pytest.mark.parametrize("a, b, n_max", [(SQRT2, SQRT2, None), (1.3, 0.8, 6)])
     def test_noisy_tail_bound(self, a, b, n_max):
-        p = photon_pmf_noisy(amps(a, b), 0.4, 0.5, n_max=n_max)
+        p = photon_pmf(amps(a, b), 0.4, 0.5, n_max=n_max)
         assert p.tail_bound == float(poisson.sf(p.n_max, (a + b) ** 2))
 
 
 class TestPhotonPmfNoisy:
     def test_zero_noise_is_bitwise_noiseless(self):
         clean = photon_pmf(amps(1.3, 0.8), 0.4)
-        noisy = photon_pmf_noisy(amps(1.3, 0.8), 0.4, 0.0)
+        noisy = photon_pmf(amps(1.3, 0.8), 0.4, 0.0)
         assert np.array_equal(clean.probs, noisy.probs)
         assert clean.tail_bound == noisy.tail_bound
 
     def test_full_circle_noise_is_phase_invariant(self):
-        ref = photon_pmf_noisy(amps(1, 1), 0.0, 2 * math.pi)
+        ref = photon_pmf(amps(1, 1), 0.0, 2 * math.pi)
         for phi in (0.3, 1.0, math.pi / 2, 2.5):
-            other = photon_pmf_noisy(amps(1, 1), phi, 2 * math.pi)
+            other = photon_pmf(amps(1, 1), phi, 2 * math.pi)
             np.testing.assert_allclose(other.probs, ref.probs, atol=1e-12)
 
     def test_against_midpoint_oracle(self):
-        p = photon_pmf_noisy(amps(SQRT2, SQRT2), 0.3, math.pi / 4)
+        p = photon_pmf(amps(SQRT2, SQRT2), 0.3, math.pi / 4)
         n = np.arange(p.n_max + 1)
         oracle = helpers.midpoint_noisy_pmf(SQRT2, SQRT2, 0.3, math.pi / 4, n)
         np.testing.assert_allclose(p.probs, oracle, atol=1e-8)
 
     def test_continuity_to_noiseless(self):
         clean = photon_pmf(amps(1.2, 0.9), 0.5)
-        tiny = photon_pmf_noisy(amps(1.2, 0.9), 0.5, 1e-8)
+        tiny = photon_pmf(amps(1.2, 0.9), 0.5, 1e-8)
         np.testing.assert_allclose(tiny.probs, clean.probs, atol=1e-8)
 
     def test_normalization(self):
-        p = photon_pmf_noisy(amps(1.12, 0.79), 0.25, math.pi / 2)
+        p = photon_pmf(amps(1.12, 0.79), 0.25, math.pi / 2)
         assert p.probs.sum() <= 1.0 + 1e-12
         assert p.probs.sum() + p.tail_bound >= 1.0 - 1e-12
 
     def test_gamma_out_of_range(self):
         with pytest.raises(ValueError, match="gamma"):
-            photon_pmf_noisy(amps(1, 1), 0.0, -0.1)
+            photon_pmf(amps(1, 1), 0.0, -0.1)
         with pytest.raises(ValueError, match="gamma"):
-            photon_pmf_noisy(amps(1, 1), 0.0, 7.0)
+            photon_pmf(amps(1, 1), 0.0, 7.0)
 
 
 class TestPhotonPmfDphi:
@@ -232,7 +231,7 @@ class TestPhotonPmfDphi:
                 fd = helpers.fd_dphi(lambda p: photon_pmf(amps(a, b), p).probs, phi)
             else:
                 fd = helpers.fd_dphi(
-                    lambda p: photon_pmf_noisy(amps(a, b), p, gamma).probs, phi
+                    lambda p: photon_pmf(amps(a, b), p, gamma).probs, phi
                 )
             np.testing.assert_allclose(d, fd, atol=1e-8)
 
@@ -260,7 +259,7 @@ class TestFanoFactor:
             assert fano_factor(amps(a, b), phi) == pytest.approx(var / mean, abs=1e-9)
 
     def test_noisy_moments(self):
-        p = photon_pmf_noisy(amps(SQRT2, SQRT2), 0.3, math.pi / 4)
+        p = photon_pmf(amps(SQRT2, SQRT2), 0.3, math.pi / 4)
         mean, var = helpers.moments_by_summation(p.probs)
         assert fano_factor(amps(SQRT2, SQRT2), 0.3, math.pi / 4) == pytest.approx(
             var / mean, rel=1e-12
