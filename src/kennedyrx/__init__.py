@@ -17,6 +17,7 @@ from .estimation import (
     crlb_variance,
     empirical_fano,
     fano_inversion_estimate,
+    fano_inversion_estimates,
     fisher_onoff,
     fisher_pnr,
     fold_phase,

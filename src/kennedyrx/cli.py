@@ -272,9 +272,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_real(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``--key=value`` for each long flag followed by a negative real.
+
+    argparse takes only plain negative numbers such as -1 or -0.5 for
+    values; a token like -1e-05, which the comment block writes for small
+    negative reals, it reads as an option."""
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if token.startswith("-") and _is_real(token) and prev.startswith("--") and "=" not in prev:
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def parse_config(argv=None) -> RunConfig:
     """Merge config file and flags (flags win) into a validated RunConfig."""
-    ns = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = _build_parser().parse_args(_attach_negative_values(argv))
     raw = _read_config_file(ns.config) if ns.config else {}
     for key in _FLAG_KEYS:
         value = getattr(ns, key)
@@ -560,7 +585,11 @@ def dispatch(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_config(argv)
+        try:
+            cfg = parse_config(argv)
+        except SystemExit as exc:
+            # argparse has printed its usage error (status 2) or the help (0)
+            return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
         return dispatch(cfg)
     except ConfigError as exc:
         print(f"kennedyrx: config error: {exc}", file=sys.stderr)

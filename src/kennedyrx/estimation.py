@@ -8,11 +8,16 @@ with the grid's cached trapezoid weights, so a streaming shot pays no
 quadrature set-up.
 
 One kernel turns photon-number histograms, the sufficient statistic, into
-log-likelihoods: a (records x bins) matrix of occupations w_k times the
-(bins x grid) table of ln P_k, one row sum_k w_k ln P_k per record, where an
-empty bin adds 0 even at grid points where its ln P_k is -inf.  The table
-goes in blocks of bins, and :func:`bayes_estimates` passes many records in
-blocks of rows, each of bounded size; one record is one row.
+log-likelihoods.  Records come as one representation: distinct counts in
+ascending order and a (records x counts) occupancy matrix, which is a dense
+row over 0..cap per record in the sweep and the one row of a record's sparse
+histogram otherwise, so a count up to 2**63 - 1 costs no dense memory.  The
+kernel bins the counts, then multiplies the (records x bins) occupations
+w_k by the (bins x grid) table of ln P_k, one row sum_k w_k ln P_k per
+record, where an empty bin adds 0 even at grid points where its ln P_k is
+-inf.  The table goes in blocks of bins, and :func:`bayes_estimates` passes
+many records in blocks of rows, each of bounded size, and takes the
+posterior mean and variance of a whole block in one in-place pass.
 Photon-number-resolved ("pnr") bins are the distinct counts; on/off bins
 are their coarse-graining {0}, {n >= 1}, so both kinds read the one record
 type, :class:`CountRecord` (an on/off detector's record is one of 0s and
@@ -30,9 +35,10 @@ Estimators share the detection record used for bit discrimination:
 * Fisher informations of both detection models, scalar or one per phase of
   an array, and the Cramer-Rao variance reference 1/(M*F);
 * a moment-based alternative that inverts the phase dependence of the Fano
-  factor, with a leave-one-out jackknife uncertainty; both run over the
-  distinct counts of the histogram, with the mean from the exact integer
-  sum of the counts, and both divide by one guarded scale 4 a^2 b^2.
+  factor, with a leave-one-out jackknife uncertainty: one kernel over the
+  same occupancy rows serves one record and many, with each mean from the
+  exact integer sum of the counts, and it divides by one guarded scale
+  4 a^2 b^2.
 
 Posterior values are immutable in spirit: updates return new objects, so
 distinct posteriors may be processed in parallel; a single streaming chain
@@ -45,7 +51,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -73,14 +79,15 @@ __all__ = [
     "empirical_fano",
     "invert_fano",
     "fano_inversion_estimate",
+    "fano_inversion_estimates",
     "fold_phase",
 ]
 
 DetectorKind = Literal["onoff", "pnr"]
 
 # Cells per block of Fisher table rows (phases), of likelihood columns
-# (bins) or of log-likelihood rows (records): photonstats' noise-average
-# budget.
+# (bins), of log-likelihood rows (records) or of the sweep's histogram rows:
+# photonstats' noise-average budget.
 _BLOCK_CELLS = 2_000_000
 
 
@@ -268,22 +275,20 @@ def _kind(detector_kind: DetectorKind):
         raise ValueError(f"detector_kind must be 'onoff' or 'pnr', got {detector_kind!r}") from None
 
 
-def _bins(histograms, detector_kind: DetectorKind):
-    """The ln P column of a detector kind's bins, the bins occupied by any of
-    the histograms, and one row of bin occupations per histogram.
+def _bins(values, occupancy, detector_kind: DetectorKind):
+    """The ln P column of a detector kind's bins, the bins occupied by any
+    row of ``occupancy``, and one row of bin occupations per row.
 
-    Histograms are pairs (distinct counts, occurrences) like
-    :attr:`CountRecord.histogram`; each count adds its occurrences to its bin.
+    ``values`` are distinct counts in ascending order and ``occupancy`` holds
+    one row of their occurrences per record: a dense row over 0..cap, or the
+    one row of a :attr:`CountRecord.histogram`.  Each count adds its
+    occurrences to its bin; a bin map is monotone, so a bin is a run of
+    consecutive occupied values.
     """
     column, bin_of = _kind(detector_kind)
-    binned = [bin_of(v) for v, _ in histograms]
-    ns = np.unique(np.concatenate(binned))
-    # flat cell row * bins + bin of each distinct count; bincount sums its occurrences
-    rows = np.repeat(np.arange(len(binned)) * ns.size, [b.size for b in binned])
-    cells = rows + np.searchsorted(ns, np.concatenate(binned))
-    occurrences = np.concatenate([occ for _, occ in histograms])
-    weights = np.bincount(cells, weights=occurrences, minlength=len(binned) * ns.size)
-    return column, ns, weights.reshape(len(binned), ns.size)
+    used = occupancy.any(axis=0)
+    ns, first = np.unique(bin_of(np.asarray(values)[used]), return_index=True)
+    return column, ns, np.add.reduceat(occupancy[:, used], first, axis=1)
 
 
 def _loglik(column, bins, weights, amps, gamma: float, grid: PhaseGrid) -> np.ndarray:
@@ -322,7 +327,8 @@ def log_likelihood_pnr(
     distinct counts n.  Grid points where an observed n has zero model
     probability get -inf, never an exception.
     """
-    return _loglik(*_bins([record.histogram], "pnr"), amps, float(gamma), grid)[0]
+    values, occurrences = record.histogram
+    return _loglik(*_bins(values, occurrences[None], "pnr"), amps, float(gamma), grid)[0]
 
 
 def log_likelihood_onoff(
@@ -333,7 +339,8 @@ def log_likelihood_onoff(
 ) -> np.ndarray:
     """Log-likelihood m_off ln P_off + m_on ln(1 - P_off) with P_off = p_0, where
     m_off counts the shots of the record with n = 0 and m_on the others."""
-    return _loglik(*_bins([record.histogram], "onoff"), amps, float(gamma), grid)[0]
+    values, occurrences = record.histogram
+    return _loglik(*_bins(values, occurrences[None], "onoff"), amps, float(gamma), grid)[0]
 
 
 def posterior(loglik, grid: PhaseGrid) -> PhasePosterior:
@@ -395,28 +402,68 @@ def bayes_estimate(post: PhasePosterior, sample_size: int = 0) -> PhaseEstimate:
 
 
 def bayes_estimates(
-    histograms: Sequence[tuple[np.ndarray, np.ndarray]],
+    values,
+    occupancy,
     amps: DetectorPlaneAmplitudes,
     gamma: float,
     grid: PhaseGrid,
     detector_kind: DetectorKind,
-) -> list[PhaseEstimate]:
-    """:func:`bayes_estimate` of the posterior of each of many records.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means and central variances of many records, one per row.
 
-    Each record comes as its histogram, a pair (distinct counts, occurrences)
-    like :attr:`CountRecord.histogram`.  The records go in blocks of at most
+    The records come as one occupancy matrix over shared ``values``, the
+    distinct counts in ascending order: row r holds the occurrences of each
+    value in record r (see :func:`_bins`).  The rows go in blocks of at most
     ``_BLOCK_CELLS`` log-likelihood cells, each one call of the likelihood
-    kernel over the bins of its histograms, so memory does not follow the
-    number of records.
+    kernel, and each block's moments come from one in-place pass over the
+    kernel's output, so memory does not follow the number of records.  The
+    moments are those of :func:`bayes_estimate`, and a row whose posterior
+    :func:`posterior` would reject raises what it raises.
     """
+    occupancy = np.asarray(occupancy)
     step = max(1, _BLOCK_CELLS // grid.size)
-    estimates = []
-    for start in range(0, len(histograms), step):
-        column, bins, weights = _bins(histograms[start : start + step], detector_kind)
-        block = _loglik(column, bins, weights, amps, float(gamma), grid)
-        for ll, size in zip(block, weights.sum(axis=1)):
-            estimates.append(bayes_estimate(posterior(ll, grid), sample_size=int(size)))
-    return estimates
+    means, variances = np.empty(len(occupancy)), np.empty(len(occupancy))
+    for start in range(0, len(occupancy), step):
+        block = _loglik(*_bins(values, occupancy[start : start + step], detector_kind),
+                        amps, float(gamma), grid)
+        rows = slice(start, start + len(block))
+        means[rows], variances[rows] = _posterior_moments(block, grid)
+    return means, variances
+
+
+def _posterior_moments(ll: np.ndarray, grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and central variance of the posterior of each row of log-likelihoods.
+
+    The arithmetic of :func:`posterior` and :func:`bayes_estimate` row by row,
+    in place on ``ll``: max-subtract, ``exp``, divide by the trapezoid
+    normalizer, check the normalization, weight.  The centered squares are
+    the one other block-sized array.
+    """
+    weights = _trapezoid_weights(grid)
+    peak = ll.max(axis=1)  # NaN in a row with NaN
+    nan = np.isnan(peak)
+    vanishes = ~nan & ~np.isfinite(peak)
+    ll -= np.where(nan | vanishes, 0.0, peak)[:, None]
+    np.exp(ll, out=ll)
+    z = ll @ weights
+    ok = ~nan & ~vanishes & np.isfinite(z) & (z > 0.0)
+    ll /= np.where(ok, z, 1.0)[:, None]
+    total = ll @ weights
+    failed = ~ok | ~(np.abs(total - 1.0) <= 1e-8)
+    if failed.any():
+        row = int(np.argmax(failed))
+        if nan[row]:
+            raise ValueError("log-likelihood contains NaN")
+        if vanishes[row]:
+            raise DegenerateEvidenceError("likelihood vanishes at every grid point")
+        if not ok[row]:
+            raise DegenerateEvidenceError("posterior normalization is degenerate")
+        raise ValueError(f"posterior density integrates to {float(total[row])!r}, not 1")
+    ll *= weights
+    mean = ll @ grid.points
+    centered = grid.points - mean[:, None]
+    centered *= centered
+    return mean, np.einsum("ij,ij->i", ll, centered)
 
 
 def sequential_update(
@@ -495,16 +542,19 @@ def crlb_variance(fisher: float, sample_size: int) -> float | None:
     return 1.0 / (sample_size * fisher)
 
 
-def _fano_moments(record: CountRecord) -> tuple[int, np.ndarray, float]:
-    """Sum of the counts (an exact integer), the deviations n - mean of the
-    distinct counts and the centered sum of squares sum_n m_n (n - mean)^2,
-    from the record's histogram."""
-    values, occ = record.histogram
-    total = sum(map(operator.mul, values.tolist(), occ.tolist()))
-    if total == 0:
+def _fano_moments(values, occupancy, shots):
+    """Per row of ``occupancy`` over the distinct counts ``values`` (as for
+    :func:`bayes_estimates`), with ``shots`` shots each: the sum of the
+    counts, the sample mean, the deviations n - mean of every value and the
+    centered sum of squares sum_n m_n (n - mean)^2.  The sum is exact, in
+    Python integers, so no count a :class:`CountRecord` holds overflows it,
+    and the sum and the mean are rounded from it once."""
+    total = np.asarray(occupancy, dtype=object) @ np.asarray(values, dtype=object)
+    if (total == 0).any():
         raise UndefinedFanoError("sample mean is zero; Fano factor undefined")
-    y = values - total / record.sample_size
-    return total, y, float(occ @ (y * y))
+    mean = (total / shots).astype(float)
+    y = values - mean[:, None]
+    return total.astype(float), mean, y, np.einsum("ij,ij->i", occupancy, y * y)
 
 
 def empirical_fano(record: CountRecord) -> float:
@@ -512,8 +562,9 @@ def empirical_fano(record: CountRecord) -> float:
     m = record.sample_size
     if m < 2:
         raise ValueError(f"Fano factor needs at least 2 shots, got {m}")
-    total, _, q = _fano_moments(record)
-    return q / (m - 1) / (total / m)
+    values, occurrences = record.histogram
+    _, mean, _, q = _fano_moments(values, occurrences[None], m)
+    return float(q[0] / (m - 1) / mean[0])
 
 
 def _fano_scale(amps: DetectorPlaneAmplitudes) -> float:
@@ -528,54 +579,67 @@ def _fano_scale(amps: DetectorPlaneAmplitudes) -> float:
     return scale
 
 
-def invert_fano(fano: float, amps: DetectorPlaneAmplitudes) -> tuple[float, bool]:
+def invert_fano(fano, amps: DetectorPlaneAmplitudes):
     """Phase whose Fano factor equals ``fano``: cos^2(phi) = (F-1)(a^2+b^2)/(4a^2b^2).
 
     The ratio is clamped to [0, 1] before the arccos (sampling noise pushes
-    it outside near the edges); the flag reports whether clamping fired.
+    it outside near the edges); the flag reports whether clamping fired.  A
+    float gives a float and a bool, an array one of each per entry.
     """
-    ratio = (fano - 1.0) * amps.mean_photons / _fano_scale(amps)
-    clamped = not 0.0 <= ratio <= 1.0
-    ratio = min(max(ratio, 0.0), 1.0)
-    return math.acos(math.sqrt(ratio)), clamped
+    fano = np.asarray(fano, dtype=float)
+    with np.errstate(over="ignore"):  # a tiny scale sends ratios to +-inf, clamped like any
+        ratio = (fano - 1.0) * amps.mean_photons / _fano_scale(amps)
+    clamped = ~((0.0 <= ratio) & (ratio <= 1.0))
+    phi = np.arccos(np.sqrt(np.clip(ratio, 0.0, 1.0)))
+    if fano.ndim == 0:
+        return float(phi), bool(clamped)
+    return phi, clamped
+
+
+def fano_inversion_estimates(
+    values, occupancy, amps: DetectorPlaneAmplitudes
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phase estimates from the empirical Fano factors of many records, one per
+    row, with their jackknife variances and clamp flags.
+
+    The records come as for :func:`bayes_estimates`.  The point estimate
+    inverts variance/mean (unbiased sample variance, :func:`invert_fano`);
+    the uncertainty is a leave-one-out jackknife over the shots, which needs
+    at least 3 of them per record.  Shots with equal counts leave out the
+    same moments, so all of it runs over the values.  A record whose sample
+    mean vanishes carries no Fano information and raises
+    :class:`UndefinedFanoError`.
+    """
+    occupancy = np.asarray(occupancy)
+    m = occupancy.sum(axis=1)
+    if (m < 3).any():
+        raise ValueError(f"jackknife uncertainty needs at least 3 shots, got {m.min()}")
+    total, mean, y, q = _fano_moments(values, occupancy, m)
+    phi_hat, clamped = invert_fano(q / (m - 1) / mean, amps)
+    # leave-one-out moments per value: the mean from the exact sum (0 when
+    # the only nonzero shot leaves), the variance from centered sums
+    m = m[:, None]
+    mean_loo = (total[:, None] - values) / (m - 1)
+    var_loo = np.maximum(q[:, None] - y * y * (m / (m - 1)), 0.0) / (m - 2)
+    phi_loo, _ = invert_fano(
+        np.where(mean_loo > 0.0, var_loo / np.maximum(mean_loo, 1e-300), 1.0), amps
+    )
+    w = occupancy.astype(float)
+    d = phi_loo - np.einsum("ij,ij->i", w, phi_loo)[:, None] / m
+    jack_var = (m[:, 0] - 1) / m[:, 0] * np.einsum("ij,ij->i", w, d * d)
+    return phi_hat, jack_var, clamped
 
 
 def fano_inversion_estimate(
     record: CountRecord, amps: DetectorPlaneAmplitudes
 ) -> PhaseEstimate:
-    """Phase estimate from the empirical Fano factor of a count record.
-
-    The point estimate inverts variance/mean (unbiased sample variance); the
-    uncertainty is a leave-one-out jackknife over the shots, which needs at
-    least 3 of them.  Shots with equal counts leave out the same moments, so
-    all of it runs over the distinct counts of the record's histogram.
-    Records whose sample mean vanishes carry no Fano information and raise
-    :class:`UndefinedFanoError`.
-    """
-    m = record.sample_size
-    if m < 3:
-        raise ValueError(f"jackknife uncertainty needs at least 3 shots, got {m}")
-    scale = _fano_scale(amps)
-    values, occ = record.histogram
-    total, y, q = _fano_moments(record)
-    phi_hat, clamped = invert_fano(q / (m - 1) / (total / m), amps)
-
-    # leave-one-out moments per distinct count: the mean from the exact sum
-    # (0 when the only nonzero shot leaves), the variance from centered sums
-    mean_loo = (float(total) - values) / (m - 1)
-    var_loo = np.maximum(q - y * y * (m / (m - 1)), 0.0) / (m - 2)
-    ratio = np.where(mean_loo > 0.0, var_loo / np.maximum(mean_loo, 1e-300), 1.0)
-    with np.errstate(over="ignore"):  # a tiny scale sends ratios to +-inf, clipped like any
-        ratio = np.clip((ratio - 1.0) * amps.mean_photons / scale, 0.0, 1.0)
-    phi_loo = np.arccos(np.sqrt(ratio))
-    w = occ.astype(float)
-    d = phi_loo - (w @ phi_loo) / m
-    jack_var = (m - 1) / m * float(w @ (d * d))
-
+    """Phase estimate from the empirical Fano factor of a count record: the
+    one-row call of :func:`fano_inversion_estimates` on its histogram."""
+    values, occurrences = record.histogram
+    phi_hat, jack_var, clamped = fano_inversion_estimates(values, occurrences[None], amps)
     return PhaseEstimate(
-        mean=phi_hat,
-        variance=jack_var,
-        crlb=None,
-        sample_size=m,
-        clamped=clamped,
+        mean=float(phi_hat[0]),
+        variance=float(jack_var[0]),
+        sample_size=record.sample_size,
+        clamped=bool(clamped[0]),
     )

@@ -12,11 +12,15 @@ count from the same uniform.  Every experiment derives its generator from
 (seed, spawn key), so replications are independent streams that can run in
 any order (or in parallel) and still reproduce bit-for-bit.  A convergence
 sweep draws each (M, replication) record once and keeps only its
-photon-count histogram, the sufficient statistic, which every estimator it
-compares reads: the Bayes estimators take the histograms of all
-replications of one M at once, so the M-shot records are never held
-together.  On/off detection reads the same count record as PNR detection,
-through its coarse-graining {0}, {n >= 1}, so no record is converted.
+photon-count histogram, the sufficient statistic: one ``bincount`` row over
+0..cap, the largest count a draw returns, so every row has the same bounded
+length.  It goes through the replications of one M in blocks of such rows,
+and every estimator it compares reads the whole block at once: the Bayes
+methods as one likelihood product and one pass of posterior moments, the
+Fano method as one jackknife kernel.  The M-shot records of a block are
+never held together.  On/off detection reads the same count record as PNR
+detection, through its coarse-graining {0}, {n >= 1}, so no record is
+converted.
 """
 
 from __future__ import annotations
@@ -235,6 +239,11 @@ def _cdf_lookup(u: np.ndarray, row: np.ndarray, means: tuple[float, ...], cap: i
     return np.minimum(out, cap)
 
 
+def _count_cap(amps: DetectorPlaneAmplitudes) -> int:
+    """The largest count a draw returns: 64 above the pmf cutoff."""
+    return photonstats.default_cutoff(amps) + 64
+
+
 def _draw_counts(
     rng: np.random.Generator,
     amps: DetectorPlaneAmplitudes,
@@ -248,7 +257,7 @@ def _draw_counts(
     draws come from their CDF table; with it, from the per-shot search.
     """
     a, b = amps.a, amps.b
-    cap = photonstats.default_cutoff(amps) + 64
+    cap = _count_cap(amps)
     if gamma > 0.0:
         psi = rng.uniform(-0.5 * gamma, 0.5 * gamma, size=plus.size)
         signs = np.where(plus, 1.0, -1.0)
@@ -316,10 +325,12 @@ def run_convergence_sweeps(
     """Estimator benchmark over growing sample sizes, cfg.replications runs each.
 
     Every (M, replication) pair draws one independent record and keeps only
-    its histogram (:attr:`CountRecord.histogram`), which every method in
-    ``methods`` then estimates from; each logs its point estimate and
-    variance.  The Bayes methods estimate all replications of one M at once
-    (:func:`estimation.bayes_estimates`).  A method's rows aggregate the
+    its histogram, a dense row of occurrences of the counts 0..cap; the rows
+    of one M go in blocks of at most ``estimation._BLOCK_CELLS // max(cap +
+    1, grid.size)``, and every method in ``methods`` estimates a whole block
+    at once (:func:`estimation.bayes_estimates`,
+    :func:`estimation.fano_inversion_estimates`), logging each replication's
+    point estimate and variance.  A method's rows aggregate the
     ensemble mean ratio to phi_star, the spread of the estimates, the mean
     reported variance and the CRLB reference 1/(M*F) at phi_star.  phi_star
     enters both as its representative in [0, pi/2], where the estimates lie
@@ -345,23 +356,26 @@ def run_convergence_sweeps(
     reps = cfg.replications
     estimates = np.empty((len(methods), len(m_values), reps))
     variances = np.empty((len(methods), len(m_values), reps))
+    # one dense row of occurrences of the counts 0..cap per record
+    cap = _count_cap(cfg.amps)
+    values = np.arange(cap + 1)
+    step = max(1, estimation._BLOCK_CELLS // max(cap + 1, grid.size))
     for i, m in enumerate(m_values):
         cfg_m = replace(cfg, M=m)
-        histograms, fano = [], []
-        for rep in range(reps):
-            record = sample_counts(cfg_m, replication=rep)
-            histograms.append(record.histogram)
-            if "fano-inversion" in methods:
-                fano.append(estimation.fano_inversion_estimate(record, cfg.amps))
-        for j, method in enumerate(methods):
-            if method == "fano-inversion":
-                ests = fano
-            else:
-                ests = estimation.bayes_estimates(
-                    histograms, cfg.amps, cfg.gamma, grid, _BAYES_KINDS[method]
-                )
-            estimates[j, i] = [est.mean for est in ests]
-            variances[j, i] = [est.variance for est in ests]
+        for start in range(0, reps, step):
+            block = slice(start, min(start + step, reps))
+            occupancy = np.empty((block.stop - start, cap + 1), dtype=np.int64)
+            for row, rep in enumerate(range(start, block.stop)):
+                counts = sample_counts(cfg_m, replication=rep).counts
+                occupancy[row] = np.bincount(counts, minlength=cap + 1)
+            for j, method in enumerate(methods):
+                if method == "fano-inversion":
+                    mean, var, _ = estimation.fano_inversion_estimates(values, occupancy, cfg.amps)
+                else:
+                    mean, var = estimation.bayes_estimates(
+                        values, occupancy, cfg.amps, cfg.gamma, grid, _BAYES_KINDS[method]
+                    )
+                estimates[j, i, block], variances[j, i, block] = mean, var
 
     results = []
     for j, (method, fisher_ref) in enumerate(zip(methods, fisher_refs)):

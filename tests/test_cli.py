@@ -327,6 +327,18 @@ class TestFanoCommand:
         code = run_cli(["fano", "--counts", str(counts), "--a", "1", "--b", "1"])
         assert code == 4
 
+    def test_sweep_with_an_all_zero_record_exits_4(self, tmp_path, capsys):
+        # about 0.01 photons per shot: some 3-shot records are all zero
+        code = run_cli([
+            "sweep", "--a", "0.05", "--b", "0.05", "--phi", "0.3", "--seed", "67",
+            "--replications", "20", "--m-list", "3,10", "--grid", "33",
+            "--out", str(tmp_path / "sweep"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "Fano factor undefined" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "amplitudes, counts, code, message",
         [
@@ -437,6 +449,11 @@ class TestOutputContracts:
             [
                 "discriminate", "--beta", "1", "--phi", "0.05", "--M", "2000", "--seed", "3",
             ],
+            # a negative real in exponent notation, as the comment block writes it
+            [
+                "discriminate", "--beta", "1", "--phi", "-1.0000000000000001e-05", "--M", "10",
+                "--seed", "1",
+            ],
             [
                 "estimate", "--alpha", "2", "--beta", "1", "--tau", "0.99", "--gamma", "0.4",
                 "--grid", "60", "--counts", COUNTS_80,
@@ -488,6 +505,15 @@ class TestOutputContracts:
 
     def test_config_error_exit_code(self):
         assert run_cli(["fisher", "--a", "-3", "--b", "1", "--out", "x.csv"]) == 2
+
+    @pytest.mark.parametrize(
+        "args", [["fisher", "--a"], ["fisher", "--grid", "-inf", "--nope"], ["nope"], []]
+    )
+    def test_argument_errors_return_2(self, capsys, args):
+        # argparse's own rejections come back from main as 2, not as SystemExit
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert "usage: kennedyrx" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag, code", [("--counts", 3), ("--config", 2)])
     def test_non_utf8_file_exits_with_its_code(self, tmp_path, capsys, flag, code):

@@ -23,7 +23,7 @@ AMPLITUDES = ["0", "0.6", "1", SQRT2, "20", "5e-324", "1e-300", "1e-160"]
 # Flag values that parse.  They keep every run small: M <= 50, m_list <= 3,5,
 # replications <= 2, grid <= 17.  "{tmp}" is the directory of FILES.
 VALID = {
-    "phi": ["0", "0.3", "-0.3", "1.5707963267948966", "3", "1e300"],
+    "phi": ["0", "0.3", "-0.3", "-1.0000000000000001e-05", "1.5707963267948966", "3", "1e300"],
     "gamma": ["0", "0.5", "6.283185307179586", "5e-324"],
     "M": ["1", "3", "50"],
     "seed": ["0", "1", "18446744073709551615"],
@@ -34,14 +34,13 @@ VALID = {
     "counts": ["{tmp}/mixed", "{tmp}/zeros", "{tmp}/impossible", "{tmp}/two", "{tmp}/largest"],
     "out": ["{tmp}/out"],
 }
-# Flag values that do not, none of them one that argparse itself rejects
-# before cli.main sees it (such as "-inf").
+# Flag values that do not.
 INVALID = {
     "a": ["-1", "nan", "inf", "21", "x"],
     "b": ["-1", "nan", "21"],
     "alpha": ["-2", "30"],
     "tau": ["0", "1", "2"],
-    "phi": ["nan", "inf"],
+    "phi": ["nan", "inf", "-inf"],
     "gamma": ["7", "-0.1"],
     "M": ["0", "-1", "10000001", "1.5"],
     "seed": ["-1", "18446744073709551616"],

@@ -151,21 +151,31 @@ class TestLikelihoodKernel:
         monkeypatch.setattr(estimation, "_BLOCK_CELLS", 3 * GRID.size)
         cfg = SimConfig(amps=amps(SQRT2, SQRT2), phi_star=0.3, M=200, seed=23)
         records = [sample_counts(cfg, replication=rep) for rep in range(7)]
-        got = bayes_estimates([r.histogram for r in records], cfg.amps, 0.0, GRID, kind)
-        for record, est in zip(records, got):
+        values = np.arange(max(int(r.counts.max()) for r in records) + 1)
+        occupancy = np.array([np.bincount(r.counts, minlength=values.size) for r in records])
+        means, variances = bayes_estimates(values, occupancy, cfg.amps, 0.0, GRID, kind)
+        for record, mean, variance in zip(records, means, variances):
             if kind == "pnr":
                 ll = log_likelihood_pnr(record, cfg.amps, 0.0, GRID)
             else:
                 ll = log_likelihood_onoff(record, cfg.amps, 0.0, GRID)
             want = bayes_estimate(posterior(ll, GRID), sample_size=200)
-            assert est.sample_size == 200
-            assert est.mean == pytest.approx(want.mean, rel=1e-12)
-            assert est.variance == pytest.approx(want.variance, rel=1e-10)
+            assert mean == pytest.approx(want.mean, rel=1e-12)
+            assert variance == pytest.approx(want.variance, rel=1e-10)
+
+    @pytest.mark.parametrize("kind", ["pnr", "onoff"])
+    def test_impossible_row_in_a_block_raises(self, kind):
+        # vacuum never yields a photon: the middle record is impossible, the
+        # others are flat posteriors
+        values, occupancy = np.array([0, 3]), np.array([[5, 0], [4, 1], [5, 0]])
+        with pytest.raises(DegenerateEvidenceError):
+            bayes_estimates(values, occupancy, amps(0, 0), 0.0, GRID, kind)
+        means, _ = bayes_estimates(values, occupancy[[0, 2]], amps(0, 0), 0.0, GRID, kind)
+        np.testing.assert_allclose(means, math.pi / 4, rtol=1e-12)
 
     def test_unknown_detector_kind_raises(self):
-        histogram = CountRecord(counts=np.array([1])).histogram
         with pytest.raises(ValueError, match="detector_kind"):
-            bayes_estimates([histogram], amps(1, 1), 0.0, GRID, "apd")
+            bayes_estimates(np.array([1]), np.array([[1]]), amps(1, 1), 0.0, GRID, "apd")
 
 
 class TestLogLikelihoodOnoff:
@@ -555,6 +565,16 @@ class TestFanoInversion:
         counts = np.array([0] * 9 + [5])
         est = fano_inversion_estimate(CountRecord(counts=counts), amps(1, 1))
         phi, var = helpers.fano_jackknife_brute(counts, 1.0, 1.0)
+        assert est.mean == pytest.approx(phi, rel=1e-12)
+        assert est.variance == pytest.approx(var, rel=1e-10)
+
+    def test_jackknife_sum_of_counts_near_2_to_62_is_exact(self):
+        # the five counts sum to more than 2**63 - 1; every partial sum and
+        # deviation is exact in doubles, so the brute force is exact too
+        counts = 2**62 + np.arange(5, dtype=np.int64) * 2**31
+        est = fano_inversion_estimate(CountRecord(counts=counts), amps(SQRT2, SQRT2))
+        phi, var = helpers.fano_jackknife_brute(counts, SQRT2, SQRT2)
+        assert not est.clamped
         assert est.mean == pytest.approx(phi, rel=1e-12)
         assert est.variance == pytest.approx(var, rel=1e-10)
 

@@ -13,6 +13,7 @@ import helpers
 from kennedyrx.estimation import (
     CountRecord,
     PhaseGrid,
+    UndefinedFanoError,
     bayes_estimate,
     log_likelihood_onoff,
     log_likelihood_pnr,
@@ -538,6 +539,31 @@ class TestConvergenceSweeps:
         for result in results:
             assert result.estimates.shape == (1, 2000)
             assert np.isfinite(result.estimates).all() and np.isfinite(result.variances).all()
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_blocks_of_replications_match_one_block(self, gamma, monkeypatch):
+        import kennedyrx.estimation as est
+
+        cfg = SimConfig(
+            amps=amps(SQRT2, SQRT2), phi_star=0.3, M=1, seed=66, gamma=gamma, replications=8
+        )
+        grid = PhaseGrid(size=201)
+        whole = run_convergence_sweeps(cfg, self.METHODS, (30, 100), grid)
+        # three replications per block: blocks of 3, 3 and 2
+        monkeypatch.setattr(est, "_BLOCK_CELLS", 3 * max(default_cutoff(cfg.amps) + 65, grid.size))
+        blocked = run_convergence_sweeps(cfg, self.METHODS, (30, 100), grid)
+        for one, many in zip(whole, blocked):
+            np.testing.assert_allclose(many.estimates, one.estimates, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(many.variances, one.variances, rtol=1e-12, atol=0)
+
+    def test_all_zero_record_in_a_block_raises(self):
+        # about 0.01 photons per shot: some 3-shot records are all zero
+        cfg = SimConfig(amps=amps(0.05, 0.05), phi_star=0.3, M=1, seed=67, replications=20)
+        assert any(
+            not sample_counts(replace(cfg, M=3), rep).counts.any() for rep in range(20)
+        )
+        with pytest.raises(UndefinedFanoError):
+            run_convergence_sweeps(cfg, self.METHODS, (3, 10))
 
     @pytest.mark.parametrize("methods", [(), ("bayes-pnr", "maximum-likelihood")])
     def test_rejects_bad_methods(self, methods):
