@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import chdtrc
+import numpy.random  # every draw needs it; loading it here keeps it out of the first op
 
 from . import estimation, photonstats
 from .estimation import CountRecord, PhaseGrid
@@ -268,6 +268,12 @@ def _draw_counts(
     return _cdf_lookup(rng.random(plus.size), plus.astype(np.intp), means, cap)
 
 
+def _draw_record(cfg: SimConfig, replication: int) -> np.ndarray:
+    """The counts of :func:`sample_counts`, a fresh int64 array in 0..cap."""
+    rng = stream(cfg.seed, cfg.M, replication)
+    return _draw_counts(rng, cfg.amps, cfg.phi_star, cfg.gamma, rng.random(cfg.M) < 0.5)
+
+
 def sample_counts(cfg: SimConfig, replication: int = 0) -> CountRecord:
     """Draw one detection record of cfg.M shots for the given replication.
 
@@ -275,9 +281,7 @@ def sample_counts(cfg: SimConfig, replication: int = 0) -> CountRecord:
     bit), then a phase-noise offset if gamma > 0, then the Poisson count.
     Identical (cfg, replication) always gives the identical record.
     """
-    rng = stream(cfg.seed, cfg.M, replication)
-    counts = _draw_counts(rng, cfg.amps, cfg.phi_star, cfg.gamma, rng.random(cfg.M) < 0.5)
-    return CountRecord(counts=counts)
+    return CountRecord(counts=_draw_record(cfg, replication))
 
 
 def run_discrimination(cfg: SimConfig, bits: Sequence[int]) -> DiscriminationResult:
@@ -366,8 +370,7 @@ def run_convergence_sweeps(
             block = slice(start, min(start + step, reps))
             occupancy = np.empty((block.stop - start, cap + 1), dtype=np.int64)
             for row, rep in enumerate(range(start, block.stop)):
-                counts = sample_counts(cfg_m, replication=rep).counts
-                occupancy[row] = np.bincount(counts, minlength=cap + 1)
+                occupancy[row] = np.bincount(_draw_record(cfg_m, rep), minlength=cap + 1)
             for j, method in enumerate(methods):
                 if method == "fano-inversion":
                     mean, var, _ = estimation.fano_inversion_estimates(values, occupancy, cfg.amps)
@@ -419,7 +422,10 @@ def goodness_of_fit(record: CountRecord, pmf: PhotonPmf) -> GofResult:
     tail above the cutoff) merges into the last bin.  Needs M >= 50 and at
     least two pooled bins.  The observed side is the record's sparse
     histogram, so memory follows the pmf cutoff, not the largest count.
+    The p-value is ``scipy.special.chdtrc``, imported on the first call.
     """
+    from scipy.special import chdtrc
+
     m_total = record.sample_size
     if m_total < 50:
         raise ValueError(f"goodness of fit needs at least 50 samples, got {m_total}")

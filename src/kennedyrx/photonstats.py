@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
 
 __all__ = [
     "DetectorPlaneAmplitudes",
@@ -52,6 +53,17 @@ GAMMA_MAX = 2.0 * math.pi
 # brightest regime the sampler is tested in.  Cutoffs, tables and the
 # sequential-search sampler all grow with this mean.
 MAX_MEAN_PHOTONS = 1600.0
+
+
+@cache
+def _ln_factorial() -> np.ndarray:
+    """ln n! for n = 0..2170, the largest count a draw returns at
+    MAX_MEAN_PHOTONS: scipy.special.gammaln(n + 1) bit for bit, read once
+    from raw little-endian float64 package data (tests/test_photonstats.py
+    pins it and holds the recipe to rebuild it).  Read-only."""
+    table = np.fromfile(Path(__file__).with_name("ln_factorial.f64"), dtype="<f8")
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -160,12 +172,22 @@ def default_cutoff(amps: DetectorPlaneAmplitudes) -> int:
 def _log_poisson_rows(nu: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Log Poisson pmf at the photon numbers ``n`` for each mean in ``nu``.
 
-    Broadcasts ``nu`` (shape S) against ``n`` (shape N), returning shape
-    S + N.  A zero mean is a point mass at n = 0.
+    Broadcasts ``nu`` (shape S) against the nonnegative integers ``n``
+    (shape N), returning shape S + N.  A zero mean is a point mass at n = 0.
+    ln n! comes from the committed table :func:`_ln_factorial`, which holds
+    scipy's ``gammaln(n + 1)`` for every count a draw can return; only when
+    some n lies beyond it is ``scipy.special.gammaln`` imported and called.
     """
     nu = np.asarray(nu, dtype=float)[..., None]
+    table = _ln_factorial()
+    if n.size and n.max() >= table.size:
+        from scipy.special import gammaln
+
+        ln_fact = gammaln(n + 1.0)
+    else:
+        ln_fact = table[n]
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = n * np.log(nu) - nu - gammaln(n + 1.0)
+        out = n * np.log(nu) - nu - ln_fact
     zero = nu == 0.0
     if np.any(zero):
         out = np.where(zero, np.where(n == 0, 0.0, -np.inf), out)
@@ -311,8 +333,11 @@ def photon_pmf(
     cutoff policy keeps the neglected tail below 1e-12.  The tail bound is
     exact for the two means at ``gamma = 0``, and otherwise uses the
     worst-case component mean (a + b)^2, which dominates every mean in the
-    noise window.
+    noise window.  It is ``scipy.special.pdtrc``, imported on the first call,
+    so importing the package loads no scipy.
     """
+    from scipy.special import pdtrc
+
     gamma = _check_gamma(gamma)
     nm = default_cutoff(amps) if n_max is None else int(n_max)
     probs = pmf_table(amps, [phi], gamma, n_max=nm)[0]

@@ -569,8 +569,31 @@ class TestHugeAmplitudes:
 
 
 def test_import_does_not_load_scipy_stats():
+    # scipy loads only for the tail bound, the goodness-of-fit test and counts
+    # beyond the ln n! table; numpy.random loads with the package
     proc = run_python(
-        "import sys\nimport kennedyrx, kennedyrx.cli\nprint('scipy.stats' in sys.modules)"
+        "import json, sys\nimport kennedyrx, kennedyrx.cli\n"
+        "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "print(json.dumps([scipy, 'numpy.random' in sys.modules]))"
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert json.loads(proc.stdout) == [[], True]
+
+
+def test_sweep_imports_no_module_of_its_own(tmp_path):
+    # a cold sweep pays no import: numpy.random (with hashlib and secrets) is
+    # loaded with the package, and ln n! comes from the table, not scipy
+    args = ["sweep", "--a", "1.12", "--b", "0.79", "--phi", "0.25", "--seed", "42",
+            "--method", "all", "--m-list", "30,100", "--replications", "3",
+            "--grid", "201", "--out", str(tmp_path / "sweep")]
+    proc = run_python(
+        "import json, sys\nimport kennedyrx.cli as cli\n"
+        "before = set(sys.modules)\n"
+        f"rc = cli.main({args!r})\n"
+        "print(json.dumps([rc, sorted(set(sys.modules) - before)]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0
+    assert not {"numpy.random", "hashlib", "secrets"} & set(loaded)
+    assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]

@@ -490,11 +490,13 @@ class TestConvergenceSweeps:
 
         drawn = []
 
-        def counting(cfg, replication=0):
-            drawn.append((cfg.M, replication))
-            return sample_counts(cfg, replication)
+        draw = mc._draw_record
 
-        monkeypatch.setattr(mc, "sample_counts", counting)
+        def counting(cfg, replication):
+            drawn.append((cfg.M, replication))
+            return draw(cfg, replication)
+
+        monkeypatch.setattr(mc, "_draw_record", counting)
         cfg = SimConfig(amps=amps(1, 1), phi_star=0.3, M=1, seed=62, replications=3)
         run_convergence_sweeps(cfg, self.METHODS, (10, 20))
         assert sorted(drawn) == [(m, rep) for m in (10, 20) for rep in range(3)]

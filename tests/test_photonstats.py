@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import pdtrc
+from scipy.special import gammaln, pdtrc
 from scipy.stats import poisson
 
 import helpers
+from kennedyrx import montecarlo, photonstats
 from kennedyrx.photonstats import (
     MAX_MEAN_PHOTONS,
     DetectorPlaneAmplitudes,
@@ -141,6 +142,46 @@ class TestPmfColumns:
     def test_rejects_photon_numbers_that_are_not_counts(self, ns):
         with pytest.raises(ValueError, match="nonnegative integers"):
             pmf_columns(amps(1, 1), [0.3], ns)
+
+
+class TestLnFactorialTable:
+    """The committed ln n! table is scipy's gammaln(n + 1), bit for bit.
+
+    To regenerate it, write ``ln_factorial_table()`` with
+    ``.tofile("src/kennedyrx/ln_factorial.f64")``.
+    """
+
+    # the brightest accepted regime, (a + b)^2 = MAX_MEAN_PHOTONS
+    BRIGHTEST = amps(math.sqrt(MAX_MEAN_PHOTONS) / 2, math.sqrt(MAX_MEAN_PHOTONS) / 2)
+
+    @classmethod
+    def ln_factorial_table(cls) -> np.ndarray:
+        cap = montecarlo._count_cap(cls.BRIGHTEST)
+        return gammaln(np.arange(cap + 1) + 1.0).astype("<f8")
+
+    def test_is_scipy_gammaln_bit_for_bit(self):
+        table = photonstats._ln_factorial()
+        assert table.dtype == np.float64
+        assert table.tobytes() == self.ln_factorial_table().tobytes()
+
+    def test_covers_every_count_a_draw_returns(self):
+        assert (self.BRIGHTEST.a + self.BRIGHTEST.b) ** 2 == MAX_MEAN_PHOTONS
+        assert photonstats._ln_factorial().size == montecarlo._count_cap(self.BRIGHTEST) + 1
+
+    def test_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            photonstats._ln_factorial()[0] = 1.0
+
+    @pytest.mark.parametrize("n", [2170, 2171, 10**6])
+    def test_log_poisson_rows_use_the_gammaln_formula(self, n):
+        # 2170 is the table's last entry, 2171 and 10**6 take the fallback
+        nu = np.array([0.5, 2.0, 700.5, 1600.0])
+        ns = np.array([0, 1, 17, n])
+        expected = ns * np.log(nu[:, None]) - nu[:, None] - gammaln(ns + 1.0)
+        assert np.array_equal(photonstats._log_poisson_rows(nu, ns), expected)
+        assert np.array_equal(
+            photonstats._log_poisson_rows(nu, np.array([n])), expected[:, -1:]
+        )
 
 
 class TestTailBoundsMatchScipyStats:
