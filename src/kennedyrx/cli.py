@@ -555,10 +555,13 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         ]
         path = f"{cfg.out}_{method}.csv"
         _write_csv(path, comments, ["M", "mean_ratio", "sd_of_estimates", "mean_variance", "crlb"], rows)
+        # Python floats from tolist(): formatting numpy scalars is slower
         rep_rows = [
-            (m, rep, result.estimates[i, rep], result.variances[i, rep])
-            for i, m in enumerate(result.m_list)
-            for rep in range(result.estimates.shape[1])
+            (m, rep, estimate, variance)
+            for m, estimates, variances in zip(
+                result.m_list, result.estimates.tolist(), result.variances.tolist()
+            )
+            for rep, (estimate, variance) in enumerate(zip(estimates, variances))
         ]
         rep_path = f"{cfg.out}_{method}_reps.csv"
         _write_csv(rep_path, comments, ["M", "replication", "estimate", "variance"], rep_rows)

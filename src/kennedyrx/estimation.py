@@ -17,7 +17,8 @@ w_k by the (bins x grid) table of ln P_k, one row sum_k w_k ln P_k per
 record, where an empty bin adds 0 even at grid points where its ln P_k is
 -inf.  The table goes in blocks of bins, and :func:`bayes_estimates` passes
 many records in blocks of rows, each of bounded size, and takes the
-posterior mean and variance of a whole block in one in-place pass.
+posterior mean and variance of a whole block in one in-place pass over its
+window, the grid points where some row's density is not exactly 0.
 Photon-number-resolved ("pnr") bins are the distinct counts; on/off bins
 are their coarse-graining {0}, {n >= 1}, so both kinds read the one record
 type, :class:`CountRecord` (an on/off detector's record is one of 0s and
@@ -416,9 +417,10 @@ def bayes_estimates(
     value in record r (see :func:`_bins`).  The rows go in blocks of at most
     ``_BLOCK_CELLS`` log-likelihood cells, each one call of the likelihood
     kernel, and each block's moments come from one in-place pass over the
-    kernel's output, so memory does not follow the number of records.  The
-    moments are those of :func:`bayes_estimate`, and a row whose posterior
-    :func:`posterior` would reject raises what it raises.
+    kernel's output, on the block's window (:func:`_posterior_moments`), so
+    memory does not follow the number of records.  The moments are those of
+    :func:`bayes_estimate` up to the rounding of their sums, and a row whose
+    posterior :func:`posterior` would reject raises what it raises.
     """
     occupancy = np.asarray(occupancy)
     step = max(1, _BLOCK_CELLS // grid.size)
@@ -431,18 +433,31 @@ def bayes_estimates(
     return means, variances
 
 
+# exp(x) is exactly 0 for x below about -745.13
+_EXP_UNDERFLOW = 746.0
+
+
 def _posterior_moments(ll: np.ndarray, grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
     """Mean and central variance of the posterior of each row of log-likelihoods.
 
     The arithmetic of :func:`posterior` and :func:`bayes_estimate` row by row,
     in place on ``ll``: max-subtract, ``exp``, divide by the trapezoid
-    normalizer, check the normalization, weight.  The centered squares are
-    the one other block-sized array.
+    normalizer, check the normalization, weight.  It runs on the block's
+    window alone, the columns from the first to the last where some row is
+    within 746 of its peak: outside it ``exp`` gives exactly 0 in every row,
+    so the window changes no moment beyond the rounding of its sums.  A
+    block with a NaN row or a row without a finite peak takes the whole
+    grid, and raises what :func:`posterior` raises for the first such row.
+    The centered squares are the one other window-sized array.
     """
-    weights = _trapezoid_weights(grid)
+    weights, points = _trapezoid_weights(grid), grid.points
     peak = ll.max(axis=1)  # NaN in a row with NaN
     nan = np.isnan(peak)
     vanishes = ~nan & ~np.isfinite(peak)
+    if not (nan | vanishes).any():
+        near = np.flatnonzero((ll >= (peak - _EXP_UNDERFLOW)[:, None]).any(axis=0))
+        window = slice(near[0], near[-1] + 1)
+        ll, weights, points = ll[:, window], weights[window], points[window]
     ll -= np.where(nan | vanishes, 0.0, peak)[:, None]
     np.exp(ll, out=ll)
     z = ll @ weights
@@ -460,8 +475,8 @@ def _posterior_moments(ll: np.ndarray, grid: PhaseGrid) -> tuple[np.ndarray, np.
             raise DegenerateEvidenceError("posterior normalization is degenerate")
         raise ValueError(f"posterior density integrates to {float(total[row])!r}, not 1")
     ll *= weights
-    mean = ll @ grid.points
-    centered = grid.points - mean[:, None]
+    mean = ll @ points
+    centered = points - mean[:, None]
     centered *= centered
     return mean, np.einsum("ij,ij->i", ll, centered)
 

@@ -4,20 +4,23 @@ Records are drawn from the exact receiver model: each shot picks one of the
 two encoded signs with probability 1/2, optionally a uniform phase-noise
 offset, and then a Poisson photon count with the corresponding mean, drawn
 by CDF inversion.  Without phase noise every shot has one of two means, so
-the CDFs of both are tabulated once per configuration and each shot is
-looked up through a guide table; with phase noise every shot has its own
-mean, and a sequential search runs over the shots it has not yet decided.
-Both paths form the CDF with the same arithmetic, so they draw the same
-count from the same uniform.  Every experiment derives its generator from
-(seed, spawn key), so replications are independent streams that can run in
-any order (or in parallel) and still reproduce bit-for-bit.  A convergence
-sweep draws each (M, replication) record once and keeps only its
-photon-count histogram, the sufficient statistic: one ``bincount`` row over
-0..cap, the largest count a draw returns, so every row has the same bounded
-length.  It goes through the replications of one M in blocks of such rows,
-and every estimator it compares reads the whole block at once: the Bayes
-methods as one likelihood product and one pass of posterior moments, the
-Fano method as one jackknife kernel.  The M-shot records of a block are
+the CDFs of both are tabulated once per configuration as integer thresholds
+on the generator's raw 64-bit words, and each shot's count is one gather
+from a table indexed by its sign and the top bits of its word (a search in
+its row only for the few words near a threshold); with phase noise every
+shot has its own mean, and a sequential search runs over the shots it has
+not yet decided.  Both paths form the CDF with the same arithmetic, so they
+draw the same count from the same uniform, whose word the table reads.
+Signs come from raw words on both paths.  Every experiment derives its
+generator from (seed, spawn key), so replications are independent streams
+that can run in any order (or in parallel) and still reproduce bit-for-bit.
+A convergence sweep draws each (M, replication) record once and keeps only
+its photon-count histogram, the sufficient statistic: one ``bincount`` row
+over 0..cap, the largest count a draw returns, so every row has the same
+bounded length.  It goes through the replications of one M in blocks of such
+rows, and every estimator it compares reads the whole block at once: the
+Bayes methods as one likelihood product and one pass of posterior moments
+over the block's window, the Fano method as one jackknife kernel.  The M-shot records of a block are
 never held together.  On/off detection reads the same count record as PNR
 detection, through its coarse-graining {0}, {n >= 1}, so no record is
 converted.
@@ -168,7 +171,8 @@ def _poisson_inversion(rng: np.random.Generator, nu: np.ndarray, cap: int) -> np
     built only as far as each shot needs it.  Independent of any library
     sampling algorithm, so records are stable across numpy versions.  Draws
     stop at ``cap``.  Records without phase noise take :func:`_cdf_lookup`,
-    which returns what this search returns on the same uniforms.
+    which returns what this search returns on the raw words of the same
+    uniforms.
     """
     u = rng.random(nu.shape)
     out = np.zeros(nu.shape, dtype=np.int64)
@@ -186,19 +190,27 @@ def _poisson_inversion(rng: np.random.Generator, nu: np.ndarray, cap: int) -> np
     return out
 
 
+# A word's bucket in the table of _cdf_table: its top bits.
+_BUCKET_BITS = 12
+
+
 @lru_cache(maxsize=16)
 def _cdf_table(means: tuple[float, ...], cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """CDF rows of the Poisson ``means`` for k = 0..cap, and their guide table.
+    """Integer CDF thresholds of the Poisson ``means`` for k = 0..cap, and their bucket table.
 
-    Row j holds the running sums the sequential search of
+    A uniform of the generator is u = (w >> 11) * 2**-53 for a raw 64-bit
+    word w, so u >= C exactly when w >> 11 >= ceil(C * 2**53).  Row j holds
+    these thresholds for the running sums the sequential search of
     :func:`_poisson_inversion` forms for a shot of mean means[j], by the same
-    arithmetic, then an inf sentinel: cap + 2 entries per row, returned
-    flattened.  The guide has L buckets per row, L the smallest power of two
-    >= 2 (cap + 1); bucket i of row j holds the number of entries of row j
-    <= i/L.  A power of two keeps u * L exact, so floor(u * L) never rounds a
-    uniform into the bucket above its own, whose start could overshoot it.
-    Both arrays are read-only; the table depends on the means and cap alone,
-    so one table serves every record of a configuration.
+    arithmetic, clipped at 2**53, which no word reaches; then 2**53 as a
+    sentinel: cap + 2 entries per row.  They come flattened with j << 54
+    added to row j, so the whole array is sorted and one ``searchsorted``
+    serves every row.  The bucket table has 2**_BUCKET_BITS entries per row,
+    one per value of a word's top _BUCKET_BITS bits: an entry holds the
+    count min(thresholds <= w >> 11, cap) when it is the same for every word
+    of its bucket, and -1 when a threshold falls inside the bucket.  Both
+    arrays are read-only; the table depends on the means and cap alone, so
+    one table serves every record of a configuration.
     """
     nu = np.array(means)
     rows = np.empty((nu.size, cap + 2))
@@ -209,34 +221,40 @@ def _cdf_table(means: tuple[float, ...], cap: int) -> tuple[np.ndarray, np.ndarr
         _next_terms(term, nu, k)
         cum += term
         rows[:, k] = cum
-    rows[:, -1] = np.inf
-    n_buckets = 1 << (2 * cap + 1).bit_length()
-    edges = np.arange(n_buckets) / n_buckets
-    guide = np.concatenate([np.searchsorted(row, edges, side="right") for row in rows])
-    flat = rows.ravel()
-    flat.setflags(write=False)
-    guide.setflags(write=False)
-    return flat, guide
+    rows[:, -1] = 1.0
+    base = np.arange(nu.size, dtype=np.uint64)[:, None] << 54
+    thresholds = (np.minimum(np.ceil(rows * 2.0**53), 2.0**53).astype(np.uint64) + base).ravel()
+    first = base + (np.arange(1 << _BUCKET_BITS, dtype=np.uint64) << (53 - _BUCKET_BITS))
+    last = first + ((1 << (53 - _BUCKET_BITS)) - 1)
+    offset = np.arange(nu.size)[:, None] * (cap + 2)
+    lo, hi = (np.minimum(np.searchsorted(thresholds, x, side="right") - offset, cap)
+              for x in (first, last))
+    buckets = np.where(lo == hi, lo, -1).ravel()
+    thresholds.setflags(write=False)
+    buckets.setflags(write=False)
+    return thresholds, buckets
 
 
-def _cdf_lookup(u: np.ndarray, row: np.ndarray, means: tuple[float, ...], cap: int) -> np.ndarray:
+def _cdf_lookup(words: np.ndarray, row: np.ndarray, means: tuple[float, ...], cap: int) -> np.ndarray:
     """Poisson draws by CDF inversion from the table of :func:`_cdf_table`.
 
-    Shot i has mean means[row[i]] (``row`` of dtype intp, so the flat
-    offsets cannot overflow) and uniform u[i].  Each shot starts at the guide
-    entry of its bucket and steps up while its uniform reaches the next CDF
-    entry, which gives the number of entries <= u: the count at which the
-    sequential search stops.  Draws stop at ``cap``.
+    Shot i has mean means[row[i]] (``row`` of any integer dtype) and raw generator
+    word words[i] (uint64), whose uniform is (words[i] >> 11) * 2**-53.  Its
+    count is the number of its row's thresholds <= words[i] >> 11: the count
+    at which the sequential search stops on that uniform.  One gather from
+    the bucket table gives it for almost every shot; the shots of marked
+    buckets take one ``searchsorted`` in their row.  Draws stop at ``cap``.
     """
-    flat, guide = _cdf_table(means, cap)
-    n_buckets = guide.size // len(means)
-    out = guide[row * n_buckets + (u * n_buckets).astype(np.intp)]
-    base = row * (cap + 2)
-    step = np.flatnonzero(u >= flat[base + out])
-    while step.size:
-        out[step] += 1
-        step = step[u[step] >= flat[base[step] + out[step]]]
-    return np.minimum(out, cap)
+    thresholds, buckets = _cdf_table(means, cap)
+    key = (words >> (64 - _BUCKET_BITS)).view(np.int64)
+    key |= np.left_shift(row, _BUCKET_BITS, dtype=np.int64)
+    out = buckets[key]
+    marked = np.flatnonzero(out < 0)
+    if marked.size:
+        r = row[marked].astype(np.intp)
+        x = (words[marked] >> 11) + (r.astype(np.uint64) << 54)
+        out[marked] = np.minimum(np.searchsorted(thresholds, x, side="right") - r * (cap + 2), cap)
+    return out
 
 
 def _count_cap(amps: DetectorPlaneAmplitudes) -> int:
@@ -265,13 +283,15 @@ def _draw_counts(
         return _poisson_inversion(rng, nu, cap)
     s, x = a * a + b * b, 2.0 * a * b * math.cos(phi)
     means = (max(s - x, 0.0), max(s + x, 0.0))
-    return _cdf_lookup(rng.random(plus.size), plus.astype(np.intp), means, cap)
+    return _cdf_lookup(rng.bit_generator.random_raw(plus.size), plus.view(np.uint8), means, cap)
 
 
 def _draw_record(cfg: SimConfig, replication: int) -> np.ndarray:
     """The counts of :func:`sample_counts`, a fresh int64 array in 0..cap."""
     rng = stream(cfg.seed, cfg.M, replication)
-    return _draw_counts(rng, cfg.amps, cfg.phi_star, cfg.gamma, rng.random(cfg.M) < 0.5)
+    # rng.random() < 0.5 exactly when the raw word is below 2**63 (see _cdf_table)
+    plus = rng.bit_generator.random_raw(cfg.M) < 2**63
+    return _draw_counts(rng, cfg.amps, cfg.phi_star, cfg.gamma, plus)
 
 
 def sample_counts(cfg: SimConfig, replication: int = 0) -> CountRecord:

@@ -178,6 +178,80 @@ class TestLikelihoodKernel:
             bayes_estimates(np.array([1]), np.array([[1]]), amps(1, 1), 0.0, GRID, "apd")
 
 
+class TestPosteriorWindow:
+    """Block moments run on the columns where some row is within 746 of its
+    peak; outside them exp is exactly 0 in every row."""
+
+    def test_exp_is_exactly_zero_beyond_the_window(self):
+        assert np.exp(-estimation._EXP_UNDERFLOW) == 0.0
+        assert np.exp(-745.0) > 0.0
+
+    @pytest.mark.parametrize("kind", ["pnr", "onoff"])
+    def test_rows_peaking_far_apart_match_their_one_row_posteriors(self, kind):
+        # records at phi* = 0.2 and 1.2 in one block: most cells underflow,
+        # and the window spans both peaks
+        m = 30_000
+        records = [
+            sample_counts(SimConfig(amps=amps(SQRT2, SQRT2), phi_star=phi, M=m, seed=24), rep)
+            for phi in (0.2, 1.2)
+            for rep in range(3)
+        ]
+        values = np.arange(max(int(r.counts.max()) for r in records) + 1)
+        occupancy = np.array([np.bincount(r.counts, minlength=values.size) for r in records])
+        lls = [
+            (log_likelihood_pnr if kind == "pnr" else log_likelihood_onoff)(
+                record, amps(SQRT2, SQRT2), 0.0, GRID
+            )
+            for record in records
+        ]
+        below = np.array([ll - ll.max() < -estimation._EXP_UNDERFLOW for ll in lls])
+        assert below.mean() > 0.5
+        assert below[:, np.searchsorted(GRID.points, 0.7)].all()  # between the peaks
+        means, variances = bayes_estimates(values, occupancy, amps(SQRT2, SQRT2), 0.0, GRID, kind)
+        assert np.all(np.abs(means[:3] - 0.2) < 0.1) and np.all(np.abs(means[3:] - 1.2) < 0.1)
+        for ll, mean, variance in zip(lls, means, variances):
+            want = bayes_estimate(posterior(ll, GRID), sample_size=m)
+            assert mean == pytest.approx(want.mean, rel=1e-12)
+            assert variance == pytest.approx(want.variance, rel=1e-10)
+
+    def test_concentrated_rows_match_the_full_grid(self):
+        # synthetic Gaussian rows of width 1e-3 on the 2001-point grid
+        pts = GRID.points
+        centres = np.array([0.05, 0.4, 1.5])
+        block = -0.5 * ((pts - centres[:, None]) / 1e-3) ** 2 - 1e5
+        means, variances = estimation._posterior_moments(block.copy(), GRID)
+        for row, mean, variance in zip(block, means, variances):
+            want = bayes_estimate(posterior(row, GRID))
+            assert mean == pytest.approx(want.mean, rel=1e-12)
+            assert variance == pytest.approx(want.variance, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "bad,error,match",
+        [
+            (np.nan, ValueError, "NaN"),
+            (-np.inf, DegenerateEvidenceError, "vanishes"),
+            (np.inf, DegenerateEvidenceError, "vanishes"),
+        ],
+    )
+    def test_nan_or_peakless_row_raises_what_posterior_raises(self, bad, error, match):
+        pts = GRID.points
+        good = -0.5 * ((pts - 0.3) / 1e-3) ** 2
+        row = np.full(GRID.size, -np.inf)
+        row[[7, 1200]] = bad
+        with pytest.raises(error, match=match):
+            posterior(row, GRID)
+        with pytest.raises(error, match=match):
+            estimation._posterior_moments(np.array([good, row, good]), GRID)
+
+    def test_first_failing_row_decides_the_error(self):
+        good = -0.5 * ((GRID.points - 0.3) / 1e-3) ** 2
+        nan_row, dead_row = np.full(GRID.size, np.nan), np.full(GRID.size, -np.inf)
+        with pytest.raises(DegenerateEvidenceError):
+            estimation._posterior_moments(np.array([good, dead_row, nan_row]), GRID)
+        with pytest.raises(ValueError, match="NaN"):
+            estimation._posterior_moments(np.array([good, nan_row, dead_row]), GRID)
+
+
 class TestLogLikelihoodOnoff:
     def test_empty_record_is_flat(self):
         ll = log_likelihood_onoff(CountRecord(counts=np.array([], dtype=int)), amps(1, 1), 0.0, GRID)

@@ -76,6 +76,19 @@ class TestStream:
     def test_distinct_keys_differ(self):
         assert stream(5, 1).random(4).tolist() != stream(5, 2).random(4).tolist()
 
+    def test_raw_words_give_the_uniforms(self):
+        # the table sampler reads raw words in place of uniforms: on PCG64,
+        # random() is (word >> 11) * 2**-53, so random() < 0.5 is word < 2**63
+        raw, floats = stream(5, 1, 2), stream(5, 1, 2)
+        for n in (1, 7, 1000, 4096, 3):
+            words = raw.bit_generator.random_raw(n)
+            u = floats.random(n)
+            assert words.dtype == np.uint64
+            assert np.array_equal((words >> 11) * 2.0**-53, u)
+            assert np.array_equal(words < 2**63, u < 0.5)
+        # and a raw draw leaves the generator where random() would
+        assert np.array_equal(raw.random(100), floats.random(100))
+
 
 class TestSampleCounts:
     def test_vacuum_gives_all_zero(self):
@@ -256,7 +269,7 @@ class TestCdfTable:
     def test_table_truncates_at_the_cap_like_the_search(self):
         means = (0.5, 30.0)
         row = (stream(6, 1).random(5000) < 0.5).astype(np.intp)
-        counts = _cdf_lookup(stream(6, 2).random(5000), row, means, 10)
+        counts = _cdf_lookup(stream(6, 2).bit_generator.random_raw(5000), row, means, 10)
         assert counts.max() == 10
         assert np.array_equal(counts, _poisson_inversion(stream(6, 2), np.array(means)[row], 10))
 
@@ -265,8 +278,9 @@ class TestCdfTable:
         "means,cap", [((0.18, 7.8), 133), ((0.0, 4.0), 120), ((0.29, 1560.2), 2124)]
     )
     def test_uniforms_on_table_entries_and_bucket_edges(self, means, cap):
-        # u equal to a CDF entry passes it; u one ulp below does not; the
-        # guide must not start a uniform past an entry it has not reached
+        # a word whose 53-bit part equals a threshold passes it, one below
+        # does not, and the first and last word of every bucket get the count
+        # the search gives their uniform, whatever the 11 low bits hold
         class Fixed:
             def __init__(self, u):
                 self.u = u
@@ -274,19 +288,22 @@ class TestCdfTable:
             def random(self, shape):
                 return self.u.copy()
 
-        flat, guide = _cdf_table(means, cap)
-        n_buckets = guide.size // 2
-        edges = np.arange(1, n_buckets + 1) / n_buckets
-        entries = flat[np.isfinite(flat)]
-        u = np.concatenate([entries, edges])
-        u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
-        u = u[u < 1.0]
-        # floor(u * L) never rounds a uniform up into the bucket above its own
-        assert np.all(np.floor(u * n_buckets) / n_buckets <= u)
-        for j, nu in enumerate(means):
-            row = np.full(u.size, j, dtype=np.intp)
-            expected = _poisson_inversion(Fixed(u), np.full(u.size, nu), cap)
-            assert np.array_equal(_cdf_lookup(u, row, means, cap), expected)
+        thresholds, buckets = _cdf_table(means, cap)
+        n_buckets = buckets.size // 2
+        width = 2**53 // n_buckets
+        first = np.arange(n_buckets, dtype=np.uint64) * width
+        entries = thresholds & (2**54 - 1)  # without the row offsets
+        x = np.concatenate([entries, entries - 1, first, first + (width - 1)])
+        x = x[x < 2**53]  # drops the sentinels and 0 - 1
+        assert np.isin(first, x).all() and np.isin(entries[entries < 2**53], x).all()
+        u = x * 2.0**-53
+        for low in (0, 2**11 - 1):
+            words = (x << 11) | low
+            assert np.array_equal(words >> 11, x)
+            for j, nu in enumerate(means):
+                row = np.full(x.size, j, dtype=np.intp)
+                expected = _poisson_inversion(Fixed(u), np.full(x.size, nu), cap)
+                assert np.array_equal(_cdf_lookup(words, row, means, cap), expected)
 
     def test_largest_table_is_small(self):
         cfg = SimConfig(amps=amps(20.0, 20.0), phi_star=0.3, M=1000, seed=7)
@@ -311,11 +328,11 @@ class TestCdfTable:
         assert peak <= 64 * cfg.M
 
     def test_cached_table_is_read_only(self):
-        flat, guide = _cdf_table((0.5, 30.0), 100)
+        thresholds, buckets = _cdf_table((0.5, 30.0), 100)
         with pytest.raises(ValueError):
-            flat[0] = 0.0
+            thresholds[0] = 0
         with pytest.raises(ValueError):
-            guide[0] = 1
+            buckets[0] = 1
 
 
 class TestToOnOff:
