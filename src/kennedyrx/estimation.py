@@ -309,10 +309,17 @@ def _loglik(column, bins, weights, amps, gamma: float, grid: PhaseGrid) -> np.nd
         w = weights[:, start : start + step]
         cols = np.array([column(amps, gamma, grid, int(k)) for k in bins[start : start + step]])
         impossible = cols == -np.inf
-        if impossible.any():
+        dead = impossible.any()
+        if dead:
             cols[impossible] = 0.0
+        if start:
+            ll += w @ cols
+        else:
+            # in place: a second (records x grid) array would make the
+            # allocator fault in fresh pages on every call
+            np.matmul(w, cols, out=ll)
+        if dead:
             ll[(w > 0) @ impossible] = -np.inf
-        ll += w @ cols
     return ll
 
 
@@ -454,7 +461,7 @@ def _posterior_moments(ll: np.ndarray, grid: PhaseGrid) -> tuple[np.ndarray, np.
     peak = ll.max(axis=1)  # NaN in a row with NaN
     nan = np.isnan(peak)
     vanishes = ~nan & ~np.isfinite(peak)
-    if not (nan | vanishes).any():
+    if np.isfinite(peak).all():
         near = np.flatnonzero((ll >= (peak - _EXP_UNDERFLOW)[:, None]).any(axis=0))
         window = slice(near[0], near[-1] + 1)
         ll, weights, points = ll[:, window], weights[window], points[window]

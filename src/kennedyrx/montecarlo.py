@@ -20,10 +20,10 @@ over 0..cap, the largest count a draw returns, so every row has the same
 bounded length.  It goes through the replications of one M in blocks of such
 rows, and every estimator it compares reads the whole block at once: the
 Bayes methods as one likelihood product and one pass of posterior moments
-over the block's window, the Fano method as one jackknife kernel.  The M-shot records of a block are
-never held together.  On/off detection reads the same count record as PNR
-detection, through its coarse-graining {0}, {n >= 1}, so no record is
-converted.
+over the block's window, the Fano method as one jackknife kernel.  The
+M-shot records of a block are never held together.  On/off detection reads
+the same count record as PNR detection, through its coarse-graining
+{0}, {n >= 1}, so no record is converted.
 """
 
 from __future__ import annotations
@@ -207,8 +207,9 @@ def _cdf_table(means: tuple[float, ...], cap: int) -> tuple[np.ndarray, np.ndarr
     added to row j, so the whole array is sorted and one ``searchsorted``
     serves every row.  The bucket table has 2**_BUCKET_BITS entries per row,
     one per value of a word's top _BUCKET_BITS bits: an entry holds the
-    count min(thresholds <= w >> 11, cap) when it is the same for every word
-    of its bucket, and -1 when a threshold falls inside the bucket.  Both
+    count, min(number of thresholds <= w >> 11, cap), when it is the same for
+    every word w of its bucket, and -1 when a threshold falls inside the
+    bucket.  Both
     arrays are read-only; the table depends on the means and cap alone, so
     one table serves every record of a configuration.
     """
@@ -235,15 +236,18 @@ def _cdf_table(means: tuple[float, ...], cap: int) -> tuple[np.ndarray, np.ndarr
     return thresholds, buckets
 
 
-def _cdf_lookup(words: np.ndarray, row: np.ndarray, means: tuple[float, ...], cap: int) -> np.ndarray:
+def _cdf_lookup(
+    words: np.ndarray, row: np.ndarray, means: tuple[float, ...], cap: int
+) -> np.ndarray:
     """Poisson draws by CDF inversion from the table of :func:`_cdf_table`.
 
-    Shot i has mean means[row[i]] (``row`` of any integer dtype) and raw generator
-    word words[i] (uint64), whose uniform is (words[i] >> 11) * 2**-53.  Its
-    count is the number of its row's thresholds <= words[i] >> 11: the count
-    at which the sequential search stops on that uniform.  One gather from
-    the bucket table gives it for almost every shot; the shots of marked
-    buckets take one ``searchsorted`` in their row.  Draws stop at ``cap``.
+    Shot i has mean means[row[i]] (``row`` of any integer dtype) and raw
+    generator word words[i] (uint64), whose uniform is (words[i] >> 11) *
+    2**-53.  Its count is the number of its row's thresholds <= words[i] >>
+    11: the count at which the sequential search stops on that uniform.  One
+    gather from the bucket table gives it for almost every shot; the shots
+    of marked buckets take one ``searchsorted`` in their row.  Draws stop at
+    ``cap``.
     """
     thresholds, buckets = _cdf_table(means, cap)
     key = (words >> (64 - _BUCKET_BITS)).view(np.int64)

@@ -214,17 +214,6 @@ class TestPosteriorWindow:
             assert mean == pytest.approx(want.mean, rel=1e-12)
             assert variance == pytest.approx(want.variance, rel=1e-10)
 
-    def test_concentrated_rows_match_the_full_grid(self):
-        # synthetic Gaussian rows of width 1e-3 on the 2001-point grid
-        pts = GRID.points
-        centres = np.array([0.05, 0.4, 1.5])
-        block = -0.5 * ((pts - centres[:, None]) / 1e-3) ** 2 - 1e5
-        means, variances = estimation._posterior_moments(block.copy(), GRID)
-        for row, mean, variance in zip(block, means, variances):
-            want = bayes_estimate(posterior(row, GRID))
-            assert mean == pytest.approx(want.mean, rel=1e-12)
-            assert variance == pytest.approx(want.variance, rel=1e-10)
-
     @pytest.mark.parametrize(
         "bad,error,match",
         [
