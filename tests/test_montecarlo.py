@@ -295,11 +295,9 @@ class TestCdfTable:
         entries = thresholds & (2**54 - 1)  # without the row offsets
         x = np.concatenate([entries, entries - 1, first, first + (width - 1)])
         x = x[x < 2**53]  # drops the sentinels and 0 - 1
-        assert np.isin(first, x).all() and np.isin(entries[entries < 2**53], x).all()
         u = x * 2.0**-53
         for low in (0, 2**11 - 1):
             words = (x << 11) | low
-            assert np.array_equal(words >> 11, x)
             for j, nu in enumerate(means):
                 row = np.full(x.size, j, dtype=np.intp)
                 expected = _poisson_inversion(Fixed(u), np.full(x.size, nu), cap)
