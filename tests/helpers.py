@@ -28,6 +28,23 @@ def mixture_pmf_direct(a: float, b: float, phi: float, n: np.ndarray) -> np.ndar
     return 0.5 * (poisson_pmf_direct(s + x, n) + poisson_pmf_direct(max(s - x, 0.0), n))
 
 
+def mixture_dphi_direct(a: float, b: float, phi: float, n_max: int) -> np.ndarray:
+    """d p_n / d phi for n = 0..n_max, term by term in Python floats: half the
+    sum over both components of e^-nu (n nu^(n-1) - nu^n) / n! * d nu / d phi,
+    with d nu+- / d phi = -+ 2ab sin(phi)."""
+    s = a * a + b * b
+    x = 2.0 * a * b * math.cos(phi)
+    slope = 2.0 * a * b * math.sin(phi)
+    out = []
+    for n in range(n_max + 1):
+        total = 0.0
+        for nu, dnu in ((s + x, -slope), (max(s - x, 0.0), slope)):
+            rising = n * nu ** (n - 1) if n else 0.0
+            total += 0.5 * math.exp(-nu) * (rising - nu**n) / math.factorial(n) * dnu
+        out.append(total)
+    return np.array(out)
+
+
 def midpoint_noisy_pmf(a: float, b: float, phi: float, gamma: float, n: np.ndarray,
                        nodes: int = 100_000) -> np.ndarray:
     """Uniform phase-noise average by midpoint rule with many nodes.

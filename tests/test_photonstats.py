@@ -260,21 +260,27 @@ class TestPhotonPmfDphi:
         np.testing.assert_allclose(d, fd, atol=1e-8)
 
     def test_derivative_consistency_random_tuples(self):
-        # 50 seeded tuples, a,b in [0.1, 3], half with noise
+        # 50 seeded tuples, a,b in [0.1, 3], half with noise; then a = b = 20,
+        # the brightest regime, where the difference reaches 4.1e-9
         rng = np.random.default_rng(20250811)
+        cases = []
         for i in range(50):
             a = rng.uniform(0.1, 3.0)
             b = rng.uniform(0.1, 3.0)
             phi = rng.uniform(0.0, math.pi / 2)
             gamma = rng.uniform(0.1, 2 * math.pi) if i % 2 else 0.0
+            cases.append((a, b, phi, gamma))
+        cases.append((20.0, 20.0, 0.3, 0.0))
+        for a, b, phi, gamma in cases:
             d = photon_pmf_dphi(amps(a, b), phi, gamma)
-            if gamma == 0.0:
-                fd = helpers.fd_dphi(lambda p: photon_pmf(amps(a, b), p).probs, phi)
-            else:
-                fd = helpers.fd_dphi(
-                    lambda p: photon_pmf(amps(a, b), p, gamma).probs, phi
-                )
+            fd = helpers.fd_dphi(lambda p: photon_pmf(amps(a, b), p, gamma).probs, phi)
             np.testing.assert_allclose(d, fd, atol=1e-8)
+
+    @pytest.mark.parametrize("phi", [1e-8, 3e-8, 1e-7])
+    def test_where_the_minus_mean_vanishes(self, phi):
+        # at a = b = 1, nu- = 2 - 2 cos(phi) is 0.0, 8.9e-16 and 9.99e-15
+        d = photon_pmf_dphi(amps(1, 1), phi, n_max=3)
+        np.testing.assert_allclose(d, helpers.mixture_dphi_direct(1.0, 1.0, phi, 3), rtol=1e-12)
 
     def test_derivatives_sum_to_zero(self):
         # d/dphi of total mass vanishes up to the (tiny) truncated tail
