@@ -278,16 +278,14 @@ def _draw_counts(
     Without phase noise every shot has one of the two means nu-/+, and the
     draws come from their CDF table; with it, from the per-shot search.
     """
-    a, b = amps.a, amps.b
     cap = _count_cap(amps)
     if gamma > 0.0:
         psi = rng.uniform(-0.5 * gamma, 0.5 * gamma, size=plus.size)
-        signs = np.where(plus, 1.0, -1.0)
-        nu = np.maximum(a * a + b * b + signs * (2.0 * a * b) * np.cos(phi - psi), 0.0)
-        return _poisson_inversion(rng, nu, cap)
-    s, x = a * a + b * b, 2.0 * a * b * math.cos(phi)
-    means = (max(s - x, 0.0), max(s + x, 0.0))
-    return _cdf_lookup(rng.bit_generator.random_raw(plus.size), plus.view(np.uint8), means, cap)
+        nu_p, nu_m = photonstats._means(amps.a, amps.b, np.cos(phi - psi))
+        return _poisson_inversion(rng, np.where(plus, nu_p, nu_m), cap)
+    nu_p, nu_m = photonstats.nu_plus_minus(amps, phi)
+    words = rng.bit_generator.random_raw(plus.size)
+    return _cdf_lookup(words, plus.view(np.uint8), (nu_m, nu_p), cap)
 
 
 def _draw_record(cfg: SimConfig, replication: int) -> np.ndarray:

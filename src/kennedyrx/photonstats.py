@@ -6,7 +6,11 @@ signal/LO relative phase ``phi``.  This module provides the mixture pmf and
 its average over uniform phase noise of width ``gamma`` (one constructor,
 :func:`photon_pmf`, for every ``gamma``), the analytic phi derivative,
 photon-number moments (Fano factor) and the Bhattacharyya fidelity between
-distributions.
+distributions.  One rule gives the two means, for the tables here and for
+the record sampler, and the pmf and its phi derivative both come from the
+same rows of the two Poisson components: the pmf is their half-sum, and the
+derivative follows from the shift identity d Pois(n; nu)/d nu = Pois(n-1;
+nu) - Pois(n; nu), exact also at nu = 0.
 
 All operations are pure functions of their inputs and share no state, so they
 are safe to call from concurrent contexts.
@@ -41,10 +45,6 @@ __all__ = [
 # entire in the noise variable, so convergence is spectral; 64 nodes give
 # ~1e-12 absolute error even for a full-circle noise width.
 GL_NODES = 64
-
-# Below this a Poisson mean is treated as exactly zero when evaluating the
-# derivative factor n/nu - 1 (removable singularity).
-_NU_TINY = 1e-15
 
 # Widest phase-noise window the model accepts (full phase randomization).
 GAMMA_MAX = 2.0 * math.pi
@@ -146,10 +146,10 @@ def nu_plus_minus(amps: DetectorPlaneAmplitudes, phi: float) -> tuple[float, flo
     """Mean photon numbers (nu+, nu-) of the two Poisson components.
 
     nu+- = a^2 + b^2 +- 2ab*cos(phi); both are >= 0 since (a -+ b)^2 >= 0.
+    The rule of :func:`_means` on ``math.cos``, as Python floats.
     """
-    s = amps.a * amps.a + amps.b * amps.b
-    x = 2.0 * amps.a * amps.b * math.cos(phi)
-    return max(s + x, 0.0), max(s - x, 0.0)
+    nu_p, nu_m = _means(amps.a, amps.b, math.cos(phi))
+    return float(nu_p), float(nu_m)
 
 
 def default_cutoff(amps: DetectorPlaneAmplitudes) -> int:
@@ -194,42 +194,44 @@ def _log_poisson_rows(nu: np.ndarray, n: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pmf_rows(a: float, b: float, phis: np.ndarray, n: np.ndarray) -> np.ndarray:
+def _means(a: float, b: float, cos) -> tuple[np.ndarray, np.ndarray]:
+    """The component means (nu+, nu-) = a^2 + b^2 +- 2ab*cos(phi) for cos(phi),
+    a float or an array, clipped at 0: rounding can push nu- a hair below zero
+    when a == b and phi ~ 0."""
     s = a * a + b * b
-    x = 2.0 * a * b * np.cos(phis)
-    # rounding can push nu- a hair below zero when a == b and phi ~ 0
-    nu_p = np.maximum(s + x, 0.0)
-    nu_m = np.maximum(s - x, 0.0)
-    return 0.5 * (np.exp(_log_poisson_rows(nu_p, n)) + np.exp(_log_poisson_rows(nu_m, n)))
+    x = 2.0 * a * b * cos
+    return np.maximum(s + x, 0.0), np.maximum(s - x, 0.0)
 
 
-def _poisson_dnu_rows(nu: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """d/dnu of the Poisson pmf, i.e. e^-nu nu^n/n! * (n/nu - 1).
+def _component_rows(a: float, b: float, phis: np.ndarray, n: np.ndarray):
+    """Poisson rows Pois(n; nu+) and Pois(n; nu-) at every phase in ``phis``,
+    two fresh arrays, exponentiated in place."""
+    plus, minus = (_log_poisson_rows(nu, n) for nu in _means(a, b, np.cos(phis)))
+    return np.exp(plus, out=plus), np.exp(minus, out=minus)
 
-    The n/nu factor has a removable singularity at nu = 0; below ``_NU_TINY``
-    the exact limits are used: -1 for n = 0, +1 for n = 1, 0 for n >= 2.
-    """
-    nu_arr = np.asarray(nu, dtype=float)
-    tiny = nu_arr < _NU_TINY
-    safe = np.where(tiny, 1.0, nu_arr)
-    rows = np.exp(_log_poisson_rows(safe, n))
-    val = rows * (n / safe[..., None] - 1.0)
-    if np.any(tiny):
-        limits = np.where(n == 0, -1.0, np.where(n == 1, 1.0, 0.0))
-        val = np.where(tiny[..., None], limits, val)
-    return val
+
+def _pmf_rows(a: float, b: float, phis: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Rows of p_n: the half-sum of the component rows, in place."""
+    plus, minus = _component_rows(a, b, phis, n)
+    plus += minus
+    plus *= 0.5
+    return plus
 
 
 def _dphi_rows(a: float, b: float, phis: np.ndarray, n: np.ndarray) -> np.ndarray:
-    s = a * a + b * b
-    x = 2.0 * a * b * np.cos(phis)
-    dnu = 2.0 * a * b * np.sin(phis)  # d(nu+)/dphi = -dnu, d(nu-)/dphi = +dnu
-    nu_p = np.maximum(s + x, 0.0)
-    nu_m = np.maximum(s - x, 0.0)
-    return 0.5 * (
-        _poisson_dnu_rows(nu_p, n) * (-dnu)[..., None]
-        + _poisson_dnu_rows(nu_m, n) * (+dnu)[..., None]
-    )
+    """Rows of d p_n / d phi over n = 0..n_max (``n`` must be that range).
+
+    d Pois(n; nu)/d nu = Pois(n-1; nu) - Pois(n; nu) with Pois(-1) = 0, exact
+    also at nu = 0, and d nu+-/d phi = -+ 2ab sin(phi), so d p_n / d phi =
+    ab sin(phi) (D_{n-1} - D_n) with D_n = Pois(n; nu-) - Pois(n; nu+): each
+    column less its left neighbour, written into the spent plus rows.
+    """
+    plus, minus = _component_rows(a, b, phis, n)
+    minus -= plus
+    np.negative(minus[:, 0], out=plus[:, 0])
+    np.subtract(minus[:, :-1], minus[:, 1:], out=plus[:, 1:])
+    plus *= (a * b * np.sin(phis))[:, None]
+    return plus
 
 
 def _check_gamma(gamma: float) -> float:
@@ -240,36 +242,27 @@ def _check_gamma(gamma: float) -> float:
     return float(gamma)
 
 
-def _gl_rule(gamma: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre offsets and weights for a unit-mean average over [-gamma/2, gamma/2]."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * gamma * x, 0.5 * w
+def _tabulate(rows_fn, amps: DetectorPlaneAmplitudes, phis, n: np.ndarray, gamma, gl_nodes):
+    """``rows_fn`` at every phase in ``phis`` and photon number in ``n``,
+    averaged over the noise window by Gauss-Legendre quadrature when gamma > 0.
 
-
-def _noise_average(rows_fn, phis: np.ndarray, gamma: float, nodes: int, n_cols: int) -> np.ndarray:
-    """Weighted quadrature average of ``rows_fn`` over the noise window.
-
-    Evaluates shifted phases in node chunks sized to keep temporaries below
+    The shifted phases go in node chunks sized to keep temporaries below
     ~16 MB while still batching the work into few vectorized calls.
     """
-    psi, w = _gl_rule(gamma, nodes)
-    out = np.zeros((phis.size, n_cols))
-    chunk = max(1, int(2_000_000 // max(phis.size * n_cols, 1)))
-    for start in range(0, psi.size, chunk):
-        psi_c = psi[start : start + chunk]
-        shifted = (phis[None, :] - psi_c[:, None]).ravel()
-        rows = rows_fn(shifted).reshape(psi_c.size, phis.size, n_cols)
-        out += np.tensordot(w[start : start + chunk], rows, axes=(0, 0))
-    return out
-
-
-def _tabulate(rows_fn, amps: DetectorPlaneAmplitudes, phis, n: np.ndarray, gamma, gl_nodes):
-    """``rows_fn`` at every phase in ``phis`` and photon number in ``n``, noise-averaged."""
     gamma = _check_gamma(gamma)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     if gamma == 0.0:
         return rows_fn(amps.a, amps.b, phis, n)
-    return _noise_average(lambda p: rows_fn(amps.a, amps.b, p, n), phis, gamma, gl_nodes, n.size)
+    x, w = np.polynomial.legendre.leggauss(gl_nodes)
+    psi, w = 0.5 * gamma * x, 0.5 * w  # a unit-mean average over [-gamma/2, gamma/2]
+    out = np.zeros((phis.size, n.size))
+    chunk = max(1, int(2_000_000 // max(phis.size * n.size, 1)))
+    for start in range(0, psi.size, chunk):
+        psi_c = psi[start : start + chunk]
+        shifted = (phis[None, :] - psi_c[:, None]).ravel()
+        rows = rows_fn(amps.a, amps.b, shifted, n).reshape(psi_c.size, phis.size, n.size)
+        out += np.tensordot(w[start : start + chunk], rows, axes=(0, 0))
+    return out
 
 
 def pmf_columns(amps: DetectorPlaneAmplitudes, phis, ns, gamma: float = 0.0) -> np.ndarray:
