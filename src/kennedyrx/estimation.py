@@ -449,38 +449,34 @@ def _posterior_moments(ll: np.ndarray, grid: PhaseGrid) -> tuple[np.ndarray, np.
 
     The arithmetic of :func:`posterior` and :func:`bayes_estimate` row by row,
     in place on ``ll``: max-subtract, ``exp``, divide by the trapezoid
-    normalizer, check the normalization, weight.  It runs on the block's
-    window alone, the columns from the first to the last where some row is
-    within 746 of its peak: outside it ``exp`` gives exactly 0 in every row,
-    so the window changes no moment beyond the rounding of its sums.  A
-    block with a NaN row or a row without a finite peak takes the whole
-    grid, and raises what :func:`posterior` raises for the first such row.
-    The centered squares are the one other window-sized array.
+    normalizer, check the normalization, weight.  A row without a finite
+    peak (one with a NaN, or one that is -inf or +inf at its peak) raises
+    what :func:`posterior` raises, for the first such row, before any
+    ``exp``; every other row has its peak cell at exp(0) = 1 and none above,
+    so its normalizer is finite and at least the peak's trapezoid weight.
+    The moments run on the block's window alone, the columns from the first
+    to the last where some row is within 746 of its peak: outside it ``exp``
+    gives exactly 0 in every row, so the window changes no moment beyond the
+    rounding of its sums.  The centered squares are the one other
+    window-sized array.
     """
-    weights, points = _trapezoid_weights(grid), grid.points
     peak = ll.max(axis=1)  # NaN in a row with NaN
-    nan = np.isnan(peak)
-    vanishes = ~nan & ~np.isfinite(peak)
-    if np.isfinite(peak).all():
-        near = np.flatnonzero((ll >= (peak - _EXP_UNDERFLOW)[:, None]).any(axis=0))
-        window = slice(near[0], near[-1] + 1)
-        ll, weights, points = ll[:, window], weights[window], points[window]
-    ll -= np.where(nan | vanishes, 0.0, peak)[:, None]
-    np.exp(ll, out=ll)
-    z = ll @ weights
-    ok = ~nan & ~vanishes & np.isfinite(z) & (z > 0.0)
-    ll /= np.where(ok, z, 1.0)[:, None]
-    total = ll @ weights
-    failed = ~ok | ~(np.abs(total - 1.0) <= 1e-8)
+    failed = ~np.isfinite(peak)
     if failed.any():
         row = int(np.argmax(failed))
-        if nan[row]:
+        if np.isnan(peak[row]):
             raise ValueError("log-likelihood contains NaN")
-        if vanishes[row]:
-            raise DegenerateEvidenceError("likelihood vanishes at every grid point")
-        if not ok[row]:
-            raise DegenerateEvidenceError("posterior normalization is degenerate")
-        raise ValueError(f"posterior density integrates to {float(total[row])!r}, not 1")
+        raise DegenerateEvidenceError("likelihood vanishes at every grid point")
+    near = np.flatnonzero((ll >= (peak - _EXP_UNDERFLOW)[:, None]).any(axis=0))
+    window = slice(near[0], near[-1] + 1)
+    ll, weights, points = ll[:, window], _trapezoid_weights(grid)[window], grid.points[window]
+    ll -= peak[:, None]
+    np.exp(ll, out=ll)
+    ll /= (ll @ weights)[:, None]
+    total = ll @ weights
+    off = ~(np.abs(total - 1.0) <= 1e-8)
+    if off.any():
+        raise ValueError(f"posterior density integrates to {float(total[np.argmax(off)])!r}, not 1")
     ll *= weights
     mean = ll @ points
     centered = points - mean[:, None]
@@ -500,11 +496,14 @@ def sequential_update(
     Adds the event's log-likelihood column (its on/off bin for on/off
     detection) to the normalized log density and renormalizes; the log
     normalizer is the evidence increment.  Folding a record event by event
-    reproduces the batch posterior.
+    reproduces the batch posterior.  An event outside 0..2**63 - 1, the
+    counts a :class:`CountRecord` holds, raises ``ValueError``.
     """
     event = operator.index(event)
-    if event < 0:
-        raise ValueError(f"photon count must be nonnegative, got {event!r}")
+    if not 0 <= event <= 2**63 - 1:
+        raise ValueError(
+            f"photon count must be nonnegative and at most 2**63 - 1, got {event!r}"
+        )
     column, bin_of = _kind(detector_kind)
     ll = column(amps, float(gamma), post.grid, bin_of(event))
     return _normalized(post.log_density + ll, post.grid, post.evidence_log)

@@ -452,6 +452,14 @@ class TestSequentialUpdate:
         with pytest.raises(DegenerateEvidenceError):
             sequential_update(uniform_posterior(GRID), 10**8, amps(SQRT2, SQRT2), 0.0)
 
+    @pytest.mark.parametrize("kind", ["pnr", "onoff"])
+    @pytest.mark.parametrize("event", [2**63, 2**70])
+    def test_event_no_record_can_hold_is_rejected(self, event, kind):
+        # the bound of CountRecord; not DegenerateEvidenceError, a ValueError too
+        with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1") as info:
+            sequential_update(uniform_posterior(GRID), event, amps(SQRT2, SQRT2), 0.0, kind)
+        assert not isinstance(info.value, DegenerateEvidenceError)
+
 
 class TestFisher:
     def test_vanishes_at_domain_endpoints(self):
