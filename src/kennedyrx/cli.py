@@ -9,8 +9,9 @@ fano          Fano-inversion phase estimate from a counts file
 discriminate  empirical bit-error rate vs the analytic error probability
 sweep         estimator convergence curves over growing sample sizes
 
-One table, ``_COMMANDS``, maps each subcommand to its handler and help line;
-the parser and :func:`dispatch` both read it.
+One table, ``_COMMANDS``, declares each subcommand once: its handler, help
+line, required keys and the keys its comment block records; the parser and
+:func:`dispatch` both read it.
 
 Configuration comes from an optional flat ``key=value`` file (one pair per
 line, ``#`` comments) merged with command-line flags; flags win.  Config and
@@ -263,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Kennedy-like BPSK receiver simulator with Bayesian phase monitoring",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_line) in _COMMANDS.items():
+    for command, (_, help_line, _, _) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_line)
         sp.add_argument("--config", help="flat key=value config file")
         for key in _FLAG_KEYS:
@@ -407,12 +408,9 @@ def read_table(path: str):
 # --- subcommand implementations -------------------------------------------
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    cfg.require("phi", "M", "seed", "out")
+def _cmd_simulate(cfg: RunConfig, comments: list[str]) -> int:
     record = sample_counts(cfg.sim_config(cfg.M))
-    lines = _config_block(cfg, ("a", "b", "alpha", "beta", "tau", "phi", "gamma", "M", "seed", "out"))
-    lines += [str(int(n)) for n in record.counts]
-    _write_lines(cfg.out, lines)
+    _write_lines(cfg.out, comments + list(map(str, record.counts.tolist())))
     print(f"wrote {record.sample_size} counts to {cfg.out}")
     return EXIT_OK
 
@@ -426,8 +424,7 @@ def _estimate_summary(tag: str, est) -> str:
     )
 
 
-def _cmd_estimate(cfg: RunConfig) -> int:
-    cfg.require("counts", "out")
+def _cmd_estimate(cfg: RunConfig, comments: list[str]) -> int:
     amps = cfg.amplitudes()
     record = load_counts(cfg.counts)
     grid = PhaseGrid(size=cfg.grid if cfg.grid is not None else 2001)
@@ -444,8 +441,7 @@ def _cmd_estimate(cfg: RunConfig) -> int:
         densities.append(post.density)
         summaries.append(_estimate_summary(tag, dataclasses.replace(est, crlb=crlb)))
 
-    comments = _config_block(cfg, ("a", "b", "alpha", "beta", "tau", "gamma", "grid", "counts", "out"))
-    comments += ["# " + line for line in summaries]
+    comments = comments + ["# " + line for line in summaries]
     rows = zip(grid.points, *densities)
     _write_csv(cfg.out, comments, ["phi", "density_pnr", "density_onoff"], rows)
     print("\n".join(summaries))
@@ -453,13 +449,11 @@ def _cmd_estimate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_fisher(cfg: RunConfig) -> int:
-    cfg.require("out")
+def _cmd_fisher(cfg: RunConfig, comments: list[str]) -> int:
     amps = cfg.amplitudes()
     size = cfg.grid if cfg.grid is not None else 200
     phis = PhaseGrid(size=size).points
     rows = zip(phis, fisher_pnr(amps, phis, cfg.gamma), fisher_onoff(amps, phis, cfg.gamma))
-    comments = _config_block(cfg, ("a", "b", "alpha", "beta", "tau", "gamma", "grid", "out"))
     _write_csv(cfg.out, comments, ["phi", "F_pnr", "F_onoff"], rows)
     print(f"wrote {size} Fisher-information rows to {cfg.out}")
     return EXIT_OK
@@ -475,8 +469,14 @@ def _require_fano_amplitudes(amps) -> None:
         ) from None
 
 
-def _cmd_fano(cfg: RunConfig) -> int:
-    cfg.require("counts")
+def _write_summary(cfg: RunConfig, comments: list[str], header: list[str], row, what: str) -> None:
+    """The one-row CSV of a summary, when ``out`` is given."""
+    if cfg.out:
+        _write_csv(cfg.out, comments, header, [row])
+        print(f"wrote {what} to {cfg.out}")
+
+
+def _cmd_fano(cfg: RunConfig, comments: list[str]) -> int:
     amps = cfg.amplitudes()
     _require_fano_amplitudes(amps)
     record = load_counts(cfg.counts)
@@ -491,20 +491,14 @@ def _cmd_fano(cfg: RunConfig) -> int:
         f"fano: value={_fmt(fano)} mean={_fmt(est.mean)} variance={_fmt(est.variance)} "
         f"clamped={str(est.clamped).lower()} M={est.sample_size}"
     )
-    if cfg.out:
-        comments = _config_block(cfg, ("a", "b", "alpha", "beta", "tau", "counts", "out"))
-        _write_csv(
-            cfg.out,
-            comments,
-            ["M", "fano", "mean", "variance", "clamped"],
-            [(est.sample_size, fano, est.mean, est.variance, est.clamped)],
-        )
-        print(f"wrote estimate to {cfg.out}")
+    _write_summary(
+        cfg, comments, ["M", "fano", "mean", "variance", "clamped"],
+        (est.sample_size, fano, est.mean, est.variance, est.clamped), "estimate",
+    )
     return EXIT_OK
 
 
-def _cmd_discriminate(cfg: RunConfig) -> int:
-    cfg.require("phi", "M", "seed")
+def _cmd_discriminate(cfg: RunConfig, comments: list[str]) -> int:
     sim = cfg.sim_config(cfg.M)
     bits = stream(cfg.seed, 1).integers(0, 2, size=cfg.M)
     result = run_discrimination(sim, bits)
@@ -515,20 +509,15 @@ def _cmd_discriminate(cfg: RunConfig) -> int:
         f"rate={_fmt(result.error_rate)} se={_fmt(result.std_error)} "
         f"analytic={_fmt(analytic)} (beta={_fmt(beta_ref)})"
     )
-    if cfg.out:
-        comments = _config_block(cfg, ("a", "b", "alpha", "beta", "tau", "phi", "gamma", "M", "seed", "out"))
-        _write_csv(
-            cfg.out,
-            comments,
-            ["M", "n_errors", "error_rate", "std_error", "analytic_error"],
-            [(result.sample_size, result.n_errors, result.error_rate, result.std_error, analytic)],
-        )
-        print(f"wrote discrimination summary to {cfg.out}")
+    _write_summary(
+        cfg, comments, ["M", "n_errors", "error_rate", "std_error", "analytic_error"],
+        (result.sample_size, result.n_errors, result.error_rate, result.std_error, analytic),
+        "discrimination summary",
+    )
     return EXIT_OK
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
-    cfg.require("phi", "seed", "out")
+def _cmd_sweep(cfg: RunConfig, comments: list[str]) -> int:
     if fold_phase(cfg.phi) == 0.0:
         raise ConfigError("config key 'phi': sweep needs a phase that is not a multiple of pi")
     sim = cfg.sim_config(cfg.m_list[-1])
@@ -541,11 +530,6 @@ def _cmd_sweep(cfg: RunConfig) -> int:
                 "config key 'm_list': fano-inversion needs at least 3 shots per record "
                 "for its jackknife variance"
             )
-    comments = _config_block(
-        cfg,
-        ("a", "b", "alpha", "beta", "tau", "phi", "gamma", "seed",
-         "replications", "grid", "method", "m_list", "out"),
-    )
     for result in run_convergence_sweeps(sim, methods, cfg.m_list, grid=grid):
         method = result.method
         rows = [
@@ -569,21 +553,29 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# subcommand -> (handler, help line), in the order the parser lists them
+# subcommand -> (handler, help line, required keys, keys its comment block
+# records after the amplitude keys), in the order the parser lists them
 _COMMANDS = {
-    "simulate": (_cmd_simulate, "draw a detection record and write a counts file"),
-    "estimate": (_cmd_estimate, "Bayesian phase estimate from a counts file (both detector kinds)"),
-    "fisher": (_cmd_fisher, "tabulate PNR and on/off Fisher information over a phase grid"),
-    "fano": (_cmd_fano, "Fano-inversion phase estimate from a counts file"),
-    "discriminate": (_cmd_discriminate, "empirical discrimination error vs the analytic formula"),
-    "sweep": (_cmd_sweep, "estimator convergence sweep over sample sizes"),
+    "simulate": (_cmd_simulate, "draw a detection record and write a counts file",
+                 ("phi", "M", "seed", "out"), ("phi", "gamma", "M", "seed", "out")),
+    "estimate": (_cmd_estimate, "Bayesian phase estimate from a counts file (both detector kinds)",
+                 ("counts", "out"), ("gamma", "grid", "counts", "out")),
+    "fisher": (_cmd_fisher, "tabulate PNR and on/off Fisher information over a phase grid",
+               ("out",), ("gamma", "grid", "out")),
+    "fano": (_cmd_fano, "Fano-inversion phase estimate from a counts file",
+             ("counts",), ("counts", "out")),
+    "discriminate": (_cmd_discriminate, "empirical discrimination error vs the analytic formula",
+                     ("phi", "M", "seed"), ("phi", "gamma", "M", "seed", "out")),
+    "sweep": (_cmd_sweep, "estimator convergence sweep over sample sizes", ("phi", "seed", "out"),
+              ("phi", "gamma", "seed", "replications", "grid", "method", "m_list", "out")),
 }
 
 
 def dispatch(cfg: RunConfig) -> int:
     """Run one subcommand; returns the process exit status."""
-    handler, _ = _COMMANDS[cfg.command]
-    return handler(cfg)
+    handler, _, required, recorded = _COMMANDS[cfg.command]
+    cfg.require(*required)
+    return handler(cfg, _config_block(cfg, ("a", "b", "alpha", "beta", "tau", *recorded)))
 
 
 def main(argv=None) -> int:

@@ -143,32 +143,20 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-# Above this mean exp(-nu) nears the double-precision underflow (~708), so
-# the search takes each term from log space instead of the recurrence.
+# Above this mean exp(-nu) nears the double-precision underflow (~708) and
+# would stall the recurrence p_k = p_{k-1} * nu/k at 0, so the samplers take
+# p_k (k >= 1) from log space instead: exp(k ln nu - nu - ln k!).
 _LOG_SPACE_MEAN = 700.0
-
-
-def _next_terms(term: np.ndarray, nu: np.ndarray, k: int) -> None:
-    """Advance the Poisson terms p_{k-1} of the means ``nu`` to p_k, in place.
-
-    p_k = p_{k-1} * nu/k, except for means above ``_LOG_SPACE_MEAN``, which
-    take p_k from log space (k ln nu - nu - ln k!): there exp(-nu) underflows
-    and would stall the recurrence at 0.
-    """
-    term *= nu / k
-    big = nu > _LOG_SPACE_MEAN
-    if big.any():
-        term[big] = np.exp(photonstats._log_poisson_rows(nu[big], np.array([k]))[:, 0])
 
 
 def _poisson_inversion(rng: np.random.Generator, nu: np.ndarray, cap: int) -> np.ndarray:
     """Poisson draws by CDF inversion with sequential search, one uniform per draw.
 
     The sampler for records with phase noise, where every shot has its own
-    mean.  Step k adds p_k (:func:`_next_terms`) to the running CDF of every
-    shot whose uniform it has not yet passed, and drops the shots it passes,
-    so the work is O(M + sum of the counts): in effect a per-shot CDF table
-    built only as far as each shot needs it.  Independent of any library
+    mean.  Step k adds p_k to the running CDF of every shot whose uniform
+    it has not yet passed, and drops the shots it passes, so the work is
+    O(M + sum of the counts): in effect a per-shot CDF table built only as
+    far as each shot needs it.  Independent of any library
     sampling algorithm, so records are stable across numpy versions.  Draws
     stop at ``cap``.  Records without phase noise take :func:`_cdf_lookup`,
     which returns what this search returns on the raw words of the same
@@ -182,7 +170,10 @@ def _poisson_inversion(rng: np.random.Generator, nu: np.ndarray, cap: int) -> np
     k = 0
     while idx.size and k < cap:
         k += 1
-        _next_terms(term, nu, k)
+        term *= nu / k
+        big = nu > _LOG_SPACE_MEAN
+        if big.any():
+            term[big] = np.exp(photonstats._log_poisson_rows(nu[big], np.array([k]))[:, 0])
         cum += term
         out[idx] = k
         keep = u >= cum
@@ -215,13 +206,15 @@ def _cdf_table(means: tuple[float, ...], cap: int) -> tuple[np.ndarray, np.ndarr
     """
     nu = np.array(means)
     rows = np.empty((nu.size, cap + 2))
-    term = np.exp(-nu)
-    cum = term.copy()
-    rows[:, 0] = cum
-    for k in range(1, cap + 1):
-        _next_terms(term, nu, k)
-        cum += term
-        rows[:, k] = cum
+    terms = rows[:, :-1]
+    terms[:, 0] = np.exp(-nu)
+    np.divide(nu[:, None], np.arange(1, cap + 1), out=terms[:, 1:])
+    # p_k = p_{k-1} * nu/k and the running sums, step by step as in the search
+    np.multiply.accumulate(terms, axis=1, out=terms)
+    big = nu > _LOG_SPACE_MEAN
+    if big.any():
+        terms[big, 1:] = np.exp(photonstats._log_poisson_rows(nu[big], np.arange(1, cap + 1)))
+    np.add.accumulate(terms, axis=1, out=terms)
     rows[:, -1] = 1.0
     base = np.arange(nu.size, dtype=np.uint64)[:, None] << 54
     thresholds = (np.minimum(np.ceil(rows * 2.0**53), 2.0**53).astype(np.uint64) + base).ravel()

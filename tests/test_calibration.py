@@ -82,8 +82,9 @@ def _sbc_ranks(a, kind, gamma, shots, draws, seed):
         (math.sqrt(2.0), "onoff", 0.0, 300, 600),
         (math.sqrt(2.0), "pnr", 0.5, 300, 600),
         (math.sqrt(2.0), "onoff", 0.5, 300, 600),
-        # nu+ up to 784: the sampler's log-space terms
+        # nu+ up to 784 and up to 1600: the sampler's log-space terms
         (14.0, "pnr", 0.0, 30, 150),
+        (20.0, "pnr", 0.0, 30, 150),
     ],
 )
 def test_posterior_cdf_at_the_true_phase_is_uniform(a, kind, gamma, shots, draws):

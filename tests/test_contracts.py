@@ -2,20 +2,28 @@
 
 * Any flag set drawn from a fixed pool of valid and invalid values exits 0,
   2, 3 or 4: ``cli.main`` never raises.
+* A run that exits 0 records a ``# key=value`` block that, turned back into
+  flags, reproduces its output.
 * A record impossible under the model exits 4 in bounded memory.
-* Without phase noise the sweep is invariant under phi* -> -phi*.
+* Without phase noise the sweep is invariant under phi* -> -phi*, and its
+  estimates are equal in distribution under phi* -> pi - phi*.
 """
 
 import contextlib
 import io
+import math
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from kennedyrx import cli
+from kennedyrx.montecarlo import METHODS, SimConfig, run_convergence_sweeps
+from kennedyrx.photonstats import DetectorPlaneAmplitudes
 
 SQRT2 = "1.4142135623730951"
 AMPLITUDES = ["0", "0.6", "1", SQRT2, "20", "5e-324", "1e-300", "1e-160"]
@@ -87,10 +95,10 @@ def argv(command: str, flags: dict, tmp: Path) -> list[str]:
 
 
 @st.composite
-def flag_sets(draw):
+def flag_sets(draw, max_invalid=2):
     """A subcommand with a valid value for every key and one source of
-    amplitudes, then up to two keys set to invalid values and up to two
-    keys dropped."""
+    amplitudes, then up to ``max_invalid`` keys set to invalid values and up
+    to two keys dropped."""
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
     flags = {key: draw(st.sampled_from(values)) for key, values in VALID.items()}
     amplitude = st.sampled_from(AMPLITUDES)
@@ -103,7 +111,7 @@ def flag_sets(draw):
         flags.update(beta=draw(amplitude))
     else:
         flags.update(config="{tmp}/amps.cfg")
-    for key in draw(st.lists(st.sampled_from(sorted(INVALID)), max_size=2, unique=True)):
+    for key in draw(st.lists(st.sampled_from(sorted(INVALID)), max_size=max_invalid, unique=True)):
         flags[key] = draw(st.sampled_from(INVALID[key]))
     for key in draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True)):
         # an absent M, m_list, grid or replications would take its default,
@@ -129,6 +137,40 @@ def test_every_flag_set_exits_with_a_documented_code(tmp, case):
     assert code in (0, 2, 3, 4)
     # a failure names its cause on stderr; a success writes nothing there
     assert (code == 0) == (err.getvalue() == "")
+
+
+def _run_quietly(args: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(args)
+
+
+def _outputs(directory: Path) -> dict[str, list[str]]:
+    """The non-comment lines of every file a run wrote into ``directory``."""
+    return {
+        path.name: [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        for path in sorted(directory.iterdir())
+    }
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(flag_sets(max_invalid=0))
+@example(("sweep", {**{k: v[0] for k, v in VALID.items()}, "phi": "-0.3", "m_list": "3,5",
+                    "gamma": "0.5", "a": "0.6", "b": SQRT2}))
+@example(("fano", {"counts": "{tmp}/mixed", "alpha": "1", "beta": "0.6", "tau": "0.999"}))
+def test_comment_block_replays_every_run(tmp, case):
+    command, flags = case
+    first, second = (Path(tempfile.mkdtemp(dir=tmp)) for _ in range(2))
+    if _run_quietly(argv(command, {**flags, "out": str(first / "out")}, tmp)) != 0:
+        return
+    # rebuild the command line from the block, as a user would
+    replay = [command]
+    for line in next(first.iterdir()).read_text().splitlines():
+        if line.startswith("# ") and "=" in line:
+            key, value = line[2:].split("=", 1)
+            if key in cli._CONVERTERS and key != "out":
+                replay += ["--" + key.replace("_", "-"), value]
+    assert _run_quietly(replay + ["--out", str(second / "out")]) == 0
+    assert _outputs(first) == _outputs(second)
 
 
 def test_impossible_record_exits_4_in_bounded_memory(tmp):
@@ -162,3 +204,20 @@ def test_sweep_is_invariant_under_phase_reflection(tmp, phi, a):
         plain = [line for line in path.read_text().splitlines()
                  if not line.startswith(("# phi=", "# out="))]
         assert mirrored == plain
+
+
+def test_sweep_estimates_are_equal_in_distribution_under_phase_complement():
+    # phi* -> pi - phi* swaps the two components nu+ and nu-, so the records
+    # differ but every estimate of the folded phase has the same law; the
+    # two sweeps use different seeds so their samples are independent
+    amps = DetectorPlaneAmplitudes(a=math.sqrt(2.0), b=math.sqrt(2.0))
+    for gamma in (0.0, 0.5):
+        plain, mirrored = (
+            run_convergence_sweeps(
+                SimConfig(amps=amps, phi_star=phi, M=300, seed=seed, gamma=gamma, replications=200),
+                METHODS, m_list=(300,),
+            )
+            for phi, seed in ((0.3, 1), (math.pi - 0.3, 2))
+        )
+        for x, y in zip(plain, mirrored):
+            assert ks_2samp(x.estimates[0], y.estimates[0]).pvalue > 1e-3, (gamma, x.method)

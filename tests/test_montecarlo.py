@@ -273,9 +273,11 @@ class TestCdfTable:
         assert counts.max() == 10
         assert np.array_equal(counts, _poisson_inversion(stream(6, 2), np.array(means)[row], 10))
 
-    # about the acceptance means, a zero mean, and a log-space mean, at their caps
+    # about the acceptance means, a zero mean, a log-space mean, at their
+    # caps, and a pair on either side of the log-space switch
     @pytest.mark.parametrize(
-        "means,cap", [((0.18, 7.8), 133), ((0.0, 4.0), 120), ((0.29, 1560.2), 2124)]
+        "means,cap",
+        [((0.18, 7.8), 133), ((0.0, 4.0), 120), ((0.29, 1560.2), 2124), ((700.0, 700.5), 1100)],
     )
     def test_uniforms_on_table_entries_and_bucket_edges(self, means, cap):
         # a word whose 53-bit part equals a threshold passes it, one below
