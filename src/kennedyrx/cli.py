@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -112,10 +113,10 @@ def _parse_float(key: str, raw: str, lo: float = -math.inf, hi: float = math.inf
     return v
 
 
-def _parse_tau(raw: str) -> float:
-    v = _parse_float("tau", raw)
+def _parse_tau(key: str, raw: str) -> float:
+    v = _parse_float(key, raw)
     if not 0.0 < v < 1.0:
-        raise ConfigError("config key 'tau': tau must lie in (0,1)")
+        raise ConfigError(f"config key '{key}': {key} must lie in (0,1)")
     return v
 
 
@@ -153,26 +154,14 @@ def _parse_m_list(key: str, raw: str) -> tuple[int, ...]:
     return values
 
 
-# key -> converter(raw string) -> typed value
-_CONVERTERS = {
-    "a": lambda v: _parse_float("a", v, lo=0.0),
-    "b": lambda v: _parse_float("b", v, lo=0.0),
-    "alpha": lambda v: _parse_float("alpha", v, lo=0.0),
-    "beta": lambda v: _parse_float("beta", v, lo=0.0),
-    "tau": _parse_tau,
-    "phi": lambda v: _parse_float("phi", v),
-    "gamma": lambda v: _parse_float("gamma", v, lo=0.0, hi=GAMMA_MAX),
-    "M": lambda v: _parse_int("M", v, lo=1, hi=MAX_SHOTS),
-    "seed": lambda v: _parse_int("seed", v, lo=0, hi=2**64 - 1),
-    "replications": lambda v: _parse_int("replications", v, lo=1, hi=MAX_REPLICATIONS),
-    "grid": lambda v: _parse_int("grid", v, lo=2, hi=MAX_GRID_POINTS),
-    "method": lambda v: _parse_choice("method", v, (*METHODS, "all")),
-    "m_list": lambda v: _parse_m_list("m_list", v),
-    "counts": str,
-    "out": str,
-}
+def _parse_text(key: str, raw: str) -> str:
+    return raw
 
-_FLAG_KEYS = tuple(_CONVERTERS)
+
+def _key(parse, default=None, **bounds):
+    """A :class:`RunConfig` field that declares a config key: its default, and
+    ``parse(key, raw, **bounds)`` in its metadata."""
+    return dataclasses.field(default=default, metadata={"parse": functools.partial(parse, **bounds)})
 
 
 @dataclass(frozen=True)
@@ -180,21 +169,21 @@ class RunConfig:
     """Fully resolved run configuration for one subcommand invocation."""
 
     command: str
-    a: float | None = None
-    b: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    tau: float | None = None
-    phi: float | None = None
-    gamma: float = 0.0
-    M: int | None = None
-    seed: int | None = None
-    replications: int = 50
-    grid: int | None = None
-    method: str = "all"
-    m_list: tuple[int, ...] = DEFAULT_M_LIST
-    counts: str | None = None
-    out: str | None = None
+    a: float | None = _key(_parse_float, lo=0.0)
+    b: float | None = _key(_parse_float, lo=0.0)
+    alpha: float | None = _key(_parse_float, lo=0.0)
+    beta: float | None = _key(_parse_float, lo=0.0)
+    tau: float | None = _key(_parse_tau)
+    phi: float | None = _key(_parse_float)
+    gamma: float = _key(_parse_float, 0.0, lo=0.0, hi=GAMMA_MAX)
+    M: int | None = _key(_parse_int, lo=1, hi=MAX_SHOTS)
+    seed: int | None = _key(_parse_int, lo=0, hi=2**64 - 1)
+    replications: int = _key(_parse_int, 50, lo=1, hi=MAX_REPLICATIONS)
+    grid: int | None = _key(_parse_int, lo=2, hi=MAX_GRID_POINTS)
+    method: str = _key(_parse_choice, "all", choices=(*METHODS, "all"))
+    m_list: tuple[int, ...] = _key(_parse_m_list, DEFAULT_M_LIST)
+    counts: str | None = _key(_parse_text)
+    out: str | None = _key(_parse_text)
 
     def amplitudes(self) -> DetectorPlaneAmplitudes:
         """Detector-plane amplitudes from (a, b) or from (alpha, beta, tau),
@@ -237,15 +226,23 @@ class RunConfig:
             )
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """Flat key=value file; '#' starts a comment, later keys override earlier ones."""
+# config key -> parser(key, raw string) -> typed value, in declaration order
+_CONVERTERS = {f.name: f.metadata["parse"] for f in dataclasses.fields(RunConfig) if f.metadata}
+
+
+def _read_lines(path: str, error: type[ValueError], what: str) -> list[str]:
+    """A UTF-8 text file's lines; ``error`` names the ``what`` file it cannot read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            return fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        raise error(f"cannot read {what} file {path}: {exc}") from None
+
+
+def _read_config_file(path: str) -> dict[str, str]:
+    """Flat key=value file; '#' starts a comment, later keys override earlier ones."""
     pairs: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(_read_lines(path, ConfigError, "config"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -267,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (_, help_line, _, _) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_line)
         sp.add_argument("--config", help="flat key=value config file")
-        for key in _FLAG_KEYS:
+        for key in _CONVERTERS:
             flag = "--" + key.replace("_", "-")
             sp.add_argument(flag, dest=key, default=None, metavar=key.upper())
     return parser
@@ -302,25 +299,20 @@ def parse_config(argv=None) -> RunConfig:
     argv = sys.argv[1:] if argv is None else list(argv)
     ns = _build_parser().parse_args(_attach_negative_values(argv))
     raw = _read_config_file(ns.config) if ns.config else {}
-    for key in _FLAG_KEYS:
+    for key in _CONVERTERS:
         value = getattr(ns, key)
         if value is not None:
             raw[key] = value
     fields: dict[str, object] = {"command": ns.command}
     for key, value in raw.items():
-        fields[key] = _CONVERTERS[key](value)
+        fields[key] = _CONVERTERS[key](key, value)
     return RunConfig(**fields)
 
 
 def load_counts(path: str) -> CountRecord:
     """Read a counts file: one nonnegative integer per line, '#' comments allowed."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read counts file {path}: {exc}") from None
     values: list[int] = []
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(_read_lines(path, DataError, "counts"), 1):
         token = raw.strip()
         if not token or token.startswith("#"):
             continue

@@ -372,9 +372,8 @@ def _normalized(log_unnorm: np.ndarray, grid: PhaseGrid, evidence_log: float) ->
     if not math.isfinite(peak):
         raise DegenerateEvidenceError("likelihood vanishes at every grid point")
     dens = np.exp(log_unnorm - peak)
+    # dens is 1 at the peak and in [0, 1] elsewhere, so z is finite and positive
     z = float(_trapezoid_weights(grid) @ dens)
-    if not (math.isfinite(z) and z > 0.0):
-        raise DegenerateEvidenceError("posterior normalization is degenerate")
     log_norm = peak + math.log(z)
     return PhasePosterior(
         grid=grid,
@@ -449,11 +448,11 @@ def _posterior_moments(ll: np.ndarray, grid: PhaseGrid) -> tuple[np.ndarray, np.
 
     The arithmetic of :func:`posterior` and :func:`bayes_estimate` row by row,
     in place on ``ll``: max-subtract, ``exp``, divide by the trapezoid
-    normalizer, check the normalization, weight.  A row without a finite
-    peak (one with a NaN, or one that is -inf or +inf at its peak) raises
-    what :func:`posterior` raises, for the first such row, before any
-    ``exp``; every other row has its peak cell at exp(0) = 1 and none above,
-    so its normalizer is finite and at least the peak's trapezoid weight.
+    normalizer, weight.  A row without a finite peak (one with a NaN, or one
+    that is -inf or +inf at its peak) raises what :func:`posterior` raises,
+    for the first such row, before any ``exp``; every other row has its peak
+    cell at exp(0) = 1 and none above, so its normalizer is finite and at
+    least the peak's trapezoid weight.
     The moments run on the block's window alone, the columns from the first
     to the last where some row is within 746 of its peak: outside it ``exp``
     gives exactly 0 in every row, so the window changes no moment beyond the
@@ -473,10 +472,6 @@ def _posterior_moments(ll: np.ndarray, grid: PhaseGrid) -> tuple[np.ndarray, np.
     ll -= peak[:, None]
     np.exp(ll, out=ll)
     ll /= (ll @ weights)[:, None]
-    total = ll @ weights
-    off = ~(np.abs(total - 1.0) <= 1e-8)
-    if off.any():
-        raise ValueError(f"posterior density integrates to {float(total[np.argmax(off)])!r}, not 1")
     ll *= weights
     mean = ll @ points
     centered = points - mean[:, None]

@@ -54,9 +54,10 @@ def test_batch_posterior_variance_matches_the_squared_error(kind, gamma):
 # for phi* drawn from the prior and a record drawn at phi*, the posterior
 # CDF at phi* is uniform on [0, 1] exactly when sampler, likelihood and
 # posterior agree.  A KS test of these ranks against U(0, 1) checks that.
-# The draws are fixed by their seeds: at them the smallest p-value is 0.12,
+# The draws are fixed by their seeds: at them the smallest p-value is 0.094,
 # and with the sampler's log-space rule switched off (exp(-nu) underflows and
-# stalls the recurrence above nu ~ 700) the a = b = 14 case gives p = 3e-15.
+# stalls the recurrence above nu ~ 700) the a = b = 14 case gives p = 3e-15;
+# switched off in the phase-noise search alone, the gamma = 0.5 case gives 6e-7.
 SBC_P_FLOOR = 1e-3
 
 
@@ -85,6 +86,8 @@ def _sbc_ranks(a, kind, gamma, shots, draws, seed):
         # nu+ up to 784 and up to 1600: the sampler's log-space terms
         (14.0, "pnr", 0.0, 30, 150),
         (20.0, "pnr", 0.0, 30, 150),
+        # phase noise: the search of _poisson_inversion, in log space above nu ~ 700
+        (14.0, "pnr", 0.5, 30, 40),
     ],
 )
 def test_posterior_cdf_at_the_true_phase_is_uniform(a, kind, gamma, shots, draws):

@@ -4,6 +4,8 @@
   2, 3 or 4: ``cli.main`` never raises.
 * A run that exits 0 records a ``# key=value`` block that, turned back into
   flags, reproduces its output.
+* Every value a config key's parser accepts, from any raw string, parses
+  back from its comment-block form to itself.
 * A record impossible under the model exits 4 in bounded memory.
 * Without phase noise the sweep is invariant under phi* -> -phi*, and its
   estimates are equal in distribution under phi* -> pi - phi*.
@@ -171,6 +173,30 @@ def test_comment_block_replays_every_run(tmp, case):
                 replay += ["--" + key.replace("_", "-"), value]
     assert _run_quietly(replay + ["--out", str(second / "out")]) == 0
     assert _outputs(first) == _outputs(second)
+
+
+BIG = 2**70
+RAW_VALUES = st.one_of(
+    st.text(),
+    st.floats().map(repr),  # nan and inf included
+    st.integers(-BIG, BIG).map(str),
+    st.lists(st.integers(-BIG, BIG), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from([*METHODS, "all"]),
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(RAW_VALUES)
+def test_every_parsed_value_replays_to_itself(raw):
+    for key, parse in cli._CONVERTERS.items():
+        try:
+            value = parse(key, raw)
+        except cli.ConfigError:
+            continue
+        again = parse(key, cli._fmt(value))
+        assert (type(again), again) == (type(value), value), (key, raw)
+        if isinstance(value, float):
+            assert math.copysign(1.0, again) == math.copysign(1.0, value), (key, raw)
 
 
 def test_impossible_record_exits_4_in_bounded_memory(tmp):

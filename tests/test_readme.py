@@ -1,7 +1,11 @@
-"""The README's Python examples run as written, in order, in one namespace."""
+"""The README's Python examples run as written, in order, in one namespace,
+and its list of config keys is the one :class:`kennedyrx.cli.RunConfig` declares."""
 
+import dataclasses
 import re
 from pathlib import Path
+
+from kennedyrx import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +16,9 @@ def test_python_blocks_run():
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_config_keys_line_lists_the_declared_keys():
+    listed = re.search(r"^Config keys: `([^`]*)`", README.read_text(encoding="utf-8"), re.M)
+    declared = [f.name for f in dataclasses.fields(cli.RunConfig) if f.metadata]
+    assert listed and listed.group(1).split() == declared
