@@ -369,11 +369,10 @@ def read_table(path: str):
     Non-numeric cells are kept as strings; numeric parsing uses float() so a
     round trip through :func:`_write_csv` is lossless.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
     meta: dict[str, str] = {}
     body: list[str] = []
-    for line in lines:
+    for line in _read_lines(path, DataError, "table"):
+        line = line.rstrip("\n")
         if line.startswith("#"):
             stripped = line[1:].strip()
             if "=" in stripped:

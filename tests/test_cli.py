@@ -441,6 +441,19 @@ class TestOutputContracts:
         ]
         assert rebuilt == body
 
+    def test_missing_table_is_a_data_error(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(DataError, match="cannot read table file") as info:
+            read_table(str(path))
+        assert str(path) in str(info.value)
+
+    def test_non_utf8_table_is_a_data_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"# kennedyrx fisher\nphi,F_pnr,F_onoff\n0,0,0\xff\n")
+        with pytest.raises(DataError, match="cannot read table file") as info:
+            read_table(str(path))
+        assert str(path) in str(info.value)
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -570,7 +583,7 @@ class TestHugeAmplitudes:
 
 def test_import_does_not_load_scipy_stats():
     # scipy loads only for the tail bound, the goodness-of-fit test and counts
-    # beyond the ln n! table; numpy.random loads with the package
+    # beyond the ln n! table; numpy.random loads with the CLI
     proc = run_python(
         "import json, sys\nimport kennedyrx, kennedyrx.cli\n"
         "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
@@ -582,7 +595,7 @@ def test_import_does_not_load_scipy_stats():
 
 def test_sweep_imports_no_module_of_its_own(tmp_path):
     # a cold sweep pays no import: numpy.random (with hashlib and secrets) is
-    # loaded with the package, and ln n! comes from the table, not scipy
+    # loaded with the CLI, and ln n! comes from the table, not scipy
     args = ["sweep", "--a", "1.12", "--b", "0.79", "--phi", "0.25", "--seed", "42",
             "--method", "all", "--m-list", "30,100", "--replications", "3",
             "--grid", "201", "--out", str(tmp_path / "sweep")]
