@@ -23,7 +23,8 @@ fully resolved configuration, so any output can be reproduced by turning
 those pairs back into flags.  Angles are always radians; reals are written
 with 17 significant digits so re-parsing is lossless.
 
-Exit status: 0 success, 2 config error, 3 data error, 4 numerical degeneracy.
+Exit status: 0 success, 2 config error, 3 data error, 4 numerical degeneracy,
+which includes a Bayes posterior whose sd is below half the grid step.
 """
 
 from __future__ import annotations
@@ -99,6 +100,10 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Unreadable or malformed data file."""
+
+
+class UnresolvedPosteriorError(ValueError):
+    """A Bayes posterior narrower than its phase grid resolves (exit 4)."""
 
 
 def _parse_float(key: str, raw: str, lo: float = -math.inf, hi: float = math.inf) -> float:
@@ -415,10 +420,22 @@ def _estimate_summary(tag: str, est) -> str:
     )
 
 
+def _require_resolved(variance: float, grid: PhaseGrid, what: str) -> None:
+    """Raise :class:`UnresolvedPosteriorError` when a posterior sd is below half
+    the grid step h: the posterior then sits on one or two grid points, and
+    its moments are the grid's, not the record's."""
+    h = (grid.hi - grid.lo) / (grid.size - 1)
+    if variance < (h / 2) ** 2:
+        raise UnresolvedPosteriorError(
+            f"{what} posterior sd {math.sqrt(variance):.2g} is below half the grid step "
+            f"{h:.2g}; rerun with a larger --grid"
+        )
+
+
 def _cmd_estimate(cfg: RunConfig, comments: list[str]) -> int:
     amps = cfg.amplitudes()
     record = load_counts(cfg.counts)
-    grid = PhaseGrid(size=cfg.grid if cfg.grid is not None else 2001)
+    grid = PhaseGrid() if cfg.grid is None else PhaseGrid(size=cfg.grid)
     m_total = record.sample_size
 
     densities, summaries = [], []
@@ -428,6 +445,7 @@ def _cmd_estimate(cfg: RunConfig, comments: list[str]) -> int:
     ):
         post = posterior(loglik, grid)
         est = bayes_estimate(post, sample_size=m_total)
+        _require_resolved(est.variance, grid, tag)
         crlb = crlb_variance(fisher(amps, est.mean, cfg.gamma), m_total)
         densities.append(post.density)
         summaries.append(_estimate_summary(tag, dataclasses.replace(est, crlb=crlb)))
@@ -512,7 +530,7 @@ def _cmd_sweep(cfg: RunConfig, comments: list[str]) -> int:
     if fold_phase(cfg.phi) == 0.0:
         raise ConfigError("config key 'phi': sweep needs a phase that is not a multiple of pi")
     sim = cfg.sim_config(cfg.m_list[-1])
-    grid = PhaseGrid(size=cfg.grid if cfg.grid is not None else 2001)
+    grid = PhaseGrid() if cfg.grid is None else PhaseGrid(size=cfg.grid)
     methods = METHODS if cfg.method == "all" else (cfg.method,)
     if "fano-inversion" in methods:
         _require_fano_amplitudes(sim.amps)
@@ -521,7 +539,13 @@ def _cmd_sweep(cfg: RunConfig, comments: list[str]) -> int:
                 "config key 'm_list': fano-inversion needs at least 3 shots per record "
                 "for its jackknife variance"
             )
-    for result in run_convergence_sweeps(sim, methods, cfg.m_list, grid=grid):
+    results = run_convergence_sweeps(sim, methods, cfg.m_list, grid=grid)
+    for result in results:
+        if result.method != "fano-inversion":
+            i, rep = np.unravel_index(result.variances.argmin(), result.variances.shape)
+            _require_resolved(result.variances[i, rep], grid,
+                              f"{result.method} (M={result.m_list[i]}, replication {rep})")
+    for result in results:
         method = result.method
         rows = [
             (r.M, r.mean_ratio, r.sd_of_estimates, r.mean_variance,
@@ -583,7 +607,8 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"kennedyrx: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DegenerateEvidenceError, UndefinedFanoError, InsufficientSupportError) as exc:
+    except (DegenerateEvidenceError, UndefinedFanoError, InsufficientSupportError,
+            UnresolvedPosteriorError) as exc:
         print(f"kennedyrx: numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 

@@ -61,8 +61,11 @@ __all__ = [
 # Default sweep sample sizes: two and a half decades, log-spaced.
 DEFAULT_M_LIST = (100, 300, 1000, 3000, 10000, 30000)
 
-# The estimators a convergence sweep compares.
-METHODS = ("bayes-pnr", "bayes-onoff", "fano-inversion")
+# The estimators a convergence sweep compares, each with the detector kind
+# whose Fisher information is its CRLB reference and which a Bayes method
+# reads.  The Fano route consumes the full photon statistics: pnr.
+_METHOD_KINDS = {"bayes-pnr": "pnr", "bayes-onoff": "onoff", "fano-inversion": "pnr"}
+METHODS = tuple(_METHOD_KINDS)
 
 _MIN_EXPECTED_PER_BIN = 5.0
 
@@ -324,17 +327,6 @@ def run_discrimination(cfg: SimConfig, bits: Sequence[int]) -> DiscriminationRes
     )
 
 
-_BAYES_KINDS = {"bayes-pnr": "pnr", "bayes-onoff": "onoff"}
-
-
-def _reference_fisher(method: str, amps, phi: float, gamma: float) -> float:
-    # the Fano route consumes the full photon statistics, so its data bound
-    # is the PNR information
-    if method == "bayes-onoff":
-        return estimation.fisher_onoff(amps, phi, gamma)
-    return estimation.fisher_pnr(amps, phi, gamma)
-
-
 def run_convergence_sweeps(
     cfg: SimConfig,
     methods: Sequence[str],
@@ -371,7 +363,8 @@ def run_convergence_sweeps(
     if phi_true == 0.0:
         raise ValueError("phi_star must not fold to 0 to report estimate/truth ratios")
 
-    fisher_refs = [_reference_fisher(m, cfg.amps, phi_true, cfg.gamma) for m in methods]
+    kinds = [_METHOD_KINDS[m] for m in methods]
+    fisher_refs = [getattr(estimation, f"fisher_{k}")(cfg.amps, phi_true, cfg.gamma) for k in kinds]
     reps = cfg.replications
     estimates = np.empty((len(methods), len(m_values), reps))
     variances = np.empty((len(methods), len(m_values), reps))
@@ -386,12 +379,12 @@ def run_convergence_sweeps(
             occupancy = np.empty((block.stop - start, cap + 1), dtype=np.int64)
             for row, rep in enumerate(range(start, block.stop)):
                 occupancy[row] = np.bincount(_draw_record(cfg_m, rep), minlength=cap + 1)
-            for j, method in enumerate(methods):
+            for j, (method, kind) in enumerate(zip(methods, kinds)):
                 if method == "fano-inversion":
                     mean, var, _ = estimation.fano_inversion_estimates(values, occupancy, cfg.amps)
                 else:
                     mean, var = estimation.bayes_estimates(
-                        values, occupancy, cfg.amps, cfg.gamma, grid, _BAYES_KINDS[method]
+                        values, occupancy, cfg.amps, cfg.gamma, grid, kind
                     )
                 estimates[j, i, block], variances[j, i, block] = mean, var
 

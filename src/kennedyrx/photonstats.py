@@ -41,9 +41,12 @@ __all__ = [
     "MAX_MEAN_PHOTONS",
 ]
 
-# Default Gauss-Legendre order for the phase-noise average.  The integrand is
-# entire in the noise variable, so convergence is spectral; 64 nodes give
-# ~1e-12 absolute error even for a full-circle noise width.
+# Fewest Gauss-Legendre nodes for the phase-noise average.  The integrand is
+# entire in the noise variable, so convergence is spectral, but its width in
+# phase shrinks like 1/sqrt(ab): _tabulate takes max(GL_NODES,
+# ceil(5 gamma sqrt(ab))) nodes, which keep full-circle-noise rows within 1e-13
+# of each other in total variation up to a = b = 20.  The floor alone applies
+# wherever 5 gamma sqrt(ab) <= 64, as at a = b = sqrt(2) for every gamma.
 GL_NODES = 64
 
 # Widest phase-noise window the model accepts (full phase randomization).
@@ -244,7 +247,8 @@ def _check_gamma(gamma: float) -> float:
 
 def _tabulate(rows_fn, amps: DetectorPlaneAmplitudes, phis, n: np.ndarray, gamma, gl_nodes):
     """``rows_fn`` at every phase in ``phis`` and photon number in ``n``,
-    averaged over the noise window by Gauss-Legendre quadrature when gamma > 0.
+    averaged over the noise window by Gauss-Legendre quadrature when gamma > 0,
+    on max(gl_nodes, ceil(5 gamma sqrt(ab))) nodes (see :data:`GL_NODES`).
 
     The shifted phases go in node chunks sized to keep temporaries below
     ~16 MB while still batching the work into few vectorized calls.
@@ -253,7 +257,8 @@ def _tabulate(rows_fn, amps: DetectorPlaneAmplitudes, phis, n: np.ndarray, gamma
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     if gamma == 0.0:
         return rows_fn(amps.a, amps.b, phis, n)
-    x, w = np.polynomial.legendre.leggauss(gl_nodes)
+    nodes = max(gl_nodes, math.ceil(5.0 * gamma * math.sqrt(amps.a * amps.b)))
+    x, w = np.polynomial.legendre.leggauss(nodes)
     psi, w = 0.5 * gamma * x, 0.5 * w  # a unit-mean average over [-gamma/2, gamma/2]
     out = np.zeros((phis.size, n.size))
     chunk = max(1, int(2_000_000 // max(phis.size * n.size, 1)))
@@ -280,9 +285,10 @@ def pmf_columns(amps: DetectorPlaneAmplitudes, phis, ns, gamma: float = 0.0) -> 
     return _tabulate(_pmf_rows, amps, phis, n, gamma, GL_NODES)
 
 
-# pmf_table and dphi_table keep ``gl_nodes``, which no caller sets, until the
-# benchmark tracer stops binding it: perfbench/spans.py ``table_cells`` reads it
-# to count quadrature cells whenever gamma > 0 (ROADMAP open item 1).
+# pmf_table and dphi_table keep ``gl_nodes``, the node rule's floor, which no
+# caller sets, until the benchmark tracer stops binding it: perfbench/spans.py
+# ``table_cells`` reads it to count quadrature cells whenever gamma > 0, so it
+# undercounts where the rule takes more nodes (ROADMAP open item 3).
 def pmf_table(
     amps: DetectorPlaneAmplitudes,
     phis,
@@ -353,21 +359,21 @@ def photon_pmf_dphi(
 
 
 def fano_factor(amps: DetectorPlaneAmplitudes, phi: float, gamma: float = 0.0) -> float:
-    """Variance-to-mean ratio of the detected photon number.
+    """Variance-to-mean ratio of the detected photon number, in closed form.
 
-    Without noise the mixture moments give the closed form
-    1 + 4 a^2 b^2 cos^2(phi) / (a^2 + b^2); with noise the moments are
-    computed from the noise-averaged pmf.  Requires a^2 + b^2 > 0.
+    The mixture moments give F = 1 + 4 a^2 b^2 E[cos^2(phi - psi)] / (a^2 + b^2)
+    over the noise offset psi, uniform on [-gamma/2, gamma/2]: E[cos^2(phi -
+    psi)] = cos^2(phi) (1 + k)/2 + sin^2(phi) (1 - k)/2 with k = sin(gamma)/gamma,
+    and k = 1 without noise.  Requires a^2 + b^2 > 0.
     """
     gamma = _check_gamma(gamma)
     energy = amps.mean_photons
     if energy <= 0.0:
         raise ValueError("Fano factor undefined at zero mean photon number (a = b = 0)")
-    if gamma == 0.0:
-        c = math.cos(phi)
-        return 1.0 + 4.0 * amps.a**2 * amps.b**2 * c * c / energy
-    pmf = photon_pmf(amps, phi, gamma)
-    return pmf.variance() / pmf.mean()
+    k = math.sin(gamma) / gamma if gamma > 0.0 else 1.0
+    c, s = math.cos(phi), math.sin(phi)
+    mean_cos2 = 0.5 * ((1.0 + k) * c * c + (1.0 - k) * s * s)
+    return 1.0 + 4.0 * amps.a**2 * amps.b**2 * mean_cos2 / energy
 
 
 def pmf_fidelity(p: PhotonPmf, q: PhotonPmf) -> float:

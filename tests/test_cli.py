@@ -194,6 +194,32 @@ class TestEstimate:
         ])
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "amps, record, grid, code",
+        [
+            # the golden record: pnr posterior sd 0.025, which is 0.02 grid
+            # steps on 11 points (the printed variance was 9.4e-6) and 0.63
+            # steps on 41 points
+            (["--a", "1.12", "--b", "0.79"], ["--phi", "0.25", "--M", "4000", "--seed", "42"],
+             ["--grid", "11"], 4),
+            (["--a", "1.12", "--b", "0.79"], ["--phi", "0.25", "--M", "4000", "--seed", "42"],
+             ["--grid", "41"], 0),
+            # CRLB sd 1.1e-4 against the default grid's step of 7.9e-4: the
+            # printed variance was 3.2e-17 against a CRLB of 1.25e-8
+            (["--a", "20", "--b", "20"], ["--phi", "0.3", "--M", "100000", "--seed", "1"], [], 4),
+        ],
+        ids=["coarse-grid", "resolved", "bright"],
+    )
+    def test_unresolved_posterior_exits_4(self, tmp_path, capsys, amps, record, grid, code):
+        counts, out = tmp_path / "counts.txt", tmp_path / "post.csv"
+        run_cli(["simulate", *amps, *record, "--out", str(counts)])
+        capsys.readouterr()
+        assert run_cli(["estimate", "--counts", str(counts), *amps, *grid, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert ("pnr posterior sd" in err and "--grid" in err) == (code == 4)
+        assert "Traceback" not in err
+        assert out.exists() == (code == 0)
+
     def test_huge_count_exits_4_in_bounded_memory(self, tmp_path):
         # a dense pmf table up to n = 10^8 would need 1.6 TB on the default grid
         counts = tmp_path / "counts.txt"
@@ -419,6 +445,19 @@ class TestSweepCommand:
         assert code == 2
         assert message in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("method, code", [("bayes-pnr", 4), ("all", 4), ("fano-inversion", 0)])
+    def test_unresolved_posterior_exits_4(self, tmp_path, capsys, method, code):
+        # a = b = 20, M = 30000: posterior sd ~2e-4 on the default grid's
+        # step of 7.9e-4; the Fano jackknife variance is not a posterior's
+        prefix = tmp_path / "sweep"
+        assert run_cli([
+            "sweep", "--a", "20", "--b", "20", "--phi", "0.3", "--seed", "7",
+            "--replications", "2", "--m-list", "30000", "--method", method, "--out", str(prefix),
+        ]) == code
+        err = capsys.readouterr().err
+        assert ("bayes-pnr (M=30000, replication" in err and "--grid" in err) == (code == 4)
+        assert bool(list(tmp_path.iterdir())) == (code == 0)
 
     def test_fano_checks_skip_other_methods(self, tmp_path):
         code = run_cli([

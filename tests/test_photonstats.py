@@ -9,6 +9,7 @@ from scipy.stats import poisson
 
 import helpers
 from kennedyrx import montecarlo, photonstats
+from kennedyrx.estimation import fisher_onoff, fisher_pnr
 from kennedyrx.photonstats import (
     MAX_MEAN_PHOTONS,
     DetectorPlaneAmplitudes,
@@ -221,6 +222,15 @@ class TestPhotonPmfNoisy:
         for phi in (0.3, 1.0, math.pi / 2, 2.5):
             other = photon_pmf(amps(1, 1), phi, 2 * math.pi)
             np.testing.assert_allclose(other.probs, ref.probs, atol=1e-12)
+        # bright means: the integrand narrows like 1/sqrt(ab), and a fixed 64
+        # nodes left rows 0.058 (a = b = 14) and 0.133 (a = b = 20) apart in
+        # total variation, with PNR Fisher informations up to 108
+        phis = np.linspace(0.0, 2.5, 12)
+        for a in (5.0, 14.0, 20.0):
+            rows = pmf_table(amps(a, a), phis, 2 * math.pi)
+            assert 0.5 * np.abs(rows - rows[0]).sum(axis=1).max() < 1e-12
+            assert np.all(fisher_pnr(amps(a, a), phis, 2 * math.pi) < 1e-12)
+            assert np.all(fisher_onoff(amps(a, a), phis, 2 * math.pi) < 1e-12)
 
     def test_against_midpoint_oracle(self):
         p = photon_pmf(amps(SQRT2, SQRT2), 0.3, math.pi / 4)
@@ -306,11 +316,11 @@ class TestFanoFactor:
             assert fano_factor(amps(a, b), phi) == pytest.approx(var / mean, abs=1e-9)
 
     def test_noisy_moments(self):
-        p = photon_pmf(amps(SQRT2, SQRT2), 0.3, math.pi / 4)
-        mean, var = helpers.moments_by_summation(p.probs)
-        assert fano_factor(amps(SQRT2, SQRT2), 0.3, math.pi / 4) == pytest.approx(
-            var / mean, rel=1e-12
-        )
+        # the closed form against the moments of the noise-averaged pmf table
+        for a, b, phi, gamma in [(SQRT2, SQRT2, 0.3, math.pi / 4), (5, 5, 0.7, 2 * math.pi),
+                                 (20, 20, 0.3, 2 * math.pi)]:
+            mean, var = helpers.moments_by_summation(photon_pmf(amps(a, b), phi, gamma).probs)
+            assert fano_factor(amps(a, b), phi, gamma) == pytest.approx(var / mean, rel=1e-12)
 
     def test_zero_energy_is_domain_error(self):
         with pytest.raises(ValueError, match="Fano"):
