@@ -10,8 +10,10 @@ discriminate  empirical bit-error rate vs the analytic error probability
 sweep         estimator convergence curves over growing sample sizes
 
 One table, ``_COMMANDS``, declares each subcommand once: its handler, help
-line, required keys and the keys its comment block records; the parser and
-:func:`dispatch` both read it.
+line, required keys and the keys its comment block records.  A subcommand
+takes the amplitude keys and the keys it records, and no other: its parser
+builds only those flags, its config file may set only those keys, and
+:func:`dispatch` records them.
 
 Configuration comes from an optional flat ``key=value`` file (one pair per
 line, ``#`` comments) merged with command-line flags; flags win.  Config and
@@ -43,7 +45,7 @@ from .estimation import (
     DegenerateEvidenceError,
     PhaseGrid,
     UndefinedFanoError,
-    _fano_scale,
+    _invertible_fano_terms,
     bayes_estimate,
     crlb_variance,
     empirical_fano,
@@ -244,8 +246,10 @@ def _read_lines(path: str, error: type[ValueError], what: str) -> list[str]:
         raise error(f"cannot read {what} file {path}: {exc}") from None
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """Flat key=value file; '#' starts a comment, later keys override earlier ones."""
+def _read_config_file(path: str, command: str) -> dict[str, str]:
+    """Flat key=value file of the keys ``command`` takes; '#' starts a comment,
+    later keys override earlier ones."""
+    keys = _keys(command)
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(_read_lines(path, ConfigError, "config"), 1):
         line = raw.split("#", 1)[0].strip()
@@ -256,6 +260,10 @@ def _read_config_file(path: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONVERTERS:
             raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
+        if key not in keys:
+            raise ConfigError(
+                f"{path}:{lineno}: subcommand '{command}' does not take config key '{key}'"
+            )
         pairs[key] = value
     return pairs
 
@@ -269,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (_, help_line, _, _) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_line)
         sp.add_argument("--config", help="flat key=value config file")
-        for key in _CONVERTERS:
+        for key in _keys(command):
             flag = "--" + key.replace("_", "-")
             sp.add_argument(flag, dest=key, default=None, metavar=key.upper())
     return parser
@@ -303,8 +311,8 @@ def parse_config(argv=None) -> RunConfig:
     """Merge config file and flags (flags win) into a validated RunConfig."""
     argv = sys.argv[1:] if argv is None else list(argv)
     ns = _build_parser().parse_args(_attach_negative_values(argv))
-    raw = _read_config_file(ns.config) if ns.config else {}
-    for key in _CONVERTERS:
+    raw = _read_config_file(ns.config, ns.command) if ns.config else {}
+    for key in _keys(ns.command):
         value = getattr(ns, key)
         if value is not None:
             raw[key] = value
@@ -468,14 +476,13 @@ def _cmd_fisher(cfg: RunConfig, comments: list[str]) -> int:
     return EXIT_OK
 
 
-def _require_fano_amplitudes(amps) -> None:
+def _require_fano_information(amps, gamma: float) -> None:
+    """A config error where F carries no phase to invert: 4 a^2 b^2 is 0 in
+    double precision, or gamma is pi or 2 pi (see ``_invertible_fano_terms``)."""
     try:
-        _fano_scale(amps)
-    except ValueError:
-        raise ConfigError(
-            "fano-inversion needs both detector amplitudes a and b > 0, "
-            "and 4 a^2 b^2 > 0 in double precision"
-        ) from None
+        _invertible_fano_terms(amps, gamma)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _write_summary(cfg: RunConfig, comments: list[str], header: list[str], row, what: str) -> None:
@@ -487,14 +494,14 @@ def _write_summary(cfg: RunConfig, comments: list[str], header: list[str], row, 
 
 def _cmd_fano(cfg: RunConfig, comments: list[str]) -> int:
     amps = cfg.amplitudes()
-    _require_fano_amplitudes(amps)
+    _require_fano_information(amps, cfg.gamma)
     record = load_counts(cfg.counts)
     if record.sample_size < 3:
         raise DataError(
             f"{cfg.counts}: fano-inversion needs at least 3 shots for its jackknife "
             f"variance, got {record.sample_size}"
         )
-    est = fano_inversion_estimate(record, amps)
+    est = fano_inversion_estimate(record, amps, cfg.gamma)
     fano = empirical_fano(record)
     print(
         f"fano: value={_fmt(fano)} mean={_fmt(est.mean)} variance={_fmt(est.variance)} "
@@ -533,7 +540,7 @@ def _cmd_sweep(cfg: RunConfig, comments: list[str]) -> int:
     grid = PhaseGrid() if cfg.grid is None else PhaseGrid(size=cfg.grid)
     methods = METHODS if cfg.method == "all" else (cfg.method,)
     if "fano-inversion" in methods:
-        _require_fano_amplitudes(sim.amps)
+        _require_fano_information(sim.amps, cfg.gamma)
         if cfg.m_list[0] < 3:
             raise ConfigError(
                 "config key 'm_list': fano-inversion needs at least 3 shots per record "
@@ -569,7 +576,8 @@ def _cmd_sweep(cfg: RunConfig, comments: list[str]) -> int:
 
 
 # subcommand -> (handler, help line, required keys, keys its comment block
-# records after the amplitude keys), in the order the parser lists them
+# records after the amplitude keys), in the order the parser lists them; the
+# keys a subcommand takes are the amplitude keys and these recorded keys
 _COMMANDS = {
     "simulate": (_cmd_simulate, "draw a detection record and write a counts file",
                  ("phi", "M", "seed", "out"), ("phi", "gamma", "M", "seed", "out")),
@@ -578,7 +586,7 @@ _COMMANDS = {
     "fisher": (_cmd_fisher, "tabulate PNR and on/off Fisher information over a phase grid",
                ("out",), ("gamma", "grid", "out")),
     "fano": (_cmd_fano, "Fano-inversion phase estimate from a counts file",
-             ("counts",), ("counts", "out")),
+             ("counts",), ("gamma", "counts", "out")),
     "discriminate": (_cmd_discriminate, "empirical discrimination error vs the analytic formula",
                      ("phi", "M", "seed"), ("phi", "gamma", "M", "seed", "out")),
     "sweep": (_cmd_sweep, "estimator convergence sweep over sample sizes", ("phi", "seed", "out"),
@@ -586,11 +594,16 @@ _COMMANDS = {
 }
 
 
+def _keys(command: str) -> tuple[str, ...]:
+    """The config keys ``command`` takes, in the order its comment block records them."""
+    return ("a", "b", "alpha", "beta", "tau", *_COMMANDS[command][3])
+
+
 def dispatch(cfg: RunConfig) -> int:
     """Run one subcommand; returns the process exit status."""
-    handler, _, required, recorded = _COMMANDS[cfg.command]
+    handler, _, required, _ = _COMMANDS[cfg.command]
     cfg.require(*required)
-    return handler(cfg, _config_block(cfg, ("a", "b", "alpha", "beta", "tau", *recorded)))
+    return handler(cfg, _config_block(cfg, _keys(cfg.command)))
 
 
 def main(argv=None) -> int:

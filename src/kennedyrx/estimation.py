@@ -512,20 +512,31 @@ def uniform_posterior(grid: PhaseGrid) -> PhasePosterior:
 def _fisher(amps: DetectorPlaneAmplitudes, phi, gamma: float, n_max: int | None, bins):
     """The Fisher kernel, sum_k (dP_k/dphi)^2 / P_k over the bins k with P_k > 0;
     ``bins(p, dp)`` maps the rows of p_n and d p_n/d phi over n = 0..n_max to
-    rows of P_k and dP_k/dphi.  Phases go in blocks of bounded table size."""
+    rows of P_k and dP_k/dphi.  Phases go in blocks of bounded table size.
+
+    The result is exactly 0 where rounding alone could give it.  d p_n/dphi
+    sums, over the N nodes of the noise average (1 without noise), terms
+    ab sin(phi - psi) (D_{n-1} - D_n) (``photonstats._dphi_rows``) whose sizes
+    add up to at most S_n = 2ab (p_{n-1} + p_n), so it is off by up to
+    N eps S_n, and F by up to sum_k (N eps S_k)^2 / P_k over the bins.  The
+    true F is 0 at gamma = pi and 2 pi, whose windows span whole periods.
+    """
     phis = np.asarray(phi, dtype=float)
     flat = phis.ravel()
     cols = (photonstats.default_cutoff(amps) if n_max is None else n_max) + 1
     step = max(1, _BLOCK_CELLS // cols)
+    rounding = photonstats._noise_nodes(amps, gamma) * np.finfo(float).eps * 2.0 * amps.a * amps.b
     info = np.empty(flat.size)
     for start in range(0, flat.size, step):
         block = flat[start : start + step]
-        p, dp = bins(
-            photonstats.pmf_table(amps, block, gamma, n_max=n_max),
-            photonstats.dphi_table(amps, block, gamma, n_max=n_max),
-        )
-        terms = np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0)
-        info[start : start + step] = terms.sum(axis=1)
+        p_n = photonstats.pmf_table(amps, block, gamma, n_max=n_max)
+        err = rounding * p_n
+        err[:, 1:] += rounding * p_n[:, :-1]  # N eps S_n
+        p, dp = bins(p_n, photonstats.dphi_table(amps, block, gamma, n_max=n_max))
+        _, err = bins(p_n, err)
+        terms = np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0).sum(axis=1)
+        floor = np.divide(err * err, p, out=np.zeros_like(p), where=p > 0.0).sum(axis=1)
+        info[start : start + step] = np.where(terms > floor, terms, 0.0)
     return float(info[0]) if phis.ndim == 0 else info.reshape(phis.shape)
 
 
@@ -583,43 +594,58 @@ def empirical_fano(record: CountRecord) -> float:
     return float(q[0] / (m - 1) / mean[0])
 
 
-def _fano_scale(amps: DetectorPlaneAmplitudes) -> float:
-    """4 a^2 b^2, the scale of the phase term of F = 1 + 4a^2b^2 cos^2(phi)/(a^2+b^2),
-    which the Fano inversion divides by.  Raises ``ValueError`` unless it is
-    positive: a or b is zero, or so small that a^2 b^2 underflows to zero."""
-    scale = 4.0 * amps.a**2 * amps.b**2
+def _invertible_fano_terms(amps: DetectorPlaneAmplitudes, gamma: float) -> tuple[float, float]:
+    """``photonstats._fano_terms``, the k and 4 a^2 b^2 that the Fano inversion
+    divides by.  Raises ``ValueError`` where F has no phase to invert: 4 a^2 b^2
+    is 0 in double precision, or |k| is within the rounding of F.  F - 1 is
+    4a^2b^2 u/(a^2 + b^2) with u = (1 - k)/2 + k cos^2(phi) <= (1 + |k|)/2, so
+    F holds u to one spacing of doubles there at best; the phase moves u by
+    |k| at most, which at gamma = pi and 2 pi (|k| ~ 4e-17) is less."""
+    k, scale = photonstats._fano_terms(amps, gamma)
     if not scale > 0.0:
         raise ValueError(
-            f"Fano inversion needs a > 0 and b > 0 with 4 a^2 b^2 > 0, got a={amps.a!r}, b={amps.b!r}"
+            "Fano inversion needs both detector amplitudes a and b > 0, with 4 a^2 b^2 > 0 "
+            f"in double precision, got a={amps.a!r}, b={amps.b!r}"
         )
-    return scale
+    if abs(k) <= math.ulp(0.5 * (1.0 + abs(k))):
+        raise ValueError(
+            f"Fano inversion needs F to carry the phase, but at gamma={gamma!r} its weight "
+            f"sin(gamma)/gamma = {k:.2g} is within the rounding of F"
+        )
+    return k, scale
 
 
-def invert_fano(fano, amps: DetectorPlaneAmplitudes):
-    """Phase whose Fano factor equals ``fano``: cos^2(phi) = (F-1)(a^2+b^2)/(4a^2b^2).
+def invert_fano(fano, amps: DetectorPlaneAmplitudes, gamma: float = 0.0):
+    """Phase whose Fano factor under phase noise of width ``gamma`` equals
+    ``fano``: the closed form of :func:`photonstats.fano_factor` solved for
+    cos^2(phi) = (R - (1 - k)/2)/k, with R = (F-1)(a^2+b^2)/(4a^2b^2) and
+    k = sin(gamma)/gamma; without noise k = 1 and cos^2(phi) = R.
 
-    The ratio is clamped to [0, 1] before the arccos (sampling noise pushes
+    cos^2(phi) is clamped to [0, 1] before the arccos (sampling noise pushes
     it outside near the edges); the flag reports whether clamping fired.  A
-    float gives a float and a bool, an array one of each per entry.
+    float gives a float and a bool, an array one of each per entry.  Raises
+    ``ValueError`` where F carries no phase (see :func:`_invertible_fano_terms`).
     """
+    k, scale = _invertible_fano_terms(amps, gamma)
     fano = np.asarray(fano, dtype=float)
     with np.errstate(over="ignore"):  # a tiny scale sends ratios to +-inf, clamped like any
-        ratio = (fano - 1.0) * amps.mean_photons / _fano_scale(amps)
-    clamped = ~((0.0 <= ratio) & (ratio <= 1.0))
-    phi = np.arccos(np.sqrt(np.clip(ratio, 0.0, 1.0)))
+        cos2 = ((fano - 1.0) * amps.mean_photons / scale - 0.5 * (1.0 - k)) / k
+    clamped = ~((0.0 <= cos2) & (cos2 <= 1.0))
+    phi = np.arccos(np.sqrt(np.clip(cos2, 0.0, 1.0)))
     if fano.ndim == 0:
         return float(phi), bool(clamped)
     return phi, clamped
 
 
 def fano_inversion_estimates(
-    values, occupancy, amps: DetectorPlaneAmplitudes
+    values, occupancy, amps: DetectorPlaneAmplitudes, gamma: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Phase estimates from the empirical Fano factors of many records, one per
     row, with their jackknife variances and clamp flags.
 
     The records come as for :func:`bayes_estimates`.  The point estimate
-    inverts variance/mean (unbiased sample variance, :func:`invert_fano`);
+    inverts variance/mean (unbiased sample variance, :func:`invert_fano` at
+    the noise width ``gamma``);
     the uncertainty is a leave-one-out jackknife over the shots, which needs
     at least 3 of them per record.  Shots with equal counts leave out the
     same moments, so all of it runs over the values.  A record whose sample
@@ -631,14 +657,14 @@ def fano_inversion_estimates(
     if (m < 3).any():
         raise ValueError(f"jackknife uncertainty needs at least 3 shots, got {m.min()}")
     total, mean, y, q = _fano_moments(values, occupancy, m)
-    phi_hat, clamped = invert_fano(q / (m - 1) / mean, amps)
+    phi_hat, clamped = invert_fano(q / (m - 1) / mean, amps, gamma)
     # leave-one-out moments per value: the mean from the exact sum (0 when
     # the only nonzero shot leaves), the variance from centered sums
     m = m[:, None]
     mean_loo = (total[:, None] - values) / (m - 1)
     var_loo = np.maximum(q[:, None] - y * y * (m / (m - 1)), 0.0) / (m - 2)
     phi_loo, _ = invert_fano(
-        np.where(mean_loo > 0.0, var_loo / np.maximum(mean_loo, 1e-300), 1.0), amps
+        np.where(mean_loo > 0.0, var_loo / np.maximum(mean_loo, 1e-300), 1.0), amps, gamma
     )
     w = occupancy.astype(float)
     d = phi_loo - np.einsum("ij,ij->i", w, phi_loo)[:, None] / m
@@ -647,12 +673,12 @@ def fano_inversion_estimates(
 
 
 def fano_inversion_estimate(
-    record: CountRecord, amps: DetectorPlaneAmplitudes
+    record: CountRecord, amps: DetectorPlaneAmplitudes, gamma: float = 0.0
 ) -> PhaseEstimate:
     """Phase estimate from the empirical Fano factor of a count record: the
     one-row call of :func:`fano_inversion_estimates` on its histogram."""
     values, occurrences = record.histogram
-    phi_hat, jack_var, clamped = fano_inversion_estimates(values, occurrences[None], amps)
+    phi_hat, jack_var, clamped = fano_inversion_estimates(values, occurrences[None], amps, gamma)
     return PhaseEstimate(
         mean=float(phi_hat[0]),
         variance=float(jack_var[0]),

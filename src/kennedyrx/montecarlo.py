@@ -381,7 +381,9 @@ def run_convergence_sweeps(
                 occupancy[row] = np.bincount(_draw_record(cfg_m, rep), minlength=cap + 1)
             for j, (method, kind) in enumerate(zip(methods, kinds)):
                 if method == "fano-inversion":
-                    mean, var, _ = estimation.fano_inversion_estimates(values, occupancy, cfg.amps)
+                    mean, var, _ = estimation.fano_inversion_estimates(
+                        values, occupancy, cfg.amps, cfg.gamma
+                    )
                 else:
                     mean, var = estimation.bayes_estimates(
                         values, occupancy, cfg.amps, cfg.gamma, grid, kind

@@ -139,11 +139,6 @@ class PhotonPmf:
         n = np.arange(self.probs.size)
         return float(np.dot(n, self.probs))
 
-    def variance(self) -> float:
-        n = np.arange(self.probs.size)
-        m = float(np.dot(n, self.probs))
-        return float(np.dot(n * n, self.probs) - m * m)
-
 
 def nu_plus_minus(amps: DetectorPlaneAmplitudes, phi: float) -> tuple[float, float]:
     """Mean photon numbers (nu+, nu-) of the two Poisson components.
@@ -245,6 +240,14 @@ def _check_gamma(gamma: float) -> float:
     return float(gamma)
 
 
+def _noise_nodes(amps: DetectorPlaneAmplitudes, gamma: float, gl_nodes: int = GL_NODES) -> int:
+    """Gauss-Legendre nodes of the noise average, max(gl_nodes, ceil(5 gamma
+    sqrt(ab))) (see :data:`GL_NODES`); 1 at gamma = 0, where nothing is averaged."""
+    if gamma == 0.0:
+        return 1
+    return max(gl_nodes, math.ceil(5.0 * gamma * math.sqrt(amps.a * amps.b)))
+
+
 def _tabulate(rows_fn, amps: DetectorPlaneAmplitudes, phis, n: np.ndarray, gamma, gl_nodes):
     """``rows_fn`` at every phase in ``phis`` and photon number in ``n``,
     averaged over the noise window by Gauss-Legendre quadrature when gamma > 0,
@@ -257,8 +260,7 @@ def _tabulate(rows_fn, amps: DetectorPlaneAmplitudes, phis, n: np.ndarray, gamma
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     if gamma == 0.0:
         return rows_fn(amps.a, amps.b, phis, n)
-    nodes = max(gl_nodes, math.ceil(5.0 * gamma * math.sqrt(amps.a * amps.b)))
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(_noise_nodes(amps, gamma, gl_nodes))
     psi, w = 0.5 * gamma * x, 0.5 * w  # a unit-mean average over [-gamma/2, gamma/2]
     out = np.zeros((phis.size, n.size))
     chunk = max(1, int(2_000_000 // max(phis.size * n.size, 1)))
@@ -358,22 +360,27 @@ def photon_pmf_dphi(
     return dphi_table(amps, [phi], gamma, n_max=n_max)[0]
 
 
+def _fano_terms(amps: DetectorPlaneAmplitudes, gamma: float) -> tuple[float, float]:
+    """The noise weight k = sin(gamma)/gamma (1 without noise) and the scale
+    4 a^2 b^2 of the phase term of F = 1 + 4a^2b^2 [(1 - k)/2 + k cos^2(phi)]/(a^2 + b^2)."""
+    gamma = _check_gamma(gamma)
+    return (math.sin(gamma) / gamma if gamma > 0.0 else 1.0), 4.0 * amps.a**2 * amps.b**2
+
+
 def fano_factor(amps: DetectorPlaneAmplitudes, phi: float, gamma: float = 0.0) -> float:
     """Variance-to-mean ratio of the detected photon number, in closed form.
 
     The mixture moments give F = 1 + 4 a^2 b^2 E[cos^2(phi - psi)] / (a^2 + b^2)
     over the noise offset psi, uniform on [-gamma/2, gamma/2]: E[cos^2(phi -
-    psi)] = cos^2(phi) (1 + k)/2 + sin^2(phi) (1 - k)/2 with k = sin(gamma)/gamma,
-    and k = 1 without noise.  Requires a^2 + b^2 > 0.
+    psi)] = (1 - k)/2 + k cos^2(phi) with k = sin(gamma)/gamma, and k = 1
+    without noise (see :func:`_fano_terms`).  Requires a^2 + b^2 > 0.
     """
-    gamma = _check_gamma(gamma)
+    k, scale = _fano_terms(amps, gamma)
     energy = amps.mean_photons
     if energy <= 0.0:
         raise ValueError("Fano factor undefined at zero mean photon number (a = b = 0)")
-    k = math.sin(gamma) / gamma if gamma > 0.0 else 1.0
-    c, s = math.cos(phi), math.sin(phi)
-    mean_cos2 = 0.5 * ((1.0 + k) * c * c + (1.0 - k) * s * s)
-    return 1.0 + 4.0 * amps.a**2 * amps.b**2 * mean_cos2 / energy
+    c = math.cos(phi)
+    return 1.0 + scale * (0.5 * (1.0 - k) + k * c * c) / energy
 
 
 def pmf_fidelity(p: PhotonPmf, q: PhotonPmf) -> float:

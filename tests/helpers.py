@@ -80,16 +80,22 @@ def fd_dphi(pmf_fn, phi: float, h: float = 1e-6) -> np.ndarray:
     return (pmf_fn(phi + h) - pmf_fn(phi - h)) / (2.0 * h)
 
 
-def fano_jackknife_brute(counts: np.ndarray, a: float, b: float) -> tuple[float, float]:
+def fano_jackknife_brute(
+    counts: np.ndarray, a: float, b: float, gamma: float = 0.0
+) -> tuple[float, float]:
     """Fano-inversion phase and its leave-one-out jackknife variance, with the
-    sample moments recomputed from scratch for the record minus each shot."""
+    sample moments recomputed from scratch for the record minus each shot;
+    under phase noise of width gamma, F - 1 = 4a^2b^2 [(1 - k)/2 + k cos^2(phi)]
+    / (a^2 + b^2) with k = sin(gamma)/gamma."""
     x = np.asarray(counts, dtype=float)
     scale = (a * a + b * b) / (4.0 * a * a * b * b)
+    k = math.sin(gamma) / gamma if gamma > 0.0 else 1.0
 
     def phase(sample: np.ndarray) -> float:
         mean = sample.mean()
         fano = sample.var(ddof=1) / mean if mean > 0.0 else 1.0
-        return math.acos(math.sqrt(min(max((fano - 1.0) * scale, 0.0), 1.0)))
+        cos2 = ((fano - 1.0) * scale - (1.0 - k) / 2.0) / k
+        return math.acos(math.sqrt(min(max(cos2, 0.0), 1.0)))
 
     loo = np.array([phase(np.delete(x, i)) for i in range(x.size)])
     m = x.size

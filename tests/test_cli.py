@@ -17,7 +17,7 @@ from kennedyrx.cli import (
     parse_config,
     read_table,
 )
-from kennedyrx.estimation import PhaseGrid
+from kennedyrx.estimation import PhaseGrid, fano_inversion_estimate
 from kennedyrx.montecarlo import SimConfig, sample_counts
 from kennedyrx.photonstats import DetectorPlaneAmplitudes
 
@@ -91,6 +91,57 @@ class TestParseConfig:
         amps = cfg.amplitudes()
         assert amps.a == pytest.approx(0.2)
         assert amps.b == pytest.approx(math.sqrt(0.99))
+
+
+class TestCommandKeys:
+    """A subcommand takes the keys ``cli._COMMANDS`` declares for it, as flags
+    and as config-file lines, and exits 2 on every other key, writing nothing."""
+
+    VALUES = {"a": "1", "b": "1", "alpha": "1", "beta": "1", "tau": "0.5", "phi": "0.3",
+              "gamma": "0.5", "M": "10", "seed": "3", "replications": "2", "grid": "33",
+              "method": "bayes-pnr", "m_list": "3,5", "counts": COUNTS_80, "out": "x.csv"}
+    # the rest of a run of each subcommand that exits 0
+    RUNS = {
+        "simulate": ["--phi", "0.3", "--M", "10", "--seed", "3"],
+        "estimate": ["--counts", COUNTS_80, "--grid", "101"],
+        "fisher": ["--grid", "5"],
+        "fano": ["--counts", COUNTS_80],
+        "discriminate": ["--phi", "0.3", "--M", "10", "--seed", "3"],
+        "sweep": ["--phi", "0.3", "--seed", "3", "--replications", "2", "--m-list", "30,100",
+                  "--grid", "33"],
+    }
+
+    def run(self, directory, command, extra):
+        return run_cli([command, "--a", "1", "--b", "1", *self.RUNS[command], *extra,
+                        "--out", str(directory / "out")])
+
+    def test_key_counts(self):
+        counts = {command: len(cli._keys(command)) for command in cli._COMMANDS}
+        assert counts == {"simulate": 10, "estimate": 9, "fisher": 8, "fano": 8,
+                          "discriminate": 10, "sweep": 13}
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_each_run_exits_0(self, tmp_path, command):
+        assert self.run(tmp_path, command, []) == 0
+        assert list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key", list(cli._CONVERTERS))
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_a_key_is_taken_only_where_declared(self, tmp_path, capsys, command, key):
+        value = self.VALUES[key]
+        config = tmp_path / "key.cfg"
+        config.write_text(f"{key}={value}\n")
+        ways = (["--" + key.replace("_", "-"), value], ["--config", str(config)])
+        if key in cli._keys(command):
+            for way in ways:
+                parsed = getattr(parse_config([command, *way]), key)
+                assert parsed == cli._CONVERTERS[key](key, value)
+            return
+        for way, names in zip(ways, ("--" + key.replace("_", "-"), f"'{key}'")):
+            assert self.run(tmp_path, command, way) == 2
+            err = capsys.readouterr().err
+            assert names in err and "Traceback" not in err
+            assert [p.name for p in tmp_path.iterdir()] == ["key.cfg"]
 
 
 class TestLoadCounts:
@@ -304,7 +355,8 @@ class TestRecordSizeBound:
         flags[key] = str(bound + 1 if over == "bound+1" else 10**15)
         args = [command, "--a", "1.12", "--b", "0.79", "--out", str(tmp_path / "out")]
         for k, v in flags.items():
-            args += ["--" + k.replace("_", "-"), v]
+            if k in cli._keys(command):  # any other key is an error of its own
+                args += ["--" + k.replace("_", "-"), v]
         # the timer starts after the import, so only the command itself is timed
         proc = run_python(
             "import json, sys, time\n"
@@ -321,11 +373,12 @@ class TestRecordSizeBound:
         assert not list(tmp_path.iterdir())
 
     def test_bounds_themselves_parse(self):
+        assert parse_config(["simulate", "--M", str(cli.MAX_SHOTS)]).M == cli.MAX_SHOTS
         cfg = parse_config([
-            "sweep", "--M", str(cli.MAX_SHOTS), "--m-list", f"100,{cli.MAX_SHOTS}",
+            "sweep", "--m-list", f"100,{cli.MAX_SHOTS}",
             "--replications", str(cli.MAX_REPLICATIONS),
         ])
-        assert cfg.M == cli.MAX_SHOTS and cfg.m_list == (100, cli.MAX_SHOTS)
+        assert cfg.m_list == (100, cli.MAX_SHOTS)
         assert cfg.replications == cli.MAX_REPLICATIONS
 
 
@@ -346,6 +399,35 @@ class TestFanoCommand:
         _, header, rows = read_table(str(out))
         assert header == ["M", "fano", "mean", "variance", "clamped"]
         assert rows[0][0] == 5000
+
+    def test_noisy_record_prints_the_library_estimate(self, tmp_path, capsys):
+        # without gamma the inversion read this record as phi = 0.608
+        counts, out = tmp_path / "counts.txt", tmp_path / "fano.csv"
+        amps = ["--a", repr(SQRT2), "--b", repr(SQRT2)]
+        run_cli(["simulate", *amps, "--phi", "0.3", "--gamma", "2.0", "--M", "30000",
+                 "--seed", "5", "--out", str(counts)])
+        capsys.readouterr()
+        assert run_cli(["fano", "--counts", str(counts), *amps, "--gamma", "2.0",
+                        "--out", str(out)]) == 0
+        est = fano_inversion_estimate(
+            load_counts(str(counts)), DetectorPlaneAmplitudes(SQRT2, SQRT2), 2.0
+        )
+        assert f"mean={est.mean:.17g} variance={est.variance:.17g}" in capsys.readouterr().out
+        meta, _, rows = read_table(str(out))
+        assert meta["gamma"] == "2" and rows[0][2] == est.mean
+        assert abs(est.mean - 0.3) < 3.0 * math.sqrt(est.variance)
+
+    @pytest.mark.parametrize("gamma", ["3.141592653589793", "6.283185307179586"])
+    def test_no_phase_information_exits_2(self, tmp_path, capsys, gamma):
+        counts = tmp_path / "counts.txt"
+        counts.write_text("0\n1\n2\n3\n")
+        sweep = ["sweep", "--phi", "0.3", "--seed", "1", "--replications", "2", "--m-list", "30",
+                 "--out", str(tmp_path / "sweep")]
+        for args in (["fano", "--counts", str(counts), "--out", str(tmp_path / "fano.csv")], sweep):
+            assert run_cli([*args, "--a", "1", "--b", "1", "--gamma", gamma]) == 2
+            err = capsys.readouterr().err
+            assert f"gamma={gamma}" in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["counts.txt"]
 
     def test_all_zero_counts_exit_code(self, tmp_path):
         counts = tmp_path / "counts.txt"
@@ -458,6 +540,21 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert ("bayes-pnr (M=30000, replication" in err and "--grid" in err) == (code == 4)
         assert bool(list(tmp_path.iterdir())) == (code == 0)
+
+    @pytest.mark.parametrize("gamma", ["0.5", "2"])
+    def test_fano_inversion_reads_gamma(self, tmp_path, gamma):
+        # the noiseless inversion gave mean ratios of 1.10 (gamma 0.5) and
+        # 1.98 (gamma 2) here; 50 replications, so three standard errors of
+        # the mean estimate, relative to phi* = 0.3, bound the gap
+        prefix = tmp_path / "sweep"
+        assert run_cli([
+            "sweep", "--a", repr(SQRT2), "--b", repr(SQRT2), "--phi", "0.3", "--gamma", gamma,
+            "--seed", "7", "--method", "fano-inversion", "--m-list", "30000",
+            "--replications", "50", "--out", str(prefix),
+        ]) == 0
+        _, _, rows = read_table(f"{prefix}_fano-inversion.csv")
+        _, mean_ratio, sd, _, _ = rows[0]
+        assert abs(mean_ratio - 1.0) <= 3.0 * sd / (math.sqrt(50) * 0.3)
 
     def test_fano_checks_skip_other_methods(self, tmp_path):
         code = run_cli([

@@ -98,11 +98,12 @@ def argv(command: str, flags: dict, tmp: Path) -> list[str]:
 
 @st.composite
 def flag_sets(draw, max_invalid=2):
-    """A subcommand with a valid value for every key and one source of
-    amplitudes, then up to ``max_invalid`` keys set to invalid values and up
-    to two keys dropped."""
+    """A subcommand with a valid value for every key it takes and one source of
+    amplitudes, then up to ``max_invalid`` of its keys set to invalid values
+    and up to two keys dropped."""
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
-    flags = {key: draw(st.sampled_from(values)) for key, values in VALID.items()}
+    keys = (*cli._keys(command), "config")
+    flags = {key: draw(st.sampled_from(values)) for key, values in VALID.items() if key in keys}
     amplitude = st.sampled_from(AMPLITUDES)
     source = draw(st.sampled_from(["direct", "physical", "beta", "config"]))
     if source == "direct":
@@ -113,7 +114,8 @@ def flag_sets(draw, max_invalid=2):
         flags.update(beta=draw(amplitude))
     else:
         flags.update(config="{tmp}/amps.cfg")
-    for key in draw(st.lists(st.sampled_from(sorted(INVALID)), max_size=max_invalid, unique=True)):
+    invalid = sorted(key for key in INVALID if key in keys)
+    for key in draw(st.lists(st.sampled_from(invalid), max_size=max_invalid, unique=True)):
         flags[key] = draw(st.sampled_from(INVALID[key]))
     for key in draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True)):
         # an absent M, m_list, grid or replications would take its default,
@@ -125,8 +127,8 @@ def flag_sets(draw, max_invalid=2):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(flag_sets())
-@example(("sweep", {**{k: v[0] for k, v in VALID.items()}, "phi": "0.3", "m_list": "3,5",
-                    "a": "5e-324", "b": SQRT2}))
+@example(("sweep", {**{k: VALID[k][0] for k in cli._keys("sweep") if k in VALID}, "phi": "0.3",
+                    "m_list": "3,5", "a": "5e-324", "b": SQRT2}))
 @example(("fano", {"counts": "{tmp}/mixed", "a": "1e-300", "b": "1"}))
 @example(("estimate", {"counts": "{tmp}/mixed", "a": "1e-160", "b": "1e-160", "gamma": "0.5",
                        "grid": "17", "out": "{tmp}/out"}))
@@ -154,10 +156,10 @@ def _outputs(directory: Path) -> dict[str, list[str]]:
     }
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(flag_sets(max_invalid=0))
-@example(("sweep", {**{k: v[0] for k, v in VALID.items()}, "phi": "-0.3", "m_list": "3,5",
-                    "gamma": "0.5", "a": "0.6", "b": SQRT2}))
+@example(("sweep", {**{k: VALID[k][0] for k in cli._keys("sweep") if k in VALID}, "phi": "-0.3",
+                    "m_list": "3,5", "gamma": "0.5", "a": "0.6", "b": SQRT2}))
 @example(("fano", {"counts": "{tmp}/mixed", "alpha": "1", "beta": "0.6", "tau": "0.999"}))
 def test_comment_block_replays_every_run(tmp, case):
     command, flags = case

@@ -590,6 +590,24 @@ class TestFanoInversion:
             assert not clamped
             assert phi_hat == pytest.approx(phi_star, abs=1e-10)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0, 4.0])
+    def test_round_trip_under_phase_noise(self, gamma):
+        # gamma = 4 has k = sin(gamma)/gamma < 0: F then falls as cos^2(phi) grows
+        a = amps(SQRT2, SQRT2)
+        for phi in (0.1, 0.3, 0.7, 1.2):
+            phi_hat, clamped = invert_fano(fano_factor(a, phi, gamma), a, gamma)
+            assert not clamped
+            assert phi_hat == pytest.approx(phi, abs=1e-9)
+
+    @pytest.mark.parametrize("gamma", [math.pi, 2 * math.pi])
+    def test_no_phase_information_at_zero_noise_weight(self, gamma):
+        # sin(gamma)/gamma is +-3.9e-17 here, below the rounding of F
+        record = CountRecord(counts=np.array([0, 1, 2, 3, 5]))
+        with pytest.raises(ValueError, match="gamma"):
+            invert_fano(2.0, amps(SQRT2, SQRT2), gamma)
+        with pytest.raises(ValueError, match="gamma"):
+            fano_inversion_estimate(record, amps(SQRT2, SQRT2), gamma)
+
     def test_poisson_boundary_clamps_about_half_the_time(self):
         # phi* = pi/2 statistics are exactly Poissonian: Fano hat straddles 1
         clamped_runs = 0

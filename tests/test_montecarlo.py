@@ -538,7 +538,9 @@ class TestConvergenceSweeps:
                 )):
                     est = bayes_estimate(posterior(ll, grid), sample_size=m)
                     expected[j, :, i, rep] = est.mean, est.variance
-                expected[2, :, i, rep] = helpers.fano_jackknife_brute(record.counts, SQRT2, SQRT2)
+                expected[2, :, i, rep] = helpers.fano_jackknife_brute(
+                    record.counts, SQRT2, SQRT2, gamma
+                )
         for j, result in enumerate(results):
             np.testing.assert_allclose(result.estimates, expected[j, 0], rtol=1e-10, atol=0)
             np.testing.assert_allclose(result.variances, expected[j, 1], rtol=1e-10, atol=0)
