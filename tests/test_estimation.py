@@ -452,6 +452,54 @@ class TestSequentialUpdate:
         with pytest.raises(DegenerateEvidenceError):
             sequential_update(uniform_posterior(GRID), 10**8, amps(SQRT2, SQRT2), 0.0)
 
+    @pytest.mark.parametrize(
+        "a, b, kind, size, shots, first",
+        [
+            (SQRT2, SQRT2, "pnr", 2001, 2000, ()),
+            (SQRT2, SQRT2, "onoff", 2001, 2000, ()),
+            (1.12, 0.79, "pnr", 201, 2000, ()),
+            (20.0, 20.0, "pnr", 2001, 3000, ()),  # about 64 cells stay nonzero
+            (14.0, 14.0, "pnr", 20001, 300, ()),
+            (14.0, 14.0, "pnr", 2001, 300, (1500,)),  # n = 1500 leaves cells at -inf
+            (5.0, 5.0, "onoff", 2001, 2000, ()),
+        ],
+        ids=["sqrt2-pnr", "sqrt2-onoff", "golden-201", "bright-20", "bright-14-fine",
+             "bright-14-minus-inf", "5-onoff"],
+    )
+    def test_update_is_the_full_grid_arithmetic_bit_for_bit(self, a, b, kind, size, shots, first):
+        # the update spelled over the whole grid: exp of every cell, the
+        # trapezoid normalizer, then the normalized log density and density
+        grid = PhaseGrid(size=size)
+        cfg = SimConfig(amps=amps(a, b), phi_star=0.3, M=shots, seed=5)
+        events = [*first, *map(int, sample_counts(cfg).counts)]
+        column, bin_of = estimation._kind(kind)
+        weights = _trapezoid_weights(grid)
+        post = uniform_posterior(grid)
+        log_density, density, evidence_log = post.log_density, post.density, post.evidence_log
+        for i, n in enumerate(events):
+            post = sequential_update(post, n, cfg.amps, 0.0, detector_kind=kind)
+            lu = log_density + column(cfg.amps, 0.0, grid, bin_of(n))
+            peak = lu.max()
+            dens = np.exp(lu - peak)
+            z = float(weights @ dens)
+            log_norm = peak + math.log(z)
+            log_density, density, evidence_log = lu - log_norm, dens / z, evidence_log + log_norm
+            assert np.array_equal(post.log_density, log_density), i
+            assert np.array_equal(post.density, density), i
+            assert post.evidence_log == evidence_log, i
+            if first and i == 0:
+                assert np.isneginf(post.log_density).any()
+        assert not (post.log_density.flags.writeable or post.density.flags.writeable)
+
+    def test_posterior_copies_the_callers_loglik(self):
+        ll = -((GRID.points - 0.3) ** 2) / 2e-4
+        before = ll.copy()
+        post = posterior(ll, GRID)
+        assert np.array_equal(ll, before) and ll.flags.writeable
+        assert not np.shares_memory(post.log_density, ll)
+        assert not np.shares_memory(post.density, ll)
+        assert not (post.log_density.flags.writeable or post.density.flags.writeable)
+
     @pytest.mark.parametrize("kind", ["pnr", "onoff"])
     @pytest.mark.parametrize("event", [2**63, 2**70])
     def test_event_no_record_can_hold_is_rejected(self, event, kind):
