@@ -91,6 +91,9 @@ DetectorKind = Literal["onoff", "pnr"]
 # photonstats' noise-average budget.
 _BLOCK_CELLS = 2_000_000
 
+# exp(x) is exactly 0 for x below about -745.13
+_EXP_UNDERFLOW = 746.0
+
 
 class DegenerateEvidenceError(ValueError):
     """Raised when a likelihood is zero everywhere on the phase grid."""
@@ -201,9 +204,24 @@ class PhasePosterior:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (self.grid.size,):
                 raise ValueError(f"{name} must have one entry per grid point")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, arr.copy())
+        self._seal()
+
+    @classmethod
+    def _adopt(cls, grid: PhaseGrid, log_density: np.ndarray, density: np.ndarray,
+               evidence_log: float) -> PhasePosterior:
+        """The library's constructor: it takes over two fresh float arrays of
+        one entry per grid point, which nothing else holds, without copies."""
+        post = object.__new__(cls)
+        vars(post).update(grid=grid, log_density=log_density, density=density,
+                          evidence_log=evidence_log)
+        post._seal()
+        return post
+
+    def _seal(self) -> None:
+        """Make both arrays read-only and check that the density integrates to one."""
+        self.log_density.setflags(write=False)
+        self.density.setflags(write=False)
         total = float(_trapezoid_weights(self.grid) @ self.density)
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-8):
             raise ValueError(f"posterior density integrates to {total!r}, not 1")
@@ -357,7 +375,7 @@ def posterior(loglik, grid: PhaseGrid) -> PhasePosterior:
     The constant prior cancels out of the density and is absorbed in the
     evidence convention (see :class:`PhasePosterior`).
     """
-    ll = np.asarray(loglik, dtype=float)
+    ll = np.array(loglik, dtype=float)  # a copy, which _normalized takes over
     if ll.shape != (grid.size,):
         raise ValueError("log-likelihood must have one entry per grid point")
     if np.isnan(ll).any():
@@ -367,20 +385,28 @@ def posterior(loglik, grid: PhaseGrid) -> PhasePosterior:
 
 def _normalized(log_unnorm: np.ndarray, grid: PhaseGrid, evidence_log: float) -> PhasePosterior:
     """Posterior of an unnormalized log density, by max-subtracted exponentiation
-    and trapezoid normalization; its log normalizer is added to the evidence."""
+    and trapezoid normalization; its log normalizer is added to the evidence.
+
+    It takes over ``log_unnorm``, a fresh array, and normalizes it in place.
+    Only the window from the first to the last grid point within 746 of the
+    peak is exponentiated: beyond it ``exp`` gives exactly 0, so the density
+    and the full-grid normalizer are those of ``exp`` over every point, bit
+    for bit.
+    """
     peak = log_unnorm.max()
     if not math.isfinite(peak):
         raise DegenerateEvidenceError("likelihood vanishes at every grid point")
-    dens = np.exp(log_unnorm - peak)
+    x = log_unnorm - peak
+    near = np.flatnonzero(x >= -_EXP_UNDERFLOW)
+    window = slice(near[0], near[-1] + 1)
+    dens = np.zeros(grid.size)
+    np.exp(x[window], out=dens[window])
     # dens is 1 at the peak and in [0, 1] elsewhere, so z is finite and positive
     z = float(_trapezoid_weights(grid) @ dens)
     log_norm = peak + math.log(z)
-    return PhasePosterior(
-        grid=grid,
-        log_density=log_unnorm - log_norm,
-        density=dens / z,
-        evidence_log=evidence_log + log_norm,
-    )
+    log_unnorm -= log_norm
+    dens /= z
+    return PhasePosterior._adopt(grid, log_unnorm, dens, evidence_log + log_norm)
 
 
 def bayes_estimate(post: PhasePosterior, sample_size: int = 0) -> PhaseEstimate:
@@ -437,10 +463,6 @@ def bayes_estimates(
         rows = slice(start, start + len(block))
         means[rows], variances[rows] = _posterior_moments(block, grid)
     return means, variances
-
-
-# exp(x) is exactly 0 for x below about -745.13
-_EXP_UNDERFLOW = 746.0
 
 
 def _posterior_moments(ll: np.ndarray, grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -105,7 +105,9 @@ def flag_sets(draw, max_invalid=2):
     keys = (*cli._keys(command), "config")
     flags = {key: draw(st.sampled_from(values)) for key, values in VALID.items() if key in keys}
     amplitude = st.sampled_from(AMPLITUDES)
-    source = draw(st.sampled_from(["direct", "physical", "beta", "config"]))
+    # a bare beta is a source of amplitudes for discriminate alone
+    sources = ["direct", "physical", "config", *(["beta"] if command == "discriminate" else [])]
+    source = draw(st.sampled_from(sources))
     if source == "direct":
         flags.update(a=draw(amplitude), b=draw(amplitude))
     elif source == "physical":
