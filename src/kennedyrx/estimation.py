@@ -5,7 +5,9 @@ so the phase is identifiable only on [0, pi/2]; that interval carries the
 uniform prior.  Posteriors live on a uniform grid, and every integral over it
 (normalizer, normalization check, mean, variance, skewness) is a dot product
 with the grid's cached trapezoid weights, so a streaming shot pays no
-quadrature set-up.
+quadrature set-up.  A streaming update exponentiates only the window of grid
+points within 746 of the peak, beyond which ``exp`` gives exactly 0, so its
+result is the full-grid arithmetic bit for bit.
 
 One kernel turns photon-number histograms, the sufficient statistic, into
 log-likelihoods.  Records come as one representation: distinct counts in
