@@ -419,12 +419,12 @@ def _cmd_simulate(cfg: RunConfig, comments: list[str]) -> int:
     return EXIT_OK
 
 
-def _estimate_summary(tag: str, est) -> str:
-    crlb = "nan" if est.crlb is None else _fmt(est.crlb)
+def _estimate_summary(tag: str, est, crlb: float | None, m_total: int) -> str:
+    crlb = "nan" if crlb is None else _fmt(crlb)
     skew = "nan" if est.skewness is None else _fmt(est.skewness)
     return (
         f"{tag}: mean={_fmt(est.mean)} variance={_fmt(est.variance)} "
-        f"crlb={crlb} skewness={skew} M={est.sample_size}"
+        f"crlb={crlb} skewness={skew} M={m_total}"
     )
 
 
@@ -452,11 +452,11 @@ def _cmd_estimate(cfg: RunConfig, comments: list[str]) -> int:
         ("onoff", log_likelihood_onoff(record, amps, cfg.gamma, grid), fisher_onoff),
     ):
         post = posterior(loglik, grid)
-        est = bayes_estimate(post, sample_size=m_total)
+        est = bayes_estimate(post)
         _require_resolved(est.variance, grid, tag)
         crlb = crlb_variance(fisher(amps, est.mean, cfg.gamma), m_total)
         densities.append(post.density)
-        summaries.append(_estimate_summary(tag, dataclasses.replace(est, crlb=crlb)))
+        summaries.append(_estimate_summary(tag, est, crlb, m_total))
 
     comments = comments + ["# " + line for line in summaries]
     rows = zip(grid.points, *densities)
@@ -505,11 +505,11 @@ def _cmd_fano(cfg: RunConfig, comments: list[str]) -> int:
     fano = empirical_fano(record)
     print(
         f"fano: value={_fmt(fano)} mean={_fmt(est.mean)} variance={_fmt(est.variance)} "
-        f"clamped={str(est.clamped).lower()} M={est.sample_size}"
+        f"clamped={str(est.clamped).lower()} M={record.sample_size}"
     )
     _write_summary(
         cfg, comments, ["M", "fano", "mean", "variance", "clamped"],
-        (est.sample_size, fano, est.mean, est.variance, est.clamped), "estimate",
+        (record.sample_size, fano, est.mean, est.variance, est.clamped), "estimate",
     )
     return EXIT_OK
 

@@ -4,10 +4,10 @@ The photon statistics are invariant under phi -> -phi and phi -> pi - phi,
 so the phase is identifiable only on [0, pi/2]; that interval carries the
 uniform prior.  Posteriors live on a uniform grid, and every integral over it
 (normalizer, normalization check, mean, variance, skewness) is a dot product
-with the grid's cached trapezoid weights, so a streaming shot pays no
-quadrature set-up.  A streaming update exponentiates only the window of grid
-points within 746 of the peak, beyond which ``exp`` gives exactly 0, so its
-result is the full-grid arithmetic bit for bit.
+with the trapezoid weights the grid holds, computed once per grid object, so
+a streaming shot pays no quadrature set-up.  A streaming update exponentiates
+only the window of grid points within 746 of the peak, beyond which ``exp``
+gives exactly 0, so its result is the full-grid arithmetic bit for bit.
 
 One kernel turns photon-number histograms, the sufficient statistic, into
 log-likelihoods.  Records come as one representation: distinct counts in
@@ -122,27 +122,21 @@ class PhaseGrid:
         object.__setattr__(self, "hi", float(self.hi))
         object.__setattr__(self, "size", int(self.size))
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return _grid_points(self)
+        pts = np.linspace(self.lo, self.hi, self.size)
+        pts.setflags(write=False)
+        return pts
 
-
-@lru_cache(maxsize=16)
-def _grid_points(grid: PhaseGrid) -> np.ndarray:
-    pts = np.linspace(grid.lo, grid.hi, grid.size)
-    pts.setflags(write=False)
-    return pts
-
-
-@lru_cache(maxsize=16)
-def _trapezoid_weights(grid: PhaseGrid) -> np.ndarray:
-    """Weights w with w @ f equal to the trapezoid rule of f over the grid points."""
-    half = 0.5 * np.diff(_grid_points(grid))
-    w = np.zeros(grid.size)
-    w[:-1] += half
-    w[1:] += half
-    w.setflags(write=False)
-    return w
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Weights w with w @ f equal to the trapezoid rule of f over the grid points."""
+        half = 0.5 * np.diff(self.points)
+        w = np.zeros(self.size)
+        w[:-1] += half
+        w[1:] += half
+        w.setflags(write=False)
+        return w
 
 
 def fold_phase(phi: float) -> float:
@@ -224,33 +218,27 @@ class PhasePosterior:
         """Make both arrays read-only and check that the density integrates to one."""
         self.log_density.setflags(write=False)
         self.density.setflags(write=False)
-        total = float(_trapezoid_weights(self.grid) @ self.density)
+        total = float(self.grid.weights @ self.density)
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-8):
             raise ValueError(f"posterior density integrates to {total!r}, not 1")
 
 
 @dataclass(frozen=True)
 class PhaseEstimate:
-    """Point estimate of the phase with its uncertainty and CRLB reference.
+    """Point estimate of the phase with its uncertainty.
 
-    ``crlb`` is the Cramer-Rao variance floor 1/(M*F) when available (None in
-    degenerate regimes); ``clamped`` marks Fano inversions whose moment ratio
-    fell outside the invertible range; ``skewness`` is recorded for posterior
-    shape diagnostics.
+    ``clamped`` marks Fano inversions whose moment ratio fell outside the
+    invertible range; ``skewness`` is recorded for posterior shape diagnostics.
     """
 
     mean: float
     variance: float
-    crlb: float | None = None
-    sample_size: int = 0
     clamped: bool = False
     skewness: float | None = None
 
     def __post_init__(self) -> None:
         if self.variance < 0:
             raise ValueError(f"variance must be nonnegative, got {self.variance!r}")
-        if self.crlb is not None and self.crlb <= 0:
-            raise ValueError(f"crlb must be positive when present, got {self.crlb!r}")
 
 
 @lru_cache(maxsize=256)
@@ -294,6 +282,20 @@ def _kind(detector_kind: DetectorKind):
         return _KINDS[detector_kind]
     except (KeyError, TypeError):
         raise ValueError(f"detector_kind must be 'onoff' or 'pnr', got {detector_kind!r}") from None
+
+
+def _histogram_rows(values, occupancy) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` and ``occupancy`` as arrays, once they are checked to hold
+    records: distinct nonnegative integer counts in ascending order, and a 2-D
+    array of their nonnegative integer occurrences, one row per record."""
+    values, occupancy = np.asarray(values), np.asarray(occupancy)
+    if not (values.ndim == 1 and np.issubdtype(values.dtype, np.integer)
+            and (values[:1] >= 0).all() and (values[1:] > values[:-1]).all()):
+        raise ValueError("values must be distinct nonnegative integer counts in ascending order")
+    if not (occupancy.ndim == 2 and np.issubdtype(occupancy.dtype, np.integer)
+            and occupancy.shape[1] == values.size and (occupancy >= 0).all()):
+        raise ValueError("occupancy must be 2-D nonnegative integers, one column per value")
+    return values, occupancy
 
 
 def _bins(values, occupancy, detector_kind: DetectorKind):
@@ -404,23 +406,21 @@ def _normalized(log_unnorm: np.ndarray, grid: PhaseGrid, evidence_log: float) ->
     dens = np.zeros(grid.size)
     np.exp(x[window], out=dens[window])
     # dens is 1 at the peak and in [0, 1] elsewhere, so z is finite and positive
-    z = float(_trapezoid_weights(grid) @ dens)
+    z = float(grid.weights @ dens)
     log_norm = peak + math.log(z)
     log_unnorm -= log_norm
     dens /= z
     return PhasePosterior._adopt(grid, log_unnorm, dens, evidence_log + log_norm)
 
 
-def bayes_estimate(post: PhasePosterior, sample_size: int = 0) -> PhaseEstimate:
+def bayes_estimate(post: PhasePosterior) -> PhaseEstimate:
     """Posterior mean, central variance and skewness by trapezoid quadrature.
 
     The moments are taken about the mean, so no raw-moment cancellation
-    occurs.  ``crlb`` is left unset: it depends on the detection model and
-    on the point where the Fisher information is evaluated, which callers
-    attach with ``dataclasses.replace``.
+    occurs.
     """
     pts = post.grid.points
-    weighted = post.density * _trapezoid_weights(post.grid)
+    weighted = post.density * post.grid.weights
     mean = float(weighted @ pts)
     centered = pts - mean
     squared = centered * centered
@@ -431,9 +431,7 @@ def bayes_estimate(post: PhasePosterior, sample_size: int = 0) -> PhaseEstimate:
         # squared * centered, not centered**3: np.power is the slowest step here
         third = float(weighted @ (squared * centered))
         skew = third / scale
-    return PhaseEstimate(
-        mean=mean, variance=var, sample_size=sample_size, skewness=skew
-    )
+    return PhaseEstimate(mean=mean, variance=var, skewness=skew)
 
 
 def bayes_estimates(
@@ -454,9 +452,10 @@ def bayes_estimates(
     kernel's output, on the block's window (:func:`_posterior_moments`), so
     memory does not follow the number of records.  The moments are those of
     :func:`bayes_estimate` up to the rounding of their sums, and a row whose
-    posterior :func:`posterior` would reject raises what it raises.
+    posterior :func:`posterior` would reject raises what it raises, and
+    rows that are not such a histogram raise ``ValueError``.
     """
-    occupancy = np.asarray(occupancy)
+    values, occupancy = _histogram_rows(values, occupancy)
     step = max(1, _BLOCK_CELLS // grid.size)
     means, variances = np.empty(len(occupancy)), np.empty(len(occupancy))
     for start in range(0, len(occupancy), step):
@@ -492,7 +491,7 @@ def _posterior_moments(ll: np.ndarray, grid: PhaseGrid) -> tuple[np.ndarray, np.
         raise DegenerateEvidenceError("likelihood vanishes at every grid point")
     near = np.flatnonzero((ll >= (peak - _EXP_UNDERFLOW)[:, None]).any(axis=0))
     window = slice(near[0], near[-1] + 1)
-    ll, weights, points = ll[:, window], _trapezoid_weights(grid)[window], grid.points[window]
+    ll, weights, points = ll[:, window], grid.weights[window], grid.points[window]
     ll -= peak[:, None]
     np.exp(ll, out=ll)
     ll /= (ll @ weights)[:, None]
@@ -676,7 +675,7 @@ def fano_inversion_estimates(
     mean vanishes carries no Fano information and raises
     :class:`UndefinedFanoError`.
     """
-    occupancy = np.asarray(occupancy)
+    values, occupancy = _histogram_rows(values, occupancy)
     m = occupancy.sum(axis=1)
     if (m < 3).any():
         raise ValueError(f"jackknife uncertainty needs at least 3 shots, got {m.min()}")
@@ -703,9 +702,4 @@ def fano_inversion_estimate(
     one-row call of :func:`fano_inversion_estimates` on its histogram."""
     values, occurrences = record.histogram
     phi_hat, jack_var, clamped = fano_inversion_estimates(values, occurrences[None], amps, gamma)
-    return PhaseEstimate(
-        mean=float(phi_hat[0]),
-        variance=float(jack_var[0]),
-        sample_size=record.sample_size,
-        clamped=bool(clamped[0]),
-    )
+    return PhaseEstimate(float(phi_hat[0]), float(jack_var[0]), clamped=bool(clamped[0]))

@@ -39,7 +39,6 @@ import numpy.random  # every draw needs it; loading it here keeps it out of the 
 from . import estimation, photonstats
 from .estimation import CountRecord, PhaseGrid
 from .photonstats import DetectorPlaneAmplitudes, PhotonPmf
-from .receiver import ReceiverParams, detector_amplitudes
 
 __all__ = [
     "SimConfig",
@@ -86,10 +85,11 @@ class SimConfig:
     replications: int = 50
 
     def __post_init__(self) -> None:
-        if isinstance(self.amps, ReceiverParams):
-            object.__setattr__(self, "amps", detector_amplitudes(self.amps))
         if not isinstance(self.amps, DetectorPlaneAmplitudes):
-            raise ValueError("amps must be DetectorPlaneAmplitudes or ReceiverParams")
+            raise ValueError("amps must be DetectorPlaneAmplitudes (receiver.detector_amplitudes "
+                             f"maps physical parameters to them), got {type(self.amps).__name__}")
+        if not math.isfinite(float(self.phi_star)):
+            raise ValueError(f"phi_star must be finite, got {self.phi_star!r}")
         if int(self.M) < 1:
             raise ValueError(f"M must be >= 1, got {self.M!r}")
         if int(self.replications) < 1:
@@ -100,7 +100,7 @@ class SimConfig:
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(self, "phi_star", float(self.phi_star))
-        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "gamma", photonstats._check_gamma(float(self.gamma)))
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,12 @@ class SweepResult:
 
     method: str
     rows: tuple[SweepRow, ...]
-    m_list: tuple[int, ...]
     estimates: np.ndarray  # (len(m_list), replications)
     variances: np.ndarray  # (len(m_list), replications)
+
+    @property
+    def m_list(self) -> tuple[int, ...]:
+        return tuple(row.M for row in self.rows)
 
 
 class DiscriminationResult(NamedTuple):
@@ -406,7 +409,6 @@ def run_convergence_sweeps(
             SweepResult(
                 method=method,
                 rows=rows,
-                m_list=tuple(m_values),
                 estimates=estimates[j],
                 variances=variances[j],
             )

@@ -107,15 +107,14 @@ class PhotonPmf:
     """
 
     probs: np.ndarray
-    n_max: int
     tail_bound: float
 
     def __post_init__(self) -> None:
         probs = np.array(self.probs, dtype=float)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        if probs.ndim != 1 or probs.size != self.n_max + 1:
-            raise ValueError("probs must be a 1-D array of length n_max + 1")
+        if probs.ndim != 1:
+            raise ValueError("probs must be a 1-D array")
         if np.any(probs < 0) or not np.all(np.isfinite(probs)):
             raise ValueError("pmf entries must be finite and nonnegative")
         if self.tail_bound < 0:
@@ -126,6 +125,10 @@ class PhotonPmf:
                 f"pmf mass violates normalization: sum={total!r}, tail_bound={self.tail_bound!r}"
             )
 
+    @property
+    def n_max(self) -> int:
+        return self.probs.size - 1
+
     @classmethod
     def from_counts(cls, counts) -> "PhotonPmf":
         """Empirical photon-number histogram normalized to unit mass."""
@@ -133,7 +136,7 @@ class PhotonPmf:
         if counts.size == 0:
             raise ValueError("cannot build an empirical pmf from an empty sample")
         occ = np.bincount(counts)
-        return cls(probs=occ / counts.size, n_max=occ.size - 1, tail_bound=0.0)
+        return cls(probs=occ / counts.size, tail_bound=0.0)
 
     def mean(self) -> float:
         n = np.arange(self.probs.size)
@@ -347,7 +350,7 @@ def photon_pmf(
         tail = float(0.5 * (pdtrc(nm, nu_p) + pdtrc(nm, nu_m)))
     else:
         tail = float(pdtrc(nm, (amps.a + amps.b) ** 2))
-    return PhotonPmf(probs=probs, n_max=nm, tail_bound=tail)
+    return PhotonPmf(probs=probs, tail_bound=tail)
 
 
 def photon_pmf_dphi(

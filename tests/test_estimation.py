@@ -28,7 +28,7 @@ from kennedyrx.estimation import (
     uniform_posterior,
 )
 from kennedyrx import estimation
-from kennedyrx.estimation import _log_pmf, _loglik, _trapezoid_weights
+from kennedyrx.estimation import _log_pmf, _loglik
 from kennedyrx.montecarlo import SimConfig, sample_counts
 from kennedyrx.photonstats import (
     DetectorPlaneAmplitudes,
@@ -159,7 +159,7 @@ class TestLikelihoodKernel:
                 ll = log_likelihood_pnr(record, cfg.amps, 0.0, GRID)
             else:
                 ll = log_likelihood_onoff(record, cfg.amps, 0.0, GRID)
-            want = bayes_estimate(posterior(ll, GRID), sample_size=200)
+            want = bayes_estimate(posterior(ll, GRID))
             assert mean == pytest.approx(want.mean, rel=1e-12)
             assert variance == pytest.approx(want.variance, rel=1e-10)
 
@@ -176,6 +176,51 @@ class TestLikelihoodKernel:
     def test_unknown_detector_kind_raises(self):
         with pytest.raises(ValueError, match="detector_kind"):
             bayes_estimates(np.array([1]), np.array([[1]]), amps(1, 1), 0.0, GRID, "apd")
+
+
+BATCH_ESTIMATORS = {
+    "bayes-pnr": lambda v, o: bayes_estimates(v, o, amps(SQRT2, SQRT2), 0.0, GRID, "pnr"),
+    "bayes-onoff": lambda v, o: bayes_estimates(v, o, amps(SQRT2, SQRT2), 0.0, GRID, "onoff"),
+    "fano": lambda v, o: estimation.fano_inversion_estimates(v, o, amps(SQRT2, SQRT2)),
+}
+
+
+class TestHistogramRows:
+    """The batch estimators read distinct counts in ascending order and one row
+    of their nonnegative integer occurrences per record, and reject anything else."""
+
+    @staticmethod
+    def record_rows():
+        cfg = SimConfig(amps=amps(SQRT2, SQRT2), phi_star=0.3, M=3000, seed=1)
+        values, occurrences = sample_counts(cfg).histogram
+        return values, occurrences[None]
+
+    @pytest.mark.parametrize("method", BATCH_ESTIMATORS)
+    def test_reversed_values_with_their_columns_raise(self, method):
+        values, occupancy = self.record_rows()
+        assert abs(BATCH_ESTIMATORS[method](values, occupancy)[0][0] - 0.3) < 0.1
+        with pytest.raises(ValueError, match="ascending"):
+            BATCH_ESTIMATORS[method](values[::-1], occupancy[:, ::-1])
+
+    @pytest.mark.parametrize("method", BATCH_ESTIMATORS)
+    @pytest.mark.parametrize(
+        "values, occupancy, match",
+        [
+            ([-1, 0, 3], [[5, 5, 5]], "values"),
+            ([0, 0, 3], [[5, 5, 5]], "values"),
+            ([0.0, 1.0, 3.0], [[5, 5, 5]], "values"),
+            ([[0, 1, 3]], [[5, 5, 5]], "values"),
+            ([0, 1, 3], [5, 5, 5], "occupancy"),
+            ([0, 1, 3], [[5, 5]], "occupancy"),
+            ([0, 1, 3], [[5, -1, 5]], "occupancy"),
+            ([0, 1, 3], [[5.0, 5.0, 5.0]], "occupancy"),
+        ],
+        ids=["negative", "repeated", "float-values", "2d-values", "1d-occupancy",
+             "missing-column", "negative-occupancy", "float-occupancy"],
+    )
+    def test_rows_that_are_no_histogram_raise(self, method, values, occupancy, match):
+        with pytest.raises(ValueError, match=match):
+            BATCH_ESTIMATORS[method](np.array(values), np.array(occupancy))
 
 
 class TestPosteriorWindow:
@@ -210,7 +255,7 @@ class TestPosteriorWindow:
         means, variances = bayes_estimates(values, occupancy, amps(SQRT2, SQRT2), 0.0, GRID, kind)
         assert np.all(np.abs(means[:3] - 0.2) < 0.1) and np.all(np.abs(means[3:] - 1.2) < 0.1)
         for ll, mean, variance in zip(lls, means, variances):
-            want = bayes_estimate(posterior(ll, GRID), sample_size=m)
+            want = bayes_estimate(posterior(ll, GRID))
             assert mean == pytest.approx(want.mean, rel=1e-12)
             assert variance == pytest.approx(want.variance, rel=1e-10)
 
@@ -349,7 +394,7 @@ class TestBayesEstimate:
             cfg = SimConfig(amps=amps(SQRT2, SQRT2), phi_star=0.3, M=10_000, seed=100)
             record = sample_counts(cfg, replication=rep)
             post = posterior(log_likelihood_pnr(record, cfg.amps, 0.0, GRID), GRID)
-            est = bayes_estimate(post, sample_size=cfg.M)
+            est = bayes_estimate(post)
             if abs(est.mean - 0.3) <= 3.0 * math.sqrt(est.variance):
                 hits += 1
         assert hits >= 99
@@ -380,14 +425,17 @@ class TestQuadrature:
         pts = grid.points
         rng = np.random.default_rng(grid.size)
         for f in (np.ones(grid.size), pts, np.exp(-pts), rng.random(grid.size)):
-            assert _trapezoid_weights(grid) @ f == pytest.approx(
+            assert grid.weights @ f == pytest.approx(
                 np.trapezoid(f, pts), rel=1e-15, abs=0.0
             )
 
     def test_weights_are_cached_and_read_only(self):
-        w = _trapezoid_weights(GRID)
-        assert _trapezoid_weights(PhaseGrid()) is w
-        assert not w.flags.writeable
+        # each grid computes its points and weights once; equal grids are equal
+        g = PhaseGrid()
+        assert g.weights is g.weights and g.points is g.points
+        assert not (g.weights.flags.writeable or g.points.flags.writeable)
+        assert g == GRID and hash(g) == hash(GRID)
+        np.testing.assert_array_equal(g.weights, GRID.weights)
 
     def test_flat_posterior_moments_match_trapezoid(self):
         est = bayes_estimate(uniform_posterior(GRID))
@@ -400,10 +448,16 @@ class TestQuadrature:
         cfg = SimConfig(amps=amps(SQRT2, SQRT2), phi_star=0.3, M=4000, seed=31)
         post = posterior(log_likelihood_pnr(sample_counts(cfg), cfg.amps, 0.0, GRID), GRID)
         est = bayes_estimate(post)
-        mean, var, skew = trapezoid_moments(post)
+        mean, var, _ = trapezoid_moments(post)
         assert est.mean == pytest.approx(mean, rel=1e-13, abs=0.0)
         assert est.variance == pytest.approx(var, rel=1e-13, abs=0.0)
-        assert est.skewness == pytest.approx(skew, rel=1e-13, abs=0.0)
+        # the skewness (0.018 here) moves by about 3/sd = 350 per radian of
+        # its centre, so the one ulp by which the two means can differ on
+        # some BLAS kernels would move it by 1e-12: the reference's third
+        # moment is taken about est.mean, which the first check pins
+        pts = post.grid.points
+        third = np.trapezoid(post.density * (pts - est.mean) ** 3, pts)
+        assert est.skewness == pytest.approx(third / var**1.5, rel=1e-13, abs=0.0)
 
     def test_unnormalized_density_raises(self):
         flat = uniform_posterior(GRID)
@@ -473,7 +527,7 @@ class TestSequentialUpdate:
         cfg = SimConfig(amps=amps(a, b), phi_star=0.3, M=shots, seed=5)
         events = [*first, *map(int, sample_counts(cfg).counts)]
         column, bin_of = estimation._kind(kind)
-        weights = _trapezoid_weights(grid)
+        weights = grid.weights
         post = uniform_posterior(grid)
         log_density, density, evidence_log = post.log_density, post.density, post.evidence_log
         for i, n in enumerate(events):
@@ -748,5 +802,3 @@ class TestTypes:
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
             PhaseEstimate(mean=0.3, variance=-1.0)
-        with pytest.raises(ValueError):
-            PhaseEstimate(mean=0.3, variance=0.1, crlb=0.0)

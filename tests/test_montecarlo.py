@@ -108,11 +108,21 @@ class TestSampleCounts:
             sample_counts(cfg, replication=1).counts,
         )
 
-    def test_accepts_receiver_params(self):
-        cfg = SimConfig(
-            amps=ReceiverParams.kennedy_matched(1.0, 0.5), phi_star=0.1, M=10, seed=0
-        )
-        assert isinstance(cfg.amps, DetectorPlaneAmplitudes)
+    def test_rejects_receiver_params(self):
+        # receiver.detector_amplitudes maps physical parameters to amplitudes
+        with pytest.raises(ValueError, match="amps must be DetectorPlaneAmplitudes"):
+            SimConfig(amps=ReceiverParams.kennedy_matched(1.0, 0.5), phi_star=0.1, M=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("gamma", -0.5), ("gamma", math.nan), ("gamma", 100.0), ("gamma", math.inf),
+         ("phi_star", math.nan), ("phi_star", math.inf), ("phi_star", -math.inf)],
+    )
+    def test_rejects_noise_width_and_phase_the_model_does_not_take(self, field, value):
+        # gamma by the photon statistics' rule, [0, 2 pi]; phi_star finite
+        fields = dict(amps=amps(SQRT2, SQRT2), phi_star=0.3, M=10, seed=1)
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{**fields, field: value})
 
     def test_gof_against_model(self):
         cfg = SimConfig(amps=amps(SQRT2, SQRT2), phi_star=0.3, M=100_000, seed=2024)
@@ -144,7 +154,7 @@ class TestSampleCounts:
         ],
     )
     def test_gof_p_value_matches_chi2_sf(self, counts, probs, dof):
-        pmf = PhotonPmf(probs=np.array(probs), n_max=len(probs) - 1, tail_bound=0.0)
+        pmf = PhotonPmf(probs=np.array(probs), tail_bound=0.0)
         stat, p_value = goodness_of_fit(CountRecord(np.array(counts)), pmf)
         assert p_value == float(chi2.sf(stat, dof))
 
@@ -409,6 +419,7 @@ class TestConvergenceSweep:
         result = run_convergence_sweep(cfg, "bayes-pnr", (100, 300, 1000))
         again = run_convergence_sweep(cfg, "bayes-pnr", (100, 300, 1000))
         assert [r.M for r in result.rows] == [100, 300, 1000]
+        assert result.m_list == tuple(r.M for r in result.rows) == (100, 300, 1000)
         assert np.array_equal(result.estimates, again.estimates)
         assert result.rows == again.rows
         for row in result.rows:
@@ -536,7 +547,7 @@ class TestConvergenceSweeps:
                     log_likelihood_pnr(record, cfg.amps, gamma, grid),
                     log_likelihood_onoff(record, cfg.amps, gamma, grid),
                 )):
-                    est = bayes_estimate(posterior(ll, grid), sample_size=m)
+                    est = bayes_estimate(posterior(ll, grid))
                     expected[j, :, i, rep] = est.mean, est.variance
                 expected[2, :, i, rep] = helpers.fano_jackknife_brute(
                     record.counts, SQRT2, SQRT2, gamma

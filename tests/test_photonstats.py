@@ -338,8 +338,8 @@ class TestPmfFidelity:
         n = np.arange(40)
         base = helpers.poisson_pmf_direct(2.0, n)
         shifted = np.concatenate([[0.0], base[:-1]])
-        p = PhotonPmf(probs=base, n_max=39, tail_bound=float(poisson.sf(39, 2.0)))
-        q = PhotonPmf(probs=shifted, n_max=39, tail_bound=float(poisson.sf(38, 2.0)))
+        p = PhotonPmf(probs=base, tail_bound=float(poisson.sf(39, 2.0)))
+        q = PhotonPmf(probs=shifted, tail_bound=float(poisson.sf(38, 2.0)))
         hand = sum(math.sqrt(base[i] * shifted[i]) for i in range(40))
         assert pmf_fidelity(p, q) == pytest.approx(hand, rel=1e-12)
 
@@ -358,11 +358,19 @@ class TestTypes:
 
     def test_pmf_validation(self):
         with pytest.raises(ValueError, match="normalization"):
-            PhotonPmf(probs=np.array([0.5, 0.1]), n_max=1, tail_bound=0.0)
+            PhotonPmf(probs=np.array([0.5, 0.1]), tail_bound=0.0)
         with pytest.raises(ValueError, match="nonnegative"):
-            PhotonPmf(probs=np.array([1.1, -0.1]), n_max=1, tail_bound=0.0)
+            PhotonPmf(probs=np.array([1.1, -0.1]), tail_bound=0.0)
 
     def test_from_counts(self):
         p = PhotonPmf.from_counts(np.array([0, 0, 2, 1]))
         np.testing.assert_allclose(p.probs, [0.5, 0.25, 0.25])
         assert p.tail_bound == 0.0
+
+    def test_n_max_is_the_last_photon_number_of_probs(self):
+        for p in (PhotonPmf.from_counts(np.array([0, 0, 2, 1])), photon_pmf(amps(1, 1), 0.3),
+                  photon_pmf(amps(1, 1), 0.3, 0.5, n_max=7)):
+            assert p.n_max == p.probs.size - 1
+        assert photon_pmf(amps(1, 1), 0.3, n_max=7).n_max == 7
+        with pytest.raises(ValueError, match="1-D"):
+            PhotonPmf(probs=np.full((2, 2), 0.25), tail_bound=0.0)
