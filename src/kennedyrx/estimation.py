@@ -51,7 +51,6 @@ must be advanced by one writer at a time.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Literal
@@ -59,7 +58,7 @@ from typing import Literal
 import numpy as np
 
 from . import photonstats
-from .photonstats import DetectorPlaneAmplitudes
+from .photonstats import DetectorPlaneAmplitudes, _check_gamma, _cutoff, _real, _whole
 
 __all__ = [
     "PhaseGrid",
@@ -107,20 +106,20 @@ class UndefinedFanoError(ValueError):
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Uniform phase grid over the identifiable domain (default [0, pi/2], 2001 points)."""
+    """Uniform phase grid of ``size`` >= 2 points over [lo, hi], finite with
+    lo < hi (default the identifiable domain [0, pi/2], 2001 points)."""
 
     lo: float = 0.0
     hi: float = math.pi / 2
     size: int = 2001
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
-            raise ValueError(f"grid bounds must satisfy lo < hi, got [{self.lo!r}, {self.hi!r}]")
-        if int(self.size) < 2:
-            raise ValueError(f"grid needs at least 2 points, got {self.size!r}")
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        object.__setattr__(self, "size", int(self.size))
+        lo, hi = _real("grid lo", self.lo), _real("grid hi", self.hi)
+        if not lo < hi:
+            raise ValueError(f"grid bounds must satisfy lo < hi, got [{lo!r}, {hi!r}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "size", _whole("grid size", self.size, 2))
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -324,6 +323,7 @@ def _loglik(column, bins, weights, amps, gamma: float, grid: PhaseGrid) -> np.nd
     ln P_k is -inf, so no 0 * -inf arises, and a grid point where an
     occupied bin is impossible gets -inf.
     """
+    gamma = _check_gamma(gamma)
     weights = np.asarray(weights, dtype=float)
     ll = np.zeros((len(weights), grid.size))
     step = max(1, _BLOCK_CELLS // grid.size)
@@ -358,7 +358,7 @@ def log_likelihood_pnr(
     probability get -inf, never an exception.
     """
     values, occurrences = record.histogram
-    return _loglik(*_bins(values, occurrences[None], "pnr"), amps, float(gamma), grid)[0]
+    return _loglik(*_bins(values, occurrences[None], "pnr"), amps, gamma, grid)[0]
 
 
 def log_likelihood_onoff(
@@ -370,7 +370,7 @@ def log_likelihood_onoff(
     """Log-likelihood m_off ln P_off + m_on ln(1 - P_off) with P_off = p_0, where
     m_off counts the shots of the record with n = 0 and m_on the others."""
     values, occurrences = record.histogram
-    return _loglik(*_bins(values, occurrences[None], "onoff"), amps, float(gamma), grid)[0]
+    return _loglik(*_bins(values, occurrences[None], "onoff"), amps, gamma, grid)[0]
 
 
 def posterior(loglik, grid: PhaseGrid) -> PhasePosterior:
@@ -460,7 +460,7 @@ def bayes_estimates(
     means, variances = np.empty(len(occupancy)), np.empty(len(occupancy))
     for start in range(0, len(occupancy), step):
         block = _loglik(*_bins(values, occupancy[start : start + step], detector_kind),
-                        amps, float(gamma), grid)
+                        amps, gamma, grid)
         rows = slice(start, start + len(block))
         means[rows], variances[rows] = _posterior_moments(block, grid)
     return means, variances
@@ -514,14 +514,10 @@ def sequential_update(
     Adds the event's log-likelihood column (its on/off bin for on/off
     detection) to the normalized log density and renormalizes; the log
     normalizer is the evidence increment.  Folding a record event by event
-    reproduces the batch posterior.  An event outside 0..2**63 - 1, the
-    counts a :class:`CountRecord` holds, raises ``ValueError``.
+    reproduces the batch posterior.  An event that is not an integer in
+    0..2**63 - 1, the counts a :class:`CountRecord` holds, raises ``ValueError``.
     """
-    event = operator.index(event)
-    if not 0 <= event <= 2**63 - 1:
-        raise ValueError(
-            f"photon count must be nonnegative and at most 2**63 - 1, got {event!r}"
-        )
+    event = _whole("photon count", event, 0, 2**63 - 1)
     column, bin_of = _kind(detector_kind)
     ll = column(amps, float(gamma), post.grid, bin_of(event))
     return _normalized(post.log_density + ll, post.grid, post.evidence_log)
@@ -546,8 +542,10 @@ def _fisher(amps: DetectorPlaneAmplitudes, phi, gamma: float, n_max: int | None,
     """
     phis = np.asarray(phi, dtype=float)
     flat = phis.ravel()
-    cols = (photonstats.default_cutoff(amps) if n_max is None else n_max) + 1
-    step = max(1, _BLOCK_CELLS // cols)
+    if not np.isfinite(flat).all():
+        raise ValueError(f"phase phi must be finite, got {phi!r}")
+    gamma, n_max = _check_gamma(gamma), _cutoff(amps, n_max)
+    step = max(1, _BLOCK_CELLS // (n_max + 1))
     rounding = photonstats._noise_nodes(amps, gamma) * np.finfo(float).eps * 2.0 * amps.a * amps.b
     info = np.empty(flat.size)
     for start in range(0, flat.size, step):
@@ -566,8 +564,9 @@ def _fisher(amps: DetectorPlaneAmplitudes, phi, gamma: float, n_max: int | None,
 def fisher_pnr(amps: DetectorPlaneAmplitudes, phi, gamma: float = 0.0) -> float | np.ndarray:
     """Fisher information of the photon-number-resolved model, the kernel
     sum_n (d p_n/d phi)^2 / p_n over the bins n = 0..cutoff with p_n > 0, at a
-    phase (a float) or at each phase of an array.  Zero at phi = 0 and pi/2,
-    where the statistics are stationary: the no-information regime, not an error.
+    phase (a float) or at each phase of an array; a phase that is not finite
+    raises ``ValueError``.  Zero at phi = 0 and pi/2, where the statistics are
+    stationary: the no-information regime, not an error.
     """
     return _fisher(amps, phi, gamma, None, lambda p, dp: (p, dp))
 
@@ -582,14 +581,11 @@ def fisher_onoff(amps: DetectorPlaneAmplitudes, phi, gamma: float = 0.0) -> floa
 
 
 def crlb_variance(fisher: float, sample_size: int) -> float | None:
-    """Cramer-Rao variance floor 1/(M*F); None when F = 0 (unbounded variance)."""
-    if sample_size < 1:
-        raise ValueError(f"sample_size must be >= 1, got {sample_size!r}")
-    if fisher < 0:
-        raise ValueError(f"Fisher information must be nonnegative, got {fisher!r}")
-    if fisher == 0.0:
-        return None
-    return 1.0 / (sample_size * fisher)
+    """Cramer-Rao variance floor 1/(M*F) for a finite F >= 0 and an integer
+    M >= 1; None when F = 0 (unbounded variance)."""
+    sample_size = _whole("sample_size", sample_size, 1)
+    fisher = _real("Fisher information", fisher, 0.0)
+    return None if fisher == 0.0 else 1.0 / (sample_size * fisher)
 
 
 def _fano_moments(values, occupancy, shots):

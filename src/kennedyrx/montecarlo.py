@@ -38,7 +38,7 @@ import numpy.random  # every draw needs it; loading it here keeps it out of the 
 
 from . import estimation, photonstats
 from .estimation import CountRecord, PhaseGrid
-from .photonstats import DetectorPlaneAmplitudes, PhotonPmf
+from .photonstats import DetectorPlaneAmplitudes, PhotonPmf, _check_gamma, _real, _whole
 
 __all__ = [
     "SimConfig",
@@ -75,7 +75,9 @@ class InsufficientSupportError(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulated experiment: who measures what, how often, and from which seed."""
+    """One simulated experiment: who measures what, how often, and from which seed.
+    A finite ``phi_star``, ``gamma`` in [0, 2 pi], integers M, replications >= 1
+    and a seed in [0, 2**64 - 1]."""
 
     amps: DetectorPlaneAmplitudes
     phi_star: float
@@ -88,19 +90,11 @@ class SimConfig:
         if not isinstance(self.amps, DetectorPlaneAmplitudes):
             raise ValueError("amps must be DetectorPlaneAmplitudes (receiver.detector_amplitudes "
                              f"maps physical parameters to them), got {type(self.amps).__name__}")
-        if not math.isfinite(float(self.phi_star)):
-            raise ValueError(f"phi_star must be finite, got {self.phi_star!r}")
-        if int(self.M) < 1:
-            raise ValueError(f"M must be >= 1, got {self.M!r}")
-        if int(self.replications) < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications!r}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        object.__setattr__(self, "M", int(self.M))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "replications", int(self.replications))
-        object.__setattr__(self, "phi_star", float(self.phi_star))
-        object.__setattr__(self, "gamma", photonstats._check_gamma(float(self.gamma)))
+        object.__setattr__(self, "phi_star", _real("phi_star", self.phi_star))
+        object.__setattr__(self, "M", _whole("M", self.M, 1))
+        object.__setattr__(self, "seed", _whole("seed", self.seed, 0, 2**64 - 1))
+        object.__setattr__(self, "gamma", _check_gamma(self.gamma))
+        object.__setattr__(self, "replications", _whole("replications", self.replications, 1))
 
 
 @dataclass(frozen=True)
@@ -300,9 +294,9 @@ def sample_counts(cfg: SimConfig, replication: int = 0) -> CountRecord:
 
     Per shot: sign +1 or -1 with probability 1/2 (the unknown transmitted
     bit), then a phase-noise offset if gamma > 0, then the Poisson count.
-    Identical (cfg, replication) always gives the identical record.
+    Identical (cfg, replication), an integer >= 0, gives the identical record.
     """
-    return CountRecord(counts=_draw_record(cfg, replication))
+    return CountRecord(counts=_draw_record(cfg, _whole("replication", replication, 0)))
 
 
 def run_discrimination(cfg: SimConfig, bits: Sequence[int]) -> DiscriminationResult:
@@ -348,8 +342,8 @@ def run_convergence_sweeps(
     ensemble mean ratio to phi_star, the spread of the estimates, the mean
     reported variance and the CRLB reference 1/(M*F) at phi_star.  phi_star
     enters both as its representative in [0, pi/2], where the estimates lie
-    (:func:`estimation.fold_phase`); that must be nonzero.  Results come
-    back in the order of ``methods``.
+    (:func:`estimation.fold_phase`); that must be nonzero.  ``m_list`` holds
+    integers >= 1.  Results come back in the order of ``methods``.
     """
     methods = tuple(methods)
     if not methods:
@@ -357,7 +351,7 @@ def run_convergence_sweeps(
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    m_values = [int(m) for m in m_list]
+    m_values = [_whole("m_list entry", m, 1) for m in m_list]
     if not m_values or any(m2 <= m1 for m1, m2 in zip(m_values, m_values[1:])):
         raise ValueError("m_list must be non-empty and strictly increasing")
     if grid is None:

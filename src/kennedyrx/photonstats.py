@@ -19,6 +19,7 @@ are safe to call from concurrent contexts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -58,6 +59,33 @@ GAMMA_MAX = 2.0 * math.pi
 MAX_MEAN_PHOTONS = 1600.0
 
 
+def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """A finite Python or numpy real in [lo, hi], not a bool, as a float; else
+    ValueError naming it."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        if real and math.isfinite(x := float(value)) and lo <= x <= hi:
+            return x
+    except OverflowError:  # an integer beyond the largest double
+        pass
+    raise ValueError(f"{name} must be a finite real in [{lo:g}, {hi:g}], got {value!r}")
+
+
+def _whole(name: str, value, lo: int, hi: float = math.inf) -> int:
+    """A Python or numpy integer in [lo, hi], not a bool, by ``operator.index``; else
+    ValueError naming it (its message writes a bound 2**k - 1 so)."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and lo <= (n := operator.index(value)) <= hi):
+        return n
+    top = f"2**{hi.bit_length()} - 1" if hi < math.inf and hi & (hi + 1) == 0 else hi
+    raise ValueError(f"{name} must be an integer >= {lo}, at most {top}, got {value!r}")
+
+
+def _cutoff(amps: DetectorPlaneAmplitudes, n_max: int | None) -> int:
+    """A table's last photon number: ``n_max``, an integer >= 0, or :func:`default_cutoff`."""
+    return default_cutoff(amps) if n_max is None else _whole("n_max", n_max, 0)
+
+
 @cache
 def _ln_factorial() -> np.ndarray:
     """ln n! for n = 0..2170, the largest count a draw returns at
@@ -74,21 +102,15 @@ class DetectorPlaneAmplitudes:
     """LO and signal amplitudes at the detector plane, in sqrt(photons).
 
     ``a`` is the displacement contributed by the local oscillator and ``b``
-    the transmitted signal amplitude; both are nonnegative reals.
+    the transmitted signal amplitude: finite nonnegative reals, stored as floats.
     """
 
     a: float
     b: float
 
     def __post_init__(self) -> None:
-        for name in ("a", "b"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ValueError(f"amplitude {name} must be a finite real, got {v!r}")
-            if v < 0:
-                raise ValueError(f"amplitude {name} must be nonnegative, got {v!r}")
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "a", _real("amplitude a", self.a, 0.0))
+        object.__setattr__(self, "b", _real("amplitude b", self.b, 0.0))
 
     @property
     def mean_photons(self) -> float:
@@ -102,8 +124,8 @@ class PhotonPmf:
 
     ``probs[n]`` is the probability of detecting ``n`` photons for
     ``n = 0..n_max``; ``tail_bound`` is an upper bound on the probability mass
-    above ``n_max``.  Constructors in this module choose ``n_max`` so that
-    ``tail_bound <= 1e-12``.
+    above ``n_max``, a real in [0, 1].  Constructors in this module choose
+    ``n_max`` so that ``tail_bound <= 1e-12``.
     """
 
     probs: np.ndarray
@@ -117,8 +139,7 @@ class PhotonPmf:
             raise ValueError("probs must be a 1-D array")
         if np.any(probs < 0) or not np.all(np.isfinite(probs)):
             raise ValueError("pmf entries must be finite and nonnegative")
-        if self.tail_bound < 0:
-            raise ValueError("tail_bound must be nonnegative")
+        object.__setattr__(self, "tail_bound", _real("tail_bound", self.tail_bound, 0.0, 1.0))
         total = float(probs.sum())
         if total > 1.0 + 1e-12 or total + self.tail_bound < 1.0 - 1e-12:
             raise ValueError(
@@ -236,11 +257,7 @@ def _dphi_rows(a: float, b: float, phis: np.ndarray, n: np.ndarray) -> np.ndarra
 
 
 def _check_gamma(gamma: float) -> float:
-    if not (isinstance(gamma, (int, float)) and math.isfinite(gamma)):
-        raise ValueError(f"noise width gamma must be a finite real, got {gamma!r}")
-    if gamma < 0 or gamma > GAMMA_MAX:
-        raise ValueError(f"noise width gamma must lie in [0, 2*pi], got {gamma!r}")
-    return float(gamma)
+    return _real("noise width gamma", gamma, 0.0, GAMMA_MAX)
 
 
 def _noise_nodes(amps: DetectorPlaneAmplitudes, gamma: float, gl_nodes: int = GL_NODES) -> int:
@@ -303,8 +320,7 @@ def pmf_table(
 ) -> np.ndarray:
     """Photon-number pmf rows for every phase in ``phis``: :func:`pmf_columns`
     over n = 0..n_max, shape ``(len(phis), n_max + 1)``."""
-    nm = default_cutoff(amps) if n_max is None else int(n_max)
-    return _tabulate(_pmf_rows, amps, phis, np.arange(nm + 1), gamma, gl_nodes)
+    return _tabulate(_pmf_rows, amps, phis, np.arange(_cutoff(amps, n_max) + 1), gamma, gl_nodes)
 
 
 def dphi_table(
@@ -319,8 +335,7 @@ def dphi_table(
     For ``gamma > 0`` the derivative is taken under the noise average, which
     commutes with it because the noise window does not depend on phi.
     """
-    nm = default_cutoff(amps) if n_max is None else int(n_max)
-    return _tabulate(_dphi_rows, amps, phis, np.arange(nm + 1), gamma, gl_nodes)
+    return _tabulate(_dphi_rows, amps, phis, np.arange(_cutoff(amps, n_max) + 1), gamma, gl_nodes)
 
 
 def photon_pmf(
@@ -342,8 +357,7 @@ def photon_pmf(
     """
     from scipy.special import pdtrc
 
-    gamma = _check_gamma(gamma)
-    nm = default_cutoff(amps) if n_max is None else int(n_max)
+    gamma, nm = _check_gamma(gamma), _cutoff(amps, n_max)
     probs = pmf_table(amps, [phi], gamma, n_max=nm)[0]
     if gamma == 0.0:
         nu_p, nu_m = nu_plus_minus(amps, phi)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .photonstats import DetectorPlaneAmplitudes
+from .photonstats import DetectorPlaneAmplitudes, _real, _whole
 
 __all__ = [
     "ReceiverParams",
@@ -25,22 +25,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReceiverParams:
-    """Physical receiver parameters; both bits are sent with prior 1/2."""
+    """Physical receiver parameters, finite reals beta, alpha >= 0 and tau in
+    (0, 1), stored as floats; both bits are sent with prior 1/2."""
 
     beta: float
     alpha: float
     tau: float
 
     def __post_init__(self) -> None:
-        for name in ("beta", "alpha"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)) or v < 0:
-                raise ValueError(f"{name} must be a nonnegative finite real, got {v!r}")
-        if not (isinstance(self.tau, (int, float)) and 0.0 < self.tau < 1.0):
+        object.__setattr__(self, "beta", _real("beta", self.beta, 0.0))
+        object.__setattr__(self, "alpha", _real("alpha", self.alpha, 0.0))
+        tau = _real("tau", self.tau)
+        if not 0.0 < tau < 1.0:
             raise ValueError(f"tau must lie in (0,1), got {self.tau!r}")
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "tau", tau)
 
     @classmethod
     def kennedy_matched(cls, beta: float, tau: float) -> "ReceiverParams":
@@ -67,11 +65,9 @@ def discriminate(count: int) -> int:
     """On/off bit decision: a dark detector (count 0) means bit 0, light means bit 1.
 
     Photon-number-resolved counts are coarse-grained through the same rule,
-    so discriminate(n) == discriminate(min(n, 1)).
+    so discriminate(n) == discriminate(min(n, 1)).  ``count`` is an integer >= 0.
     """
-    if count < 0:
-        raise ValueError(f"photon count must be nonnegative, got {count!r}")
-    return 0 if count == 0 else 1
+    return 0 if _whole("photon count", count, 0) == 0 else 1
 
 
 def error_probability(beta: float, phi: float) -> float:
@@ -81,10 +77,9 @@ def error_probability(beta: float, phi: float) -> float:
     P_e(phi) = [1 - exp(-4 beta^2 sin^2(phi/2)) + exp(-4 beta^2 cos^2(phi/2))]/2,
     which reduces to exp(-4 beta^2)/2 at phi = 0 and satisfies
     P_e(phi) >= P_e(0).  Finite-tau error rates come from simulation, not
-    from this formula.
+    from this formula.  ``beta`` is a finite real >= 0 and ``phi`` a finite real.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta!r}")
+    beta, phi = _real("beta", beta, 0.0), _real("phi", phi)
     e4 = 4.0 * beta * beta
     s = math.sin(0.5 * phi)
     c = math.cos(0.5 * phi)
@@ -92,12 +87,11 @@ def error_probability(beta: float, phi: float) -> float:
 
 
 def helstrom_bound(beta: float) -> float:
-    """Minimum error probability for equiprobable coherent states |+-beta>.
+    """Minimum error probability for equiprobable coherent states |+-beta>, beta >= 0.
 
     (1 - sqrt(1 - e^-4 beta^2))/2, written as x / (2 (1 + sqrt(1 - x))) with
     x = e^-4 beta^2 so the small-overlap regime does not cancel to zero.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta!r}")
+    beta = _real("beta", beta, 0.0)
     x = math.exp(-4.0 * beta * beta)
     return 0.5 * x / (1.0 + math.sqrt(1.0 - x))

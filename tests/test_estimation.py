@@ -599,9 +599,9 @@ class TestFisher:
     @pytest.mark.parametrize("pair", [(0.5, 0.5), (1.0, 1.0), (1.12, 0.79), (SQRT2, SQRT2)])
     def test_data_processing_ordering_on_grid(self, pair, gamma):
         a = amps(*pair)
-        for phi in np.linspace(0.0, math.pi / 2, 500):
-            gap = fisher_onoff(a, phi, gamma) - fisher_pnr(a, phi, gamma)
-            assert gap <= 1e-12
+        phis = np.linspace(0.0, math.pi / 2, 500)
+        gap = fisher_onoff(a, phis, gamma) - fisher_pnr(a, phis, gamma)
+        assert np.all(gap <= 1e-12)
 
     @pytest.mark.parametrize("pair", [(0.5, 0.5), (1.12, 0.79), (SQRT2, SQRT2), (3.0, 3.0)])
     def test_array_of_phases_matches_scalar_calls(self, pair):
@@ -614,6 +614,13 @@ class TestFisher:
         together = fisher_pnr(a, phis, math.pi / 4)
         assert together.shape == phis.shape
         assert np.max(np.abs(together - scalar)) <= 1e-15 * np.max(scalar)
+
+    @pytest.mark.parametrize("fisher", [fisher_pnr, fisher_onoff])
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, np.array([0.3, math.nan, 0.5])])
+    def test_phase_that_is_not_finite_raises(self, fisher, phi):
+        # not 0.0, which would read as "no information"
+        with pytest.raises(ValueError, match="phase phi"):
+            fisher(amps(1, 1), phi)
 
     def test_scalar_phase_gives_float(self):
         assert type(fisher_pnr(amps(1, 1), 0.3)) is float
@@ -677,11 +684,14 @@ class TestCrlb:
     def test_zero_information_signals_unbounded(self):
         assert crlb_variance(0.0, 100) is None
 
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            crlb_variance(1.0, 0)
-        with pytest.raises(ValueError):
-            crlb_variance(-1.0, 10)
+    @pytest.mark.parametrize(
+        "fisher, sample_size, match",
+        [(1.0, 0, "sample_size"), (-1.0, 10, "Fisher"), (1.0, 2.5, "sample_size"),
+         (math.nan, 10, "Fisher")],
+    )
+    def test_invalid_inputs(self, fisher, sample_size, match):
+        with pytest.raises(ValueError, match=match):
+            crlb_variance(fisher, sample_size)
 
 
 class TestFanoInversion:
@@ -789,11 +799,21 @@ class TestFanoInversion:
 
 
 class TestTypes:
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            PhaseGrid(size=1)
-        with pytest.raises(ValueError):
-            PhaseGrid(lo=1.0, hi=0.5)
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            (dict(size=1), "grid size"),
+            (dict(lo=1.0, hi=0.5), "lo < hi"),
+            (dict(size=2.7), "grid size"),
+            (dict(size="5"), "grid size"),
+            (dict(size=np.float64(3.0)), "grid size"),
+            (dict(lo=True), "grid lo"),
+            (dict(hi="1.0"), "grid hi"),
+        ],
+    )
+    def test_grid_validation(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            PhaseGrid(**fields)
 
     def test_grid_points_are_inclusive_and_uniform(self):
         g = PhaseGrid(size=5)

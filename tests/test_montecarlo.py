@@ -116,13 +116,19 @@ class TestSampleCounts:
     @pytest.mark.parametrize(
         "field, value",
         [("gamma", -0.5), ("gamma", math.nan), ("gamma", 100.0), ("gamma", math.inf),
-         ("phi_star", math.nan), ("phi_star", math.inf), ("phi_star", -math.inf)],
+         ("gamma", True), ("phi_star", math.nan), ("phi_star", math.inf),
+         ("phi_star", -math.inf), ("phi_star", "0.3"), ("M", 10.7), ("M", True),
+         ("seed", 1.9), ("replications", 3.5), ("replication", True), ("replication", 1.0)],
     )
-    def test_rejects_noise_width_and_phase_the_model_does_not_take(self, field, value):
-        # gamma by the photon statistics' rule, [0, 2 pi]; phi_star finite
+    def test_rejects_values_the_model_does_not_take(self, field, value):
+        # gamma by the photon statistics' rule, [0, 2 pi]; phi_star finite; the
+        # counts M, seed, replications and a record's replication whole numbers
         fields = dict(amps=amps(SQRT2, SQRT2), phi_star=0.3, M=10, seed=1)
         with pytest.raises(ValueError, match=field):
-            SimConfig(**{**fields, field: value})
+            if field == "replication":
+                sample_counts(SimConfig(**fields), value)
+            else:
+                SimConfig(**{**fields, field: value})
 
     def test_gof_against_model(self):
         cfg = SimConfig(amps=amps(SQRT2, SQRT2), phi_star=0.3, M=100_000, seed=2024)
@@ -477,10 +483,13 @@ class TestConvergenceSweep:
         with pytest.raises(ValueError, match="fold to 0"):
             run_convergence_sweep(cfg, "bayes-pnr", (100,))
 
-    def test_rejects_bad_m_list(self):
+    @pytest.mark.parametrize(
+        "m_list, match", [((100, 100), "increasing"), ([100.5], "m_list"), (["100"], "m_list")]
+    )
+    def test_rejects_bad_m_list(self, m_list, match):
         cfg = SimConfig(amps=amps(1, 1), phi_star=0.3, M=10, seed=1)
-        with pytest.raises(ValueError, match="increasing"):
-            run_convergence_sweep(cfg, "bayes-pnr", (100, 100))
+        with pytest.raises(ValueError, match=match):
+            run_convergence_sweep(cfg, "bayes-pnr", m_list)
 
     def test_rejects_unknown_method(self):
         cfg = SimConfig(amps=amps(1, 1), phi_star=0.3, M=10, seed=1)

@@ -250,11 +250,12 @@ class TestPhotonPmfNoisy:
         assert p.probs.sum() <= 1.0 + 1e-12
         assert p.probs.sum() + p.tail_bound >= 1.0 - 1e-12
 
-    def test_gamma_out_of_range(self):
+    @pytest.mark.parametrize("gamma", [-0.1, 7.0, True])
+    def test_gamma_out_of_range(self, gamma):
         with pytest.raises(ValueError, match="gamma"):
-            photon_pmf(amps(1, 1), 0.0, -0.1)
+            photon_pmf(amps(1, 1), 0.0, gamma)
         with pytest.raises(ValueError, match="gamma"):
-            photon_pmf(amps(1, 1), 0.0, 7.0)
+            fano_factor(amps(1, 1), 0.0, gamma)
 
 
 class TestPhotonPmfDphi:
@@ -350,17 +351,44 @@ class TestPmfFidelity:
 
 
 class TestTypes:
-    def test_amplitude_validation(self):
-        with pytest.raises(ValueError):
-            DetectorPlaneAmplitudes(a=-0.1, b=1.0)
-        with pytest.raises(ValueError):
-            DetectorPlaneAmplitudes(a=math.nan, b=1.0)
+    @pytest.mark.parametrize(
+        "a, b, name",
+        [(-0.1, 1.0, "a"), (math.nan, 1.0, "a"), (True, 1.0, "a"), (1.0, False, "b")],
+    )
+    def test_amplitude_validation(self, a, b, name):
+        with pytest.raises(ValueError, match=f"amplitude {name}"):
+            DetectorPlaneAmplitudes(a=a, b=b)
 
-    def test_pmf_validation(self):
-        with pytest.raises(ValueError, match="normalization"):
-            PhotonPmf(probs=np.array([0.5, 0.1]), tail_bound=0.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            PhotonPmf(probs=np.array([1.1, -0.1]), tail_bound=0.0)
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: PhotonPmf(probs=np.array([0.5, 0.1]), tail_bound=0.0), "normalization"),
+            (lambda: PhotonPmf(probs=np.array([1.1, -0.1]), tail_bound=0.0), "nonnegative"),
+            (lambda: PhotonPmf(probs=np.array([1.0]), tail_bound=math.nan), "tail_bound"),
+            (lambda: PhotonPmf(probs=np.array([1.0]), tail_bound=math.inf), "tail_bound"),
+            (lambda: photon_pmf(amps(1, 1), 0.3, n_max=2.5), "n_max"),
+            (lambda: photon_pmf(amps(1, 1), 0.3, n_max=-1), "n_max"),
+        ],
+        ids=["mass", "negative", "nan-tail", "inf-tail", "fractional-n_max", "negative-n_max"],
+    )
+    def test_pmf_validation(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    def test_numpy_scalars_give_the_results_of_python_scalars(self):
+        a = amps(1.0, 1)
+        assert amps(np.float32(1.0), np.int64(1)) == a
+        for numpy_args, python_args in [((np.int64(1),), (1,)), ((0.5, np.int64(6)), (0.5, 6))]:
+            assert np.array_equal(photon_pmf(a, 0.3, *numpy_args).probs,
+                                  photon_pmf(a, 0.3, *python_args).probs)
+        assert fano_factor(a, 0.3, np.float32(0.5)) == fano_factor(a, 0.3, 0.5)
+        assert fisher_pnr(a, 0.3, np.float32(0.5)) == fisher_pnr(a, 0.3, 0.5)
+        python = montecarlo.SimConfig(amps=a, phi_star=0.5, M=200, seed=3, gamma=0.5)
+        numpy = montecarlo.SimConfig(amps=a, phi_star=np.float32(0.5), M=np.int64(200),
+                                     seed=np.uint64(3), gamma=np.float32(0.5))
+        assert numpy == python
+        assert np.array_equal(montecarlo.sample_counts(numpy, np.int64(1)).counts,
+                              montecarlo.sample_counts(python, 1).counts)
 
     def test_from_counts(self):
         p = PhotonPmf.from_counts(np.array([0, 0, 2, 1]))

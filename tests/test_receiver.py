@@ -28,11 +28,23 @@ class TestDetectorAmplitudes:
             amps = detector_amplitudes(ReceiverParams.kennedy_matched(beta, tau))
             assert abs(amps.a - amps.b) <= 1e-12
 
-    def test_tau_validation(self):
-        with pytest.raises(ValueError, match=r"tau must lie in \(0,1\)"):
-            ReceiverParams(beta=1.0, alpha=1.0, tau=1.5)
-        with pytest.raises(ValueError, match="tau"):
-            ReceiverParams(beta=1.0, alpha=1.0, tau=0.0)
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: ReceiverParams(beta=1.0, alpha=1.0, tau=1.5), r"tau must lie in \(0,1\)"),
+            (lambda: ReceiverParams(beta=1.0, alpha=1.0, tau=0.0), "tau"),
+            (lambda: ReceiverParams(beta=True, alpha=1.0, tau=0.5), "beta"),
+            (lambda: error_probability(math.nan, 0.3), "beta"),
+            (lambda: error_probability(1.0, math.nan), "phi"),
+            (lambda: helstrom_bound(math.nan), "beta"),
+            (lambda: discriminate(1.5), "photon count"),
+        ],
+        ids=["tau-above-1", "tau-0", "bool-beta", "nan-beta", "nan-phi", "nan-helstrom-beta",
+             "fractional-count"],
+    )
+    def test_parameter_validation(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 class TestDiscriminate:
