@@ -58,7 +58,7 @@ from typing import Literal
 import numpy as np
 
 from . import photonstats
-from .photonstats import DetectorPlaneAmplitudes, _check_gamma, _cutoff, _real, _whole
+from .photonstats import _BLOCK_CELLS, DetectorPlaneAmplitudes, _check_gamma, _cutoff, _real, _whole
 
 __all__ = [
     "PhaseGrid",
@@ -86,11 +86,6 @@ __all__ = [
 ]
 
 DetectorKind = Literal["onoff", "pnr"]
-
-# Cells per block of Fisher table rows (phases), of likelihood columns
-# (bins), of log-likelihood rows (records) or of the sweep's histogram rows:
-# photonstats' noise-average budget.
-_BLOCK_CELLS = 2_000_000
 
 # exp(x) is exactly 0 for x below about -745.13
 _EXP_UNDERFLOW = 746.0
@@ -139,25 +134,21 @@ class PhaseGrid:
 
 
 def fold_phase(phi: float) -> float:
-    """Identifiable representative in [0, pi/2] of a phase, by the invariance of
-    the photon statistics under phi -> -phi and phi -> pi - phi."""
-    return abs(math.remainder(phi, math.pi))
+    """Identifiable representative in [0, pi/2] of a finite real phase, by the
+    invariance of the photon statistics under phi -> -phi and phi -> pi - phi."""
+    return abs(math.remainder(_real("phase phi", phi), math.pi))
 
 
 @dataclass(frozen=True)
 class CountRecord:
-    """Detection record {n_k}: one nonnegative photon count per shot."""
+    """Detection record {n_k}: one photon count per shot, an integer in 0..2**63 - 1."""
 
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts)
+        counts = _whole("counts", np.asarray(self.counts), 0, 2**63 - 1)
         if counts.ndim != 1:
-            raise ValueError("counts must be one-dimensional")
-        if counts.size and not np.issubdtype(counts.dtype, np.integer):
-            raise ValueError("counts must be integers")
-        if counts.size and (counts.min() < 0 or counts.max() > np.iinfo(np.int64).max):
-            raise ValueError("counts must be nonnegative and at most 2**63 - 1")
+            raise ValueError(f"counts must be one-dimensional, got shape {counts.shape}")
         counts = counts.astype(np.int64, copy=True)
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
@@ -236,7 +227,7 @@ class PhaseEstimate:
     skewness: float | None = None
 
     def __post_init__(self) -> None:
-        if self.variance < 0:
+        if not self.variance >= 0.0:  # NaN too
             raise ValueError(f"variance must be nonnegative, got {self.variance!r}")
 
 
@@ -284,15 +275,13 @@ def _kind(detector_kind: DetectorKind):
 
 
 def _histogram_rows(values, occupancy) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` and ``occupancy`` as arrays, once they are checked to hold
-    records: distinct nonnegative integer counts in ascending order, and a 2-D
-    array of their nonnegative integer occurrences, one row per record."""
-    values, occupancy = np.asarray(values), np.asarray(occupancy)
-    if not (values.ndim == 1 and np.issubdtype(values.dtype, np.integer)
-            and (values[:1] >= 0).all() and (values[1:] > values[:-1]).all()):
+    """``values`` and ``occupancy`` as arrays, checked to hold records: distinct nonnegative
+    integer counts in ascending order, and a 2-D array of their occurrences per record."""
+    values = _whole("values", np.asarray(values), 0)
+    occupancy = _whole("occupancy", np.asarray(occupancy), 0)
+    if not (values.ndim == 1 and (values[1:] > values[:-1]).all()):
         raise ValueError("values must be distinct nonnegative integer counts in ascending order")
-    if not (occupancy.ndim == 2 and np.issubdtype(occupancy.dtype, np.integer)
-            and occupancy.shape[1] == values.size and (occupancy >= 0).all()):
+    if not (occupancy.ndim == 2 and occupancy.shape[1] == values.size):
         raise ValueError("occupancy must be 2-D nonnegative integers, one column per value")
     return values, occupancy
 
@@ -514,12 +503,12 @@ def sequential_update(
     Adds the event's log-likelihood column (its on/off bin for on/off
     detection) to the normalized log density and renormalizes; the log
     normalizer is the evidence increment.  Folding a record event by event
-    reproduces the batch posterior.  An event that is not an integer in
-    0..2**63 - 1, the counts a :class:`CountRecord` holds, raises ``ValueError``.
+    reproduces the batch posterior.  An event outside the integers 0..2**63 - 1
+    of a :class:`CountRecord`, or a gamma not in [0, 2 pi], raises ``ValueError``.
     """
     event = _whole("photon count", event, 0, 2**63 - 1)
     column, bin_of = _kind(detector_kind)
-    ll = column(amps, float(gamma), post.grid, bin_of(event))
+    ll = column(amps, _check_gamma(gamma), post.grid, bin_of(event))
     return _normalized(post.log_density + ll, post.grid, post.evidence_log)
 
 
@@ -540,10 +529,8 @@ def _fisher(amps: DetectorPlaneAmplitudes, phi, gamma: float, n_max: int | None,
     N eps S_n, and F by up to sum_k (N eps S_k)^2 / P_k over the bins.  The
     true F is 0 at gamma = pi and 2 pi, whose windows span whole periods.
     """
-    phis = np.asarray(phi, dtype=float)
+    phis = _real("phase phi", np.asarray(phi))
     flat = phis.ravel()
-    if not np.isfinite(flat).all():
-        raise ValueError(f"phase phi must be finite, got {phi!r}")
     gamma, n_max = _check_gamma(gamma), _cutoff(amps, n_max)
     step = max(1, _BLOCK_CELLS // (n_max + 1))
     rounding = photonstats._noise_nodes(amps, gamma) * np.finfo(float).eps * 2.0 * amps.a * amps.b
@@ -641,12 +628,12 @@ def invert_fano(fano, amps: DetectorPlaneAmplitudes, gamma: float = 0.0):
     k = sin(gamma)/gamma; without noise k = 1 and cos^2(phi) = R.
 
     cos^2(phi) is clamped to [0, 1] before the arccos (sampling noise pushes
-    it outside near the edges); the flag reports whether clamping fired.  A
-    float gives a float and a bool, an array one of each per entry.  Raises
-    ``ValueError`` where F carries no phase (see :func:`_invertible_fano_terms`).
+    it outside near the edges); the flag reports whether clamping fired.  A finite real
+    gives a float and a bool, an array of them one of each per entry; anything else raises
+    ``ValueError``, as does F without phase information (:func:`_invertible_fano_terms`).
     """
     k, scale = _invertible_fano_terms(amps, gamma)
-    fano = np.asarray(fano, dtype=float)
+    fano = _real("Fano factor", np.asarray(fano))
     with np.errstate(over="ignore"):  # a tiny scale sends ratios to +-inf, clamped like any
         cos2 = ((fano - 1.0) * amps.mean_photons / scale - 0.5 * (1.0 - k)) / k
     clamped = ~((0.0 <= cos2) & (cos2 <= 1.0))

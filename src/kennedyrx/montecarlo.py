@@ -303,18 +303,15 @@ def run_discrimination(cfg: SimConfig, bits: Sequence[int]) -> DiscriminationRes
     """Simulate shot-by-shot bit discrimination for a known transmitted bit string.
 
     The per-shot sign is fixed by the bit (1 -> +, 0 -> -) instead of being
-    drawn; the decision rule is on/off (count > 0 means bit 1).  Returns the
-    empirical error rate with its binomial standard error.
+    drawn; the decision rule is on/off (count > 0 means bit 1).  ``bits`` holds
+    cfg.M integers 0 or 1.  Returns the empirical error rate with its binomial
+    standard error.
     """
-    bits_arr = np.asarray(bits)
-    if bits_arr.size != cfg.M:
-        raise ValueError(f"got {bits_arr.size} bits for M={cfg.M} shots")
-    if bits_arr.size and not np.isin(bits_arr, (0, 1)).all():
-        raise ValueError("bits must be 0 or 1")
-    rng = stream(cfg.seed)
-    counts = _draw_counts(rng, cfg.amps, cfg.phi_star, cfg.gamma, bits_arr == 1)
-    decided = (counts > 0).astype(bits_arr.dtype)
-    n_err = int(np.count_nonzero(decided != bits_arr))
+    plus = _whole("bits", np.asarray(bits), 0, 1) == 1
+    if plus.shape != (cfg.M,):
+        raise ValueError(f"got bits of shape {plus.shape} for M={cfg.M} shots")
+    counts = _draw_counts(stream(cfg.seed), cfg.amps, cfg.phi_star, cfg.gamma, plus)
+    n_err = int(np.count_nonzero((counts > 0) != plus))
     rate = n_err / cfg.M
     return DiscriminationResult(
         error_rate=rate,

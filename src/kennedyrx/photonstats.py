@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import reprlib
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -58,27 +59,44 @@ GAMMA_MAX = 2.0 * math.pi
 # sequential-search sampler all grow with this mean.
 MAX_MEAN_PHOTONS = 1600.0
 
+_BLOCK_CELLS = 2_000_000  # cells per block of a blocked loop here or in estimation (16 MB)
 
-def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> float:
-    """A finite Python or numpy real in [lo, hi], not a bool, as a float; else
-    ValueError naming it."""
-    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    try:
-        if real and math.isfinite(x := float(value)) and lo <= x <= hi:
+
+def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> float | np.ndarray:
+    """A finite Python or numpy real in [lo, hi], not a bool, as a float; a numpy array
+    of integers or floats, each finite and in [lo, hi], as a float array.  Else (a bool,
+    a string, a list: array callers pass ``np.asarray``) ValueError naming it."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(x := float(value)) and lo <= x <= hi:
+                return x
+        except OverflowError:  # an integer beyond the largest double
+            pass
+    elif isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        x = value.astype(float, copy=False)
+        if np.isfinite(x).all() and (lo <= x).all() and (x <= hi).all():
             return x
-    except OverflowError:  # an integer beyond the largest double
-        pass
-    raise ValueError(f"{name} must be a finite real in [{lo:g}, {hi:g}], got {value!r}")
+    one = getattr(value, "ndim", 0) == 0
+    what = f"{'a ' * one}finite {'nonnegative ' * (lo == 0)}real{'s' * (not one)}"
+    bound = f" >= {lo!r}" * (lo not in (0, -math.inf)) + f" at most {hi!r}" * (hi < math.inf)
+    raise ValueError(f"{name} must be {what}{bound}, got {reprlib.repr(value)}")
 
 
-def _whole(name: str, value, lo: int, hi: float = math.inf) -> int:
-    """A Python or numpy integer in [lo, hi], not a bool, by ``operator.index``; else
-    ValueError naming it (its message writes a bound 2**k - 1 so)."""
-    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and lo <= (n := operator.index(value)) <= hi):
-        return n
-    top = f"2**{hi.bit_length()} - 1" if hi < math.inf and hi & (hi + 1) == 0 else hi
-    raise ValueError(f"{name} must be an integer >= {lo}, at most {top}, got {value!r}")
+def _whole(name: str, value, lo: int, hi: float = math.inf) -> int | np.ndarray:
+    """A Python or numpy integer in [lo, hi], not a bool, by ``operator.index``; a numpy
+    array of integers, each in [lo, hi], or an empty array, as itself.  Else ValueError
+    naming it (its message writes a large bound 2**k - 1 so)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if lo <= (n := operator.index(value)) <= hi:
+            return n
+    elif isinstance(value, np.ndarray) and (value.size == 0 or value.dtype.kind in "iu"
+                                            and lo <= int(value.min()) and int(value.max()) <= hi):
+        return value
+    what = f"{'nonnegative ' * (lo == 0)}integer"
+    what = f"{'an' if lo else 'a'} {what}" if getattr(value, "ndim", 0) == 0 else f"{what}s"
+    top = f"2**{hi.bit_length()} - 1" if math.inf > hi > 2**32 and hi & (hi + 1) == 0 else hi
+    bound = f" >= {lo}" * (lo != 0) + f" at most {top}" * (hi < math.inf)
+    raise ValueError(f"{name} must be {what}{bound}, got {reprlib.repr(value)}")
 
 
 def _cutoff(amps: DetectorPlaneAmplitudes, n_max: int | None) -> int:
@@ -132,13 +150,11 @@ class PhotonPmf:
     tail_bound: float
 
     def __post_init__(self) -> None:
-        probs = np.array(self.probs, dtype=float)
+        probs = np.array(_real("probs", np.asarray(self.probs), 0.0))
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1:
             raise ValueError("probs must be a 1-D array")
-        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
-            raise ValueError("pmf entries must be finite and nonnegative")
         object.__setattr__(self, "tail_bound", _real("tail_bound", self.tail_bound, 0.0, 1.0))
         total = float(probs.sum())
         if total > 1.0 + 1e-12 or total + self.tail_bound < 1.0 - 1e-12:
@@ -152,12 +168,11 @@ class PhotonPmf:
 
     @classmethod
     def from_counts(cls, counts) -> "PhotonPmf":
-        """Empirical photon-number histogram normalized to unit mass."""
-        counts = np.asarray(counts)
-        if counts.size == 0:
-            raise ValueError("cannot build an empirical pmf from an empty sample")
-        occ = np.bincount(counts)
-        return cls(probs=occ / counts.size, tail_bound=0.0)
+        """Empirical pmf of a non-empty 1-D sample of nonnegative integer counts."""
+        counts = _whole("counts", np.asarray(counts), 0)
+        if counts.ndim != 1 or counts.size == 0:
+            raise ValueError(f"counts must be a non-empty 1-D sample, got shape {counts.shape}")
+        return cls(probs=np.bincount(counts) / counts.size, tail_bound=0.0)
 
     def mean(self) -> float:
         n = np.arange(self.probs.size)
@@ -168,9 +183,9 @@ def nu_plus_minus(amps: DetectorPlaneAmplitudes, phi: float) -> tuple[float, flo
     """Mean photon numbers (nu+, nu-) of the two Poisson components.
 
     nu+- = a^2 + b^2 +- 2ab*cos(phi); both are >= 0 since (a -+ b)^2 >= 0.
-    The rule of :func:`_means` on ``math.cos``, as Python floats.
+    The rule of :func:`_means` on ``math.cos`` at a finite real ``phi``, as floats.
     """
-    nu_p, nu_m = _means(amps.a, amps.b, math.cos(phi))
+    nu_p, nu_m = _means(amps.a, amps.b, math.cos(_real("phase phi", phi)))
     return float(nu_p), float(nu_m)
 
 
@@ -273,17 +288,17 @@ def _tabulate(rows_fn, amps: DetectorPlaneAmplitudes, phis, n: np.ndarray, gamma
     averaged over the noise window by Gauss-Legendre quadrature when gamma > 0,
     on max(gl_nodes, ceil(5 gamma sqrt(ab))) nodes (see :data:`GL_NODES`).
 
-    The shifted phases go in node chunks sized to keep temporaries below
-    ~16 MB while still batching the work into few vectorized calls.
+    The shifted phases go in node chunks of at most ``_BLOCK_CELLS`` cells,
+    which bound the temporaries and batch the work into few vectorized calls.
     """
     gamma = _check_gamma(gamma)
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    phis = np.atleast_1d(_real("phase phi", np.asarray(phis)))
     if gamma == 0.0:
         return rows_fn(amps.a, amps.b, phis, n)
     x, w = np.polynomial.legendre.leggauss(_noise_nodes(amps, gamma, gl_nodes))
     psi, w = 0.5 * gamma * x, 0.5 * w  # a unit-mean average over [-gamma/2, gamma/2]
     out = np.zeros((phis.size, n.size))
-    chunk = max(1, int(2_000_000 // max(phis.size * n.size, 1)))
+    chunk = max(1, _BLOCK_CELLS // max(phis.size * n.size, 1))
     for start in range(0, psi.size, chunk):
         psi_c = psi[start : start + chunk]
         shifted = (phis[None, :] - psi_c[:, None]).ravel()
@@ -295,15 +310,15 @@ def _tabulate(rows_fn, amps: DetectorPlaneAmplitudes, phis, n: np.ndarray, gamma
 def pmf_columns(amps: DetectorPlaneAmplitudes, phis, ns, gamma: float = 0.0) -> np.ndarray:
     """Photon-number pmf p_n for every phase in ``phis`` and photon number in ``ns``.
 
-    Returns an array of shape ``(len(phis), len(ns))``; the cost grows with
-    the number of photon numbers asked for, not with their size.  For
-    ``gamma > 0`` each entry is the uniform average of the noiseless pmf over
-    the window ``[phi - gamma/2, phi + gamma/2]``, evaluated by
-    Gauss-Legendre quadrature.
+    Returns an array of shape ``(len(phis), len(ns))`` for finite real phases
+    and nonnegative integer ``ns``; the cost grows with the number of photon
+    numbers asked for, not with their size.  For ``gamma > 0`` each entry is
+    the uniform average of the noiseless pmf over the window
+    ``[phi - gamma/2, phi + gamma/2]``, evaluated by Gauss-Legendre quadrature.
     """
-    n = np.atleast_1d(np.asarray(ns))
-    if n.ndim != 1 or (n.size and (not np.issubdtype(n.dtype, np.integer) or n.min() < 0)):
-        raise ValueError("photon numbers must be a 1-D sequence of nonnegative integers")
+    n = np.atleast_1d(_whole("photon numbers", np.asarray(ns), 0))
+    if n.ndim != 1:
+        raise ValueError(f"photon numbers must be a 1-D sequence, got shape {n.shape}")
     return _tabulate(_pmf_rows, amps, phis, n, gamma, GL_NODES)
 
 
@@ -390,13 +405,13 @@ def fano_factor(amps: DetectorPlaneAmplitudes, phi: float, gamma: float = 0.0) -
     The mixture moments give F = 1 + 4 a^2 b^2 E[cos^2(phi - psi)] / (a^2 + b^2)
     over the noise offset psi, uniform on [-gamma/2, gamma/2]: E[cos^2(phi -
     psi)] = (1 - k)/2 + k cos^2(phi) with k = sin(gamma)/gamma, and k = 1
-    without noise (see :func:`_fano_terms`).  Requires a^2 + b^2 > 0.
+    without noise (see :func:`_fano_terms`).  Requires a^2 + b^2 > 0, finite phi.
     """
     k, scale = _fano_terms(amps, gamma)
     energy = amps.mean_photons
     if energy <= 0.0:
         raise ValueError("Fano factor undefined at zero mean photon number (a = b = 0)")
-    c = math.cos(phi)
+    c = math.cos(_real("phase phi", phi))
     return 1.0 + scale * (0.5 * (1.0 - k) + k * c * c) / energy
 
 

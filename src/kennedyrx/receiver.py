@@ -79,7 +79,7 @@ def error_probability(beta: float, phi: float) -> float:
     P_e(phi) >= P_e(0).  Finite-tau error rates come from simulation, not
     from this formula.  ``beta`` is a finite real >= 0 and ``phi`` a finite real.
     """
-    beta, phi = _real("beta", beta, 0.0), _real("phi", phi)
+    beta, phi = _real("beta", beta, 0.0), _real("phase phi", phi)
     e4 = 4.0 * beta * beta
     s = math.sin(0.5 * phi)
     c = math.cos(0.5 * phi)

@@ -820,5 +820,6 @@ class TestTypes:
         np.testing.assert_allclose(g.points, np.linspace(0, math.pi / 2, 5))
 
     def test_estimate_validation(self):
-        with pytest.raises(ValueError):
-            PhaseEstimate(mean=0.3, variance=-1.0)
+        for variance in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="variance"):
+                PhaseEstimate(mean=0.3, variance=variance)
