@@ -146,7 +146,7 @@ class CountRecord:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        counts = _whole("counts", np.asarray(self.counts), 0, 2**63 - 1)
+        counts = _whole("counts", self.counts, 0, 2**63 - 1, array=True)
         if counts.ndim != 1:
             raise ValueError(f"counts must be one-dimensional, got shape {counts.shape}")
         counts = counts.astype(np.int64, copy=True)
@@ -277,8 +277,8 @@ def _kind(detector_kind: DetectorKind):
 def _histogram_rows(values, occupancy) -> tuple[np.ndarray, np.ndarray]:
     """``values`` and ``occupancy`` as arrays, checked to hold records: distinct nonnegative
     integer counts in ascending order, and a 2-D array of their occurrences per record."""
-    values = _whole("values", np.asarray(values), 0)
-    occupancy = _whole("occupancy", np.asarray(occupancy), 0)
+    values = _whole("values", values, 0, array=True)
+    occupancy = _whole("occupancy", occupancy, 0, array=True)
     if not (values.ndim == 1 and (values[1:] > values[:-1]).all()):
         raise ValueError("values must be distinct nonnegative integer counts in ascending order")
     if not (occupancy.ndim == 2 and occupancy.shape[1] == values.size):
@@ -529,7 +529,7 @@ def _fisher(amps: DetectorPlaneAmplitudes, phi, gamma: float, n_max: int | None,
     N eps S_n, and F by up to sum_k (N eps S_k)^2 / P_k over the bins.  The
     true F is 0 at gamma = pi and 2 pi, whose windows span whole periods.
     """
-    phis = _real("phase phi", np.asarray(phi))
+    phis = _real("phase phi", phi, array=True)
     flat = phis.ravel()
     gamma, n_max = _check_gamma(gamma), _cutoff(amps, n_max)
     step = max(1, _BLOCK_CELLS // (n_max + 1))
@@ -633,7 +633,7 @@ def invert_fano(fano, amps: DetectorPlaneAmplitudes, gamma: float = 0.0):
     ``ValueError``, as does F without phase information (:func:`_invertible_fano_terms`).
     """
     k, scale = _invertible_fano_terms(amps, gamma)
-    fano = _real("Fano factor", np.asarray(fano))
+    fano = _real("Fano factor", fano, array=True)
     with np.errstate(over="ignore"):  # a tiny scale sends ratios to +-inf, clamped like any
         cos2 = ((fano - 1.0) * amps.mean_photons / scale - 0.5 * (1.0 - k)) / k
     clamped = ~((0.0 <= cos2) & (cos2 <= 1.0))

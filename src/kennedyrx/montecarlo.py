@@ -307,9 +307,10 @@ def run_discrimination(cfg: SimConfig, bits: Sequence[int]) -> DiscriminationRes
     cfg.M integers 0 or 1.  Returns the empirical error rate with its binomial
     standard error.
     """
-    plus = _whole("bits", np.asarray(bits), 0, 1) == 1
-    if plus.shape != (cfg.M,):
-        raise ValueError(f"got bits of shape {plus.shape} for M={cfg.M} shots")
+    bits = _whole("bits", bits, 0, 1, array=True)
+    if bits.shape != (cfg.M,):
+        raise ValueError(f"got bits of shape {bits.shape} for M={cfg.M} shots")
+    plus = bits == 1
     counts = _draw_counts(stream(cfg.seed), cfg.amps, cfg.phi_star, cfg.gamma, plus)
     n_err = int(np.count_nonzero((counts > 0) != plus))
     rate = n_err / cfg.M

@@ -62,41 +62,60 @@ MAX_MEAN_PHOTONS = 1600.0
 _BLOCK_CELLS = 2_000_000  # cells per block of a blocked loop here or in estimation (16 MB)
 
 
-def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> float | np.ndarray:
-    """A finite Python or numpy real in [lo, hi], not a bool, as a float; a numpy array
-    of integers or floats, each finite and in [lo, hi], as a float array.  Else (a bool,
-    a string, a list: array callers pass ``np.asarray``) ValueError naming it."""
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(x := float(value)) and lo <= x <= hi:
-                return x
-        except OverflowError:  # an integer beyond the largest double
-            pass
-    elif isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
-        x = value.astype(float, copy=False)
+def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf, *,
+          array: bool = False) -> float | np.ndarray:
+    """A finite Python or numpy real in [lo, hi], not a bool, as a float.  With ``array``,
+    ``np.asarray(value)`` of an integer or float dtype, every entry finite and in [lo, hi],
+    as a float array of its shape.  Else ValueError naming it: an array where a scalar is
+    due, or a bool, string, object or complex array where an array is."""
+    if not array:
+        if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+            try:
+                if math.isfinite(x := float(value)) and lo <= x <= hi:
+                    return x
+            except OverflowError:  # an integer beyond the largest double
+                pass
+    elif (x := np.asarray(value)).dtype.kind in "iuf":
+        x = x.astype(float, copy=False)
         if np.isfinite(x).all() and (lo <= x).all() and (x <= hi).all():
             return x
-    one = getattr(value, "ndim", 0) == 0
-    what = f"{'a ' * one}finite {'nonnegative ' * (lo == 0)}real{'s' * (not one)}"
-    bound = f" >= {lo!r}" * (lo not in (0, -math.inf)) + f" at most {hi!r}" * (hi < math.inf)
-    raise ValueError(f"{name} must be {what}{bound}, got {reprlib.repr(value)}")
+    raise _rule_error(name, value, "finite real", lo, hi, array)
 
 
-def _whole(name: str, value, lo: int, hi: float = math.inf) -> int | np.ndarray:
-    """A Python or numpy integer in [lo, hi], not a bool, by ``operator.index``; a numpy
-    array of integers, each in [lo, hi], or an empty array, as itself.  Else ValueError
-    naming it (its message writes a large bound 2**k - 1 so)."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        if lo <= (n := operator.index(value)) <= hi:
+def _whole(name: str, value, lo: int, hi: float = math.inf, *,
+           array: bool = False) -> int | np.ndarray:
+    """A Python or numpy integer in [lo, hi], not a bool, by ``operator.index``.  With
+    ``array``, ``np.asarray(value)`` of an integer dtype, every entry in [lo, hi], or
+    empty, as itself.  Else ValueError naming it, as :func:`_real` does."""
+    if not array:
+        if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                and lo <= (n := operator.index(value)) <= hi):
             return n
-    elif isinstance(value, np.ndarray) and (value.size == 0 or value.dtype.kind in "iu"
-                                            and lo <= int(value.min()) and int(value.max()) <= hi):
-        return value
-    what = f"{'nonnegative ' * (lo == 0)}integer"
-    what = f"{'an' if lo else 'a'} {what}" if getattr(value, "ndim", 0) == 0 else f"{what}s"
-    top = f"2**{hi.bit_length()} - 1" if math.inf > hi > 2**32 and hi & (hi + 1) == 0 else hi
-    bound = f" >= {lo}" * (lo != 0) + f" at most {top}" * (hi < math.inf)
-    raise ValueError(f"{name} must be {what}{bound}, got {reprlib.repr(value)}")
+    elif (n := np.asarray(value)).size == 0 or (
+            n.dtype.kind in "iu" and lo <= int(n.min()) and int(n.max()) <= hi):
+        return n
+    raise _rule_error(name, value, "integer", lo, hi, array)
+
+
+def _rule_error(name: str, value, noun: str, lo, hi, array: bool) -> ValueError:
+    """The ValueError of :func:`_real` and :func:`_whole`: ``name`` must be one ``noun``,
+    or ``noun``s for an array of one or more dimensions, in [lo, hi]; long values are
+    shortened by ``reprlib``."""
+    if lo == 0:
+        noun = f"nonnegative {noun}"
+    if array and np.ndim(value) > 0:
+        rule = f"{noun}s"
+    elif noun == "integer":
+        rule = "an integer"
+    else:
+        rule = f"a {noun}"
+    if lo not in (0, -math.inf):
+        rule += f" >= {lo}"
+    if hi < math.inf:
+        if isinstance(hi, int) and hi > 1 and hi & (hi + 1) == 0:
+            hi = f"2**{hi.bit_length()} - 1"  # not the 19 digits of 2**63 - 1
+        rule += f", at most {hi}"
+    return ValueError(f"{name} must be {rule}, got {reprlib.repr(value)}")
 
 
 def _cutoff(amps: DetectorPlaneAmplitudes, n_max: int | None) -> int:
@@ -150,7 +169,7 @@ class PhotonPmf:
     tail_bound: float
 
     def __post_init__(self) -> None:
-        probs = np.array(_real("probs", np.asarray(self.probs), 0.0))
+        probs = np.array(_real("probs", self.probs, 0.0, array=True))
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1:
@@ -169,7 +188,7 @@ class PhotonPmf:
     @classmethod
     def from_counts(cls, counts) -> "PhotonPmf":
         """Empirical pmf of a non-empty 1-D sample of nonnegative integer counts."""
-        counts = _whole("counts", np.asarray(counts), 0)
+        counts = _whole("counts", counts, 0, array=True)
         if counts.ndim != 1 or counts.size == 0:
             raise ValueError(f"counts must be a non-empty 1-D sample, got shape {counts.shape}")
         return cls(probs=np.bincount(counts) / counts.size, tail_bound=0.0)
@@ -292,7 +311,7 @@ def _tabulate(rows_fn, amps: DetectorPlaneAmplitudes, phis, n: np.ndarray, gamma
     which bound the temporaries and batch the work into few vectorized calls.
     """
     gamma = _check_gamma(gamma)
-    phis = np.atleast_1d(_real("phase phi", np.asarray(phis)))
+    phis = np.atleast_1d(_real("phase phi", phis, array=True))
     if gamma == 0.0:
         return rows_fn(amps.a, amps.b, phis, n)
     x, w = np.polynomial.legendre.leggauss(_noise_nodes(amps, gamma, gl_nodes))
@@ -316,7 +335,7 @@ def pmf_columns(amps: DetectorPlaneAmplitudes, phis, ns, gamma: float = 0.0) -> 
     the uniform average of the noiseless pmf over the window
     ``[phi - gamma/2, phi + gamma/2]``, evaluated by Gauss-Legendre quadrature.
     """
-    n = np.atleast_1d(_whole("photon numbers", np.asarray(ns), 0))
+    n = np.atleast_1d(_whole("photon numbers", ns, 0, array=True))
     if n.ndim != 1:
         raise ValueError(f"photon numbers must be a 1-D sequence, got shape {n.shape}")
     return _tabulate(_pmf_rows, amps, phis, n, gamma, GL_NODES)

@@ -109,3 +109,36 @@ def test_arrays_of_any_integer_or_float_dtype_give_the_python_values_results(dty
         assert record.counts.tolist() == [0, 3, 3, 7] and record.counts.dtype == np.int64
         assert np.array_equal(photonstats.pmf_columns(amps, [0.3], np.array([0, 2], dtype=dtype)),
                               photonstats.pmf_columns(amps, [0.3], [0, 2]))
+
+
+AMPS = VALID["amps"]
+# scalar input -> (a call taking the value there, the name its ValueError carries)
+SCALAR_INPUTS = {
+    "amplitude a": (lambda x: DetectorPlaneAmplitudes(x, 1.0), "amplitude a"),
+    "amplitude b": (lambda x: DetectorPlaneAmplitudes(1.0, x), "amplitude b"),
+    "gamma": (lambda x: photonstats.fano_factor(AMPS, 0.3, x), "gamma"),
+    "n_max": (lambda x: photonstats.pmf_table(AMPS, [0.3], n_max=x), "n_max"),
+    "tail_bound": (lambda x: photonstats.PhotonPmf(np.array([1.0]), x), "tail_bound"),
+    "phi": (lambda x: photonstats.nu_plus_minus(AMPS, x), "phase phi"),
+    "grid lo": (lambda x: PhaseGrid(x, 1.0), "grid lo"),
+    "grid size": (lambda x: PhaseGrid(size=x), "grid size"),
+    "event": (lambda x: kennedyrx.sequential_update(VALID["post"], x, AMPS, 0.0), "photon count"),
+    "sample_size": (lambda x: kennedyrx.crlb_variance(1.0, x), "sample_size"),
+    "fisher": (lambda x: kennedyrx.crlb_variance(x, 10), "Fisher information"),
+    "phi_star": (lambda x: kennedyrx.SimConfig(AMPS, x, 10, 1), "phi_star"),
+    "M": (lambda x: kennedyrx.SimConfig(AMPS, 0.3, x, 1), "M"),
+    "seed": (lambda x: kennedyrx.SimConfig(AMPS, 0.3, 10, x), "seed"),
+    "beta": (lambda x: kennedyrx.ReceiverParams(beta=x, alpha=1.0, tau=0.5), "beta"),
+    "count": (lambda x: kennedyrx.discriminate(x), "photon count"),
+    "error_probability": (lambda x: kennedyrx.error_probability(x, 0.3), "beta"),
+    "helstrom_bound": (lambda x: kennedyrx.helstrom_bound(x), "beta"),
+}
+
+
+@pytest.mark.parametrize("value", [np.array(3), np.array([3, 4]), np.array(0.3),
+                                   np.array([0.3, 0.4])], ids=["0d-int", "1d-int", "0d", "1d"])
+@pytest.mark.parametrize("site", list(SCALAR_INPUTS))
+def test_an_array_at_a_scalar_input_raises_naming_it(site, value):
+    call, name = SCALAR_INPUTS[site]
+    with pytest.raises(ValueError, match=name):
+        call(value)
