@@ -60,14 +60,13 @@ from .estimation import (
 from .montecarlo import (
     DEFAULT_M_LIST,
     METHODS,
-    InsufficientSupportError,
     SimConfig,
     run_convergence_sweeps,
     run_discrimination,
     sample_counts,
     stream,
 )
-from .photonstats import GAMMA_MAX, DetectorPlaneAmplitudes, default_cutoff
+from .photonstats import GAMMA_MAX, DetectorPlaneAmplitudes, _real, _whole, default_cutoff
 from .receiver import ReceiverParams, detector_amplitudes, error_probability
 
 __all__ = [
@@ -108,34 +107,24 @@ class UnresolvedPosteriorError(ValueError):
     """A Bayes posterior narrower than its phase grid resolves (exit 4)."""
 
 
-def _parse_float(key: str, raw: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+def _parse_number(key: str, raw: str, kind=float, lo=-math.inf, hi=math.inf):
+    """``raw`` read as a ``kind``, float or int, and held to the library's rule
+    for that kind (``_real`` or ``_whole``) in [lo, hi]."""
     try:
-        v = float(raw)
+        v = kind(raw)
     except ValueError:
-        raise ConfigError(f"config key '{key}': expected a real number, got {raw!r}") from None
-    if not math.isfinite(v):
-        raise ConfigError(f"config key '{key}': must be finite, got {raw!r}")
-    if not lo <= v <= hi:
-        raise ConfigError(f"config key '{key}': {key} must lie in [{lo:g}, {hi:g}]")
-    return v
+        noun = "a real number" if kind is float else "an integer"
+        raise ConfigError(f"config key '{key}': expected {noun}, got {raw!r}") from None
+    try:
+        return (_real if kind is float else _whole)(f"config key '{key}'", v, lo, hi)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_tau(key: str, raw: str) -> float:
-    v = _parse_float(key, raw)
+    v = _parse_number(key, raw)
     if not 0.0 < v < 1.0:
         raise ConfigError(f"config key '{key}': {key} must lie in (0,1)")
-    return v
-
-
-def _parse_int(key: str, raw: str, lo=None, hi=None) -> int:
-    try:
-        v = int(raw)
-    except ValueError:
-        raise ConfigError(f"config key '{key}': expected an integer, got {raw!r}") from None
-    if lo is not None and v < lo:
-        raise ConfigError(f"config key '{key}': must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"config key '{key}': must be <= {hi}, got {v}")
     return v
 
 
@@ -146,16 +135,10 @@ def _parse_choice(key: str, raw: str, choices: tuple[str, ...]) -> str:
 
 
 def _parse_m_list(key: str, raw: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(
-            f"config key '{key}': expected comma-separated integers, got {raw!r}"
-        ) from None
-    if not values or any(v < 1 for v in values):
-        raise ConfigError(f"config key '{key}': sample sizes must be positive")
-    if any(v > MAX_SHOTS for v in values):
-        raise ConfigError(f"config key '{key}': sample sizes must be <= {MAX_SHOTS}")
+    tokens = [tok for tok in raw.split(",") if tok.strip()]
+    values = tuple(_parse_number(key, tok, int, 1, MAX_SHOTS) for tok in tokens)
+    if not values:
+        raise ConfigError(f"config key '{key}': expected comma-separated integers, got {raw!r}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError(f"config key '{key}': sample sizes must be strictly increasing")
     return values
@@ -165,10 +148,10 @@ def _parse_text(key: str, raw: str) -> str:
     return raw
 
 
-def _key(parse, default=None, **bounds):
+def _key(parse, default=None, **rule):
     """A :class:`RunConfig` field that declares a config key: its default, and
-    ``parse(key, raw, **bounds)`` in its metadata."""
-    return dataclasses.field(default=default, metadata={"parse": functools.partial(parse, **bounds)})
+    ``parse(key, raw, **rule)`` in its metadata."""
+    return dataclasses.field(default=default, metadata={"parse": functools.partial(parse, **rule)})
 
 
 @dataclass(frozen=True)
@@ -176,17 +159,17 @@ class RunConfig:
     """Fully resolved run configuration for one subcommand invocation."""
 
     command: str
-    a: float | None = _key(_parse_float, lo=0.0)
-    b: float | None = _key(_parse_float, lo=0.0)
-    alpha: float | None = _key(_parse_float, lo=0.0)
-    beta: float | None = _key(_parse_float, lo=0.0)
+    a: float | None = _key(_parse_number, kind=float, lo=0.0)
+    b: float | None = _key(_parse_number, kind=float, lo=0.0)
+    alpha: float | None = _key(_parse_number, kind=float, lo=0.0)
+    beta: float | None = _key(_parse_number, kind=float, lo=0.0)
     tau: float | None = _key(_parse_tau)
-    phi: float | None = _key(_parse_float)
-    gamma: float = _key(_parse_float, 0.0, lo=0.0, hi=GAMMA_MAX)
-    M: int | None = _key(_parse_int, lo=1, hi=MAX_SHOTS)
-    seed: int | None = _key(_parse_int, lo=0, hi=2**64 - 1)
-    replications: int = _key(_parse_int, 50, lo=1, hi=MAX_REPLICATIONS)
-    grid: int | None = _key(_parse_int, lo=2, hi=MAX_GRID_POINTS)
+    phi: float | None = _key(_parse_number, kind=float)
+    gamma: float = _key(_parse_number, 0.0, kind=float, lo=0.0, hi=GAMMA_MAX)
+    M: int | None = _key(_parse_number, kind=int, lo=1, hi=MAX_SHOTS)
+    seed: int | None = _key(_parse_number, kind=int, lo=0, hi=2**64 - 1)
+    replications: int = _key(_parse_number, 50, kind=int, lo=1, hi=MAX_REPLICATIONS)
+    grid: int | None = _key(_parse_number, kind=int, lo=2, hi=MAX_GRID_POINTS)
     method: str = _key(_parse_choice, "all", choices=(*METHODS, "all"))
     m_list: tuple[int, ...] = _key(_parse_m_list, DEFAULT_M_LIST)
     counts: str | None = _key(_parse_text)
@@ -620,8 +603,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"kennedyrx: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DegenerateEvidenceError, UndefinedFanoError, InsufficientSupportError,
-            UnresolvedPosteriorError) as exc:
+    except (DegenerateEvidenceError, UndefinedFanoError, UnresolvedPosteriorError) as exc:
         print(f"kennedyrx: numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 

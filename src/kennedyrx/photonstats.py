@@ -75,7 +75,7 @@ def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf, *,
                     return x
             except OverflowError:  # an integer beyond the largest double
                 pass
-    elif (x := np.asarray(value)).dtype.kind in "iuf":
+    elif (x := _asarray(value)).dtype.kind in "iuf":
         x = x.astype(float, copy=False)
         if np.isfinite(x).all() and (lo <= x).all() and (x <= hi).all():
             return x
@@ -91,10 +91,18 @@ def _whole(name: str, value, lo: int, hi: float = math.inf, *,
         if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
                 and lo <= (n := operator.index(value)) <= hi):
             return n
-    elif (n := np.asarray(value)).size == 0 or (
+    elif (n := _asarray(value)).size == 0 or (
             n.dtype.kind in "iu" and lo <= int(n.min()) and int(n.max()) <= hi):
         return n
     raise _rule_error(name, value, "integer", lo, hi, array)
+
+
+def _asarray(value) -> np.ndarray:
+    """``np.asarray(value)``, or for a ragged nesting one object entry, which no rule admits."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        return np.empty(1, dtype=object)
 
 
 def _rule_error(name: str, value, noun: str, lo, hi, array: bool) -> ValueError:
@@ -103,7 +111,7 @@ def _rule_error(name: str, value, noun: str, lo, hi, array: bool) -> ValueError:
     shortened by ``reprlib``."""
     if lo == 0:
         noun = f"nonnegative {noun}"
-    if array and np.ndim(value) > 0:
+    if array and _asarray(value).ndim > 0:
         rule = f"{noun}s"
     elif noun == "integer":
         rule = "an integer"
@@ -302,6 +310,15 @@ def _noise_nodes(amps: DetectorPlaneAmplitudes, gamma: float, gl_nodes: int = GL
     return max(gl_nodes, math.ceil(5.0 * gamma * math.sqrt(amps.a * amps.b)))
 
 
+@cache
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, made once per node count."""
+    rule = np.polynomial.legendre.leggauss(nodes)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
+
+
 def _tabulate(rows_fn, amps: DetectorPlaneAmplitudes, phis, n: np.ndarray, gamma, gl_nodes):
     """``rows_fn`` at every phase in ``phis`` and photon number in ``n``,
     averaged over the noise window by Gauss-Legendre quadrature when gamma > 0,
@@ -314,7 +331,7 @@ def _tabulate(rows_fn, amps: DetectorPlaneAmplitudes, phis, n: np.ndarray, gamma
     phis = np.atleast_1d(_real("phase phi", phis, array=True))
     if gamma == 0.0:
         return rows_fn(amps.a, amps.b, phis, n)
-    x, w = np.polynomial.legendre.leggauss(_noise_nodes(amps, gamma, gl_nodes))
+    x, w = _gauss_legendre(_noise_nodes(amps, gamma, gl_nodes))
     psi, w = 0.5 * gamma * x, 0.5 * w  # a unit-mean average over [-gamma/2, gamma/2]
     out = np.zeros((phis.size, n.size))
     chunk = max(1, _BLOCK_CELLS // max(phis.size * n.size, 1))

@@ -300,6 +300,14 @@ class TestFisherCommand:
         assert first[1] < 1e-9 and first[2] < 1e-9
         assert last[1] < 1e-9 and last[2] < 1e-9
 
+    def test_gamma_above_2pi_names_the_exact_bound(self, tmp_path, capsys):
+        # 6.283186 lies above 2 pi = 6.283185307179586, which rounds to it at 6 digits
+        out = tmp_path / "fisher.csv"
+        code = run_cli(["fisher", "--a", "1", "--b", "1", "--gamma", "6.283186", "--out", str(out)])
+        assert code == 2
+        assert "at most 6.283185307179586, got 6.283186" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_largest_grid_succeeds(self, tmp_path):
         out = tmp_path / "fisher.csv"
         code = run_cli(["fisher", "--a", "1.12", "--b", "0.79", "--grid", "20001", "--out", str(out)])
@@ -333,7 +341,7 @@ class TestGridBound:
             "print(json.dumps([rc, time.perf_counter() - t]))\n",
         )
         assert "Traceback" not in proc.stderr
-        assert f"must be <= {cli.MAX_GRID_POINTS}" in proc.stderr
+        assert f"at most {cli.MAX_GRID_POINTS}" in proc.stderr
         rc, seconds = json.loads(proc.stdout.splitlines()[-1])
         assert rc == 2 and proc.returncode == 0
         assert seconds < 2.0
@@ -366,7 +374,7 @@ class TestRecordSizeBound:
             "print(json.dumps([rc, time.perf_counter() - t]))\n",
         )
         assert "Traceback" not in proc.stderr
-        assert f"must be <= {bound}" in proc.stderr
+        assert f"at most {bound}" in proc.stderr
         rc, seconds = json.loads(proc.stdout.splitlines()[-1])
         assert rc == 2 and proc.returncode == 0
         assert seconds < 2.0

@@ -2,11 +2,12 @@
 
 Every function or class the package exports, and the photon-statistics
 tables, that takes a phase ``phi`` or ``phis``, a noise width ``gamma`` or a
-Fano factor ``fano`` rejects a bool, a string, a NaN, an infinity and a list
-holding a NaN there with a ``ValueError`` that names the input.  The other
-arguments come from one table of valid values keyed by parameter name, so a
-new entry point with such a parameter is covered once it is exported, and
-one with a parameter the table lacks fails here until the table has it.
+Fano factor ``fano`` rejects a bool, a string, a NaN, an infinity, a list
+holding a NaN and a ragged list there with a ``ValueError`` that names the
+input.  The other arguments come from one table of valid values keyed by
+parameter name, so a new entry point with such a parameter is covered once
+it is exported, and one with a parameter the table lacks fails here until
+the table has it.
 Arrays of any integer or float dtype give the results of their Python values.
 """
 
@@ -43,7 +44,7 @@ VALID = {
 }
 # checked parameter -> the name its ValueError carries
 CHECKED = {"phi": "phase phi", "phis": "phase phi", "gamma": "gamma", "fano": "Fano factor"}
-BAD = [True, "0.3", math.nan, math.inf, [0.3, math.nan]]
+BAD = [True, "0.3", math.nan, math.inf, [0.3, math.nan], [[0.3], [0.3, 0.4]]]
 
 ENTRY_POINTS = [getattr(kennedyrx, name) for name in kennedyrx.__all__] + [
     photonstats.pmf_table, photonstats.dphi_table, photonstats.pmf_columns,
@@ -87,11 +88,16 @@ def test_valid_arguments_pass(entry, name):
     entry(**_arguments(entry))
 
 
-@pytest.mark.parametrize("bad", BAD, ids=["bool", "string", "nan", "inf", "list-with-nan"])
+@pytest.mark.parametrize("bad", BAD, ids=["bool", "string", "nan", "inf", "list-with-nan", "ragged"])
 @pytest.mark.parametrize("entry, name", CASES)
 def test_bool_string_or_non_finite_input_raises_naming_it(entry, name, bad):
     with pytest.raises(ValueError, match=CHECKED[name]):
         entry(**_arguments(entry, **{name: bad}))
+
+
+def test_a_ragged_count_record_raises_naming_it():
+    with pytest.raises(ValueError, match="counts"):
+        CountRecord([[1], [1, 2]])
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64, np.float16, np.float32])
