@@ -24,12 +24,12 @@ window, the grid points where some row's density is not exactly 0.
 Photon-number-resolved ("pnr") bins are the distinct counts; on/off bins
 are their coarse-graining {0}, {n >= 1}, so both kinds read the one record
 type, :class:`CountRecord` (an on/off detector's record is one of 0s and
-1s).  One lookup gives a kind's ln P column and its count-to-bin map, for
-batch and streaming alike.  Batch and streaming read ln p_n
-from one bounded per-count cache, so memory follows neither the size of a
-count nor the number of distinct counts.  One more kernel gives the Fisher
-information of both kinds, sum_k (dP_k/dphi)^2 / P_k over the bins with
-P_k > 0 (pnr: n = 0..cutoff).
+1s).  One lookup gives a kind's ln P columns and its count-to-bin map, for
+batch and streaming alike.  Batch and streaming read ln p_n, tabulated in
+log space, from one bounded per-count cache, so memory follows neither the
+size of a count nor the number of distinct counts.  One more kernel gives
+the Fisher information of both kinds, sum_k P_k s_k^2 over the bins with
+P_k > 0 (pnr: n = 0..cutoff), from one table of ln p_n and its score s_n.
 
 Estimators share the detection record used for bit discrimination:
 
@@ -51,6 +51,7 @@ must be advanced by one writer at a time.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Literal
@@ -231,42 +232,57 @@ class PhaseEstimate:
             raise ValueError(f"variance must be nonnegative, got {self.variance!r}")
 
 
-@lru_cache(maxsize=256)
-def _log_pmf(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, n: int) -> np.ndarray:
-    """ln p_n over the grid for one photon number n (-inf where p_n is zero).
+# (model, n) -> ln p_n over a grid, least recently used first: at most 256 columns, 4 MB on
+# the default grid.  Each step is one dict operation: concurrent callers at worst tabulate twice.
+_LOG_PMF: OrderedDict = OrderedDict()
 
-    A record needs one column per distinct count; the 256 kept columns take
-    4 MB on the default 2001-point grid."""
-    with np.errstate(divide="ignore"):
-        col = np.log(photonstats.pmf_columns(amps, grid.points, [n], gamma)[:, 0])
-    col.setflags(write=False)
-    return col
+
+def _log_pmfs(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, ns) -> list[np.ndarray]:
+    """Read-only ln p_n over the grid for each of the distinct counts ``ns``, -inf only
+    where the model forbids n: the cached columns, and the others from one tabulator call."""
+    model, keys, cols, missing = (amps.a, amps.b, gamma, grid.lo, grid.hi, grid.size), [], [], []
+    for n in ns:  # a loop, not comprehensions: a streaming shot pays for each frame
+        keys.append((*model, int(n)))
+        cols.append(_LOG_PMF.pop(keys[-1], None))
+        if cols[-1] is None:
+            missing.append(len(cols) - 1)
+    if missing:
+        counts = np.array([keys[i][-1] for i in missing])
+        for i, col in zip(missing, photonstats._log_tables(amps, grid.points, counts, gamma)[0].T):
+            cols[i] = np.ascontiguousarray(col)  # a copy, unless it is the table's one column
+            cols[i].setflags(write=False)
+    _LOG_PMF.update(zip(keys, cols))
+    while len(_LOG_PMF) > 256:
+        _LOG_PMF.popitem(last=False)
+    return cols
 
 
 @lru_cache(maxsize=64)
 def _log_onoff(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, on: int) -> np.ndarray:
     """ln P over the grid for the on/off bin {0} (on = 0) or {n >= 1} (on = 1).
 
-    The noise quadrature can round p_0 of a near-vacuum beam a hair above 1;
-    there P_on is taken as 0 (ln P_on = -inf), not NaN."""
-    log_off = _log_pmf(amps, gamma, grid, 0)
+    P_on is taken as 0 (ln P_on = -inf) where ln p_0 is within N eps of 0, the
+    rounding of a noise average on N nodes: 1 - p_0 holds no digit of it there."""
+    log_off = _log_pmfs(amps, gamma, grid, (0,))[0]
     if not on:
         return log_off
-    with np.errstate(divide="ignore"):
-        col = np.log1p(-np.exp(np.minimum(log_off, 0.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        col = np.log1p(-np.exp(log_off))
+    col[log_off > -photonstats._noise_nodes(amps, gamma) * np.finfo(float).eps] = -np.inf
     col.setflags(write=False)
     return col
 
 
-# detector kind -> (ln P column of a bin, the bin of a photon count n)
+# detector kind -> (ln P columns of a sequence of bins, the bin of a photon count n)
 _KINDS = {
-    "pnr": (_log_pmf, lambda n: n),
-    "onoff": (_log_onoff, lambda n: np.minimum(n, 1)),
+    "pnr": (_log_pmfs, lambda n: n),
+    "onoff": (lambda amps, gamma, grid, ks: [_log_onoff(amps, gamma, grid, int(k)) for k in ks],
+              lambda n: np.minimum(n, 1)),
 }
 
 
 def _kind(detector_kind: DetectorKind):
-    """The ln P column and the count-to-bin map of a detector kind: pnr bins
+    """The ln P columns and the count-to-bin map of a detector kind: pnr bins
     are the photon numbers, on/off bins their coarse-graining {0}, {n >= 1}."""
     try:
         return _KINDS[detector_kind]
@@ -287,7 +303,7 @@ def _histogram_rows(values, occupancy) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bins(values, occupancy, detector_kind: DetectorKind):
-    """The ln P column of a detector kind's bins, the bins occupied by any
+    """The ln P columns of a detector kind's bins, the bins occupied by any
     row of ``occupancy``, and one row of bin occupations per row.
 
     ``values`` are distinct counts in ascending order and ``occupancy`` holds
@@ -296,17 +312,18 @@ def _bins(values, occupancy, detector_kind: DetectorKind):
     occurrences to its bin; a bin map is monotone, so a bin is a run of
     consecutive occupied values.
     """
-    column, bin_of = _kind(detector_kind)
+    columns, bin_of = _kind(detector_kind)
     used = occupancy.any(axis=0)
     ns, first = np.unique(bin_of(np.asarray(values)[used]), return_index=True)
-    return column, ns, np.add.reduceat(occupancy[:, used], first, axis=1)
+    return columns, ns, np.add.reduceat(occupancy[:, used], first, axis=1)
 
 
-def _loglik(column, bins, weights, amps, gamma: float, grid: PhaseGrid) -> np.ndarray:
+def _loglik(columns, bins, weights, amps, gamma: float, grid: PhaseGrid) -> np.ndarray:
     """The likelihood kernel: row r of the result is sum_k w_rk ln P_k.
 
     ``weights`` holds one row of occupations w_rk of ``bins`` per record,
-    and ``column(amps, gamma, grid, k)`` is ln P_k over the grid.  Each block
+    and ``columns(amps, gamma, grid, ks)`` gives ln P_k over the grid for each
+    bin k of ``ks``, the bins of one block at a time.  Each block
     of at most ``_BLOCK_CELLS`` table cells is one matrix product, so memory
     does not follow the number of bins.  An empty bin adds 0 even where its
     ln P_k is -inf, so no 0 * -inf arises, and a grid point where an
@@ -318,7 +335,7 @@ def _loglik(column, bins, weights, amps, gamma: float, grid: PhaseGrid) -> np.nd
     step = max(1, _BLOCK_CELLS // grid.size)
     for start in range(0, len(bins), step):
         w = weights[:, start : start + step]
-        cols = np.array([column(amps, gamma, grid, int(k)) for k in bins[start : start + step]])
+        cols = np.array(columns(amps, gamma, grid, bins[start : start + step]))
         impossible = cols == -np.inf
         dead = impossible.any()
         if dead:
@@ -507,8 +524,8 @@ def sequential_update(
     of a :class:`CountRecord`, or a gamma not in [0, 2 pi], raises ``ValueError``.
     """
     event = _whole("photon count", event, 0, 2**63 - 1)
-    column, bin_of = _kind(detector_kind)
-    ll = column(amps, _check_gamma(gamma), post.grid, bin_of(event))
+    columns, bin_of = _kind(detector_kind)
+    ll = columns(amps, _check_gamma(gamma), post.grid, (bin_of(event),))[0]
     return _normalized(post.log_density + ll, post.grid, post.evidence_log)
 
 
@@ -518,32 +535,32 @@ def uniform_posterior(grid: PhaseGrid) -> PhasePosterior:
 
 
 def _fisher(amps: DetectorPlaneAmplitudes, phi, gamma: float, n_max: int | None, bins):
-    """The Fisher kernel, sum_k (dP_k/dphi)^2 / P_k over the bins k with P_k > 0;
-    ``bins(p, dp)`` maps the rows of p_n and d p_n/d phi over n = 0..n_max to
-    rows of P_k and dP_k/dphi.  Phases go in blocks of bounded table size.
+    """The Fisher kernel, sum_k P_k s_k^2 = sum_k (dP_k/dphi)^2 / P_k over the
+    bins k with P_k > 0, from one table of ln p_n and its score s_n over n =
+    0..n_max; ``bins(p, *xs)`` maps rows of p_n, and rows linear in p_n, to rows
+    over the bins.  Phases go in blocks of bounded table size.
 
     The result is exactly 0 where rounding alone could give it.  d p_n/dphi
     sums, over the N nodes of the noise average (1 without noise), terms
-    ab sin(phi - psi) (D_{n-1} - D_n) (``photonstats._dphi_rows``) whose sizes
-    add up to at most S_n = 2ab (p_{n-1} + p_n), so it is off by up to
+    ab sin(phi - psi) (Pois(n-1; nu) - Pois(n; nu)) of the two components whose
+    sizes add up to at most S_n = 2ab (p_{n-1} + p_n), so it is off by up to
     N eps S_n, and F by up to sum_k (N eps S_k)^2 / P_k over the bins.  The
     true F is 0 at gamma = pi and 2 pi, whose windows span whole periods.
     """
     phis = _real("phase phi", phi, array=True)
     flat = phis.ravel()
-    gamma, n_max = _check_gamma(gamma), _cutoff(amps, n_max)
-    step = max(1, _BLOCK_CELLS // (n_max + 1))
+    gamma, n = _check_gamma(gamma), np.arange(_cutoff(amps, n_max) + 1)
+    step = max(1, _BLOCK_CELLS // n.size)
     rounding = photonstats._noise_nodes(amps, gamma) * np.finfo(float).eps * 2.0 * amps.a * amps.b
     info = np.empty(flat.size)
     for start in range(0, flat.size, step):
-        block = flat[start : start + step]
-        p_n = photonstats.pmf_table(amps, block, gamma, n_max=n_max)
-        err = rounding * p_n
-        err[:, 1:] += rounding * p_n[:, :-1]  # N eps S_n
-        p, dp = bins(p_n, photonstats.dphi_table(amps, block, gamma, n_max=n_max))
-        _, err = bins(p_n, err)
-        terms = np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0).sum(axis=1)
-        floor = np.divide(err * err, p, out=np.zeros_like(p), where=p > 0.0).sum(axis=1)
+        p, dp = photonstats._log_tables(amps, flat[start : start + step], n, gamma, score=True)
+        dp *= np.exp(p, out=p)
+        err = rounding * p
+        err[:, 1:] += rounding * p[:, :-1]  # N eps S_n
+        p, dp, err = bins(p, dp, err)
+        terms, floor = (np.divide(x * x, p, out=np.zeros_like(p), where=p > 0.0).sum(axis=1)
+                        for x in (dp, err))
         info[start : start + step] = np.where(terms > floor, terms, 0.0)
     return float(info[0]) if phis.ndim == 0 else info.reshape(phis.shape)
 
@@ -555,16 +572,15 @@ def fisher_pnr(amps: DetectorPlaneAmplitudes, phi, gamma: float = 0.0) -> float 
     raises ``ValueError``.  Zero at phi = 0 and pi/2, where the statistics are
     stationary: the no-information regime, not an error.
     """
-    return _fisher(amps, phi, gamma, None, lambda p, dp: (p, dp))
+    return _fisher(amps, phi, gamma, None, lambda *rows: rows)
 
 
 def fisher_onoff(amps: DetectorPlaneAmplitudes, phi, gamma: float = 0.0) -> float | np.ndarray:
     """Fisher information of the on/off model: the same kernel over the
     coarse-grained bins {0}, {n >= 1}, P = (p_0, 1 - p_0) with P > 0.  Phases
     as for :func:`fisher_pnr`; 0.0 where a bin is certain or p_0 is stationary."""
-    return _fisher(
-        amps, phi, gamma, 0, lambda p, dp: (np.hstack([p, 1.0 - p]), np.hstack([dp, -dp]))
-    )
+    return _fisher(amps, phi, gamma, 0, lambda p, *xs: (
+        np.hstack([p, 1.0 - p]), *(np.hstack([x, -x]) for x in xs)))
 
 
 def crlb_variance(fisher: float, sample_size: int) -> float | None:

@@ -7,10 +7,10 @@ its average over uniform phase noise of width ``gamma`` (one constructor,
 :func:`photon_pmf`, for every ``gamma``), the analytic phi derivative,
 photon-number moments (Fano factor) and the Bhattacharyya fidelity between
 distributions.  One rule gives the two means, for the tables here and for
-the record sampler, and the pmf and its phi derivative both come from the
-same rows of the two Poisson components: the pmf is their half-sum, and the
-derivative follows from the shift identity d Pois(n; nu)/d nu = Pois(n-1;
-nu) - Pois(n; nu), exact also at nu = 0.
+the record sampler.  One log-space tabulator gives ln p_n, finite for every
+count the model allows, and its phi derivative d ln p_n / d phi, by the shift
+identity d Pois(n; nu)/d nu = Pois(n-1; nu) - Pois(n; nu) on the same terms;
+the pmf and derivative tables are views of it.
 
 All operations are pure functions of their inputs and share no state, so they
 are safe to call from concurrent contexts.
@@ -22,7 +22,7 @@ import math
 import operator
 import reprlib
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ __all__ = [
 
 # Fewest Gauss-Legendre nodes for the phase-noise average.  The integrand is
 # entire in the noise variable, so convergence is spectral, but its width in
-# phase shrinks like 1/sqrt(ab): _tabulate takes max(GL_NODES,
+# phase shrinks like 1/sqrt(ab): _log_tables takes max(GL_NODES,
 # ceil(5 gamma sqrt(ab))) nodes, which keep full-circle-noise rows within 1e-13
 # of each other in total variation up to a = b = 20.  The floor alone applies
 # wherever 5 gamma sqrt(ab) <= 64, as at a = b = sqrt(2) for every gamma.
@@ -60,6 +60,7 @@ GAMMA_MAX = 2.0 * math.pi
 MAX_MEAN_PHOTONS = 1600.0
 
 _BLOCK_CELLS = 2_000_000  # cells per block of a blocked loop here or in estimation (16 MB)
+_TERM_CELLS = 2**16  # cells per chunk of the photon tabulator (512 kB), which stay in cache
 
 
 def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf, *,
@@ -233,23 +234,25 @@ def default_cutoff(amps: DetectorPlaneAmplitudes) -> int:
     return int(math.ceil(nu_max + 12.0 * math.sqrt(nu_max + 1.0) + 25.0))
 
 
+def _ln_n_factorial(n: np.ndarray) -> np.ndarray:
+    """ln n! from :func:`_ln_factorial`, or by ``scipy.special.gammaln`` where n lies beyond it."""
+    table = _ln_factorial()
+    if n.size and n.max() >= table.size:
+        from scipy.special import gammaln
+
+        return gammaln(n + 1.0)
+    return table[n]
+
+
 def _log_poisson_rows(nu: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Log Poisson pmf at the photon numbers ``n`` for each mean in ``nu``.
 
     Broadcasts ``nu`` (shape S) against the nonnegative integers ``n``
     (shape N), returning shape S + N.  A zero mean is a point mass at n = 0.
-    ln n! comes from the committed table :func:`_ln_factorial`, which holds
-    scipy's ``gammaln(n + 1)`` for every count a draw can return; only when
-    some n lies beyond it is ``scipy.special.gammaln`` imported and called.
+    ln n! comes from :func:`_ln_n_factorial`.
     """
     nu = np.asarray(nu, dtype=float)[..., None]
-    table = _ln_factorial()
-    if n.size and n.max() >= table.size:
-        from scipy.special import gammaln
-
-        ln_fact = gammaln(n + 1.0)
-    else:
-        ln_fact = table[n]
+    ln_fact = _ln_n_factorial(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = n * np.log(nu) - nu - ln_fact
     zero = nu == 0.0
@@ -267,37 +270,6 @@ def _means(a: float, b: float, cos) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(s + x, 0.0), np.maximum(s - x, 0.0)
 
 
-def _component_rows(a: float, b: float, phis: np.ndarray, n: np.ndarray):
-    """Poisson rows Pois(n; nu+) and Pois(n; nu-) at every phase in ``phis``,
-    two fresh arrays, exponentiated in place."""
-    plus, minus = (_log_poisson_rows(nu, n) for nu in _means(a, b, np.cos(phis)))
-    return np.exp(plus, out=plus), np.exp(minus, out=minus)
-
-
-def _pmf_rows(a: float, b: float, phis: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Rows of p_n: the half-sum of the component rows, in place."""
-    plus, minus = _component_rows(a, b, phis, n)
-    plus += minus
-    plus *= 0.5
-    return plus
-
-
-def _dphi_rows(a: float, b: float, phis: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Rows of d p_n / d phi over n = 0..n_max (``n`` must be that range).
-
-    d Pois(n; nu)/d nu = Pois(n-1; nu) - Pois(n; nu) with Pois(-1) = 0, exact
-    also at nu = 0, and d nu+-/d phi = -+ 2ab sin(phi), so d p_n / d phi =
-    ab sin(phi) (D_{n-1} - D_n) with D_n = Pois(n; nu-) - Pois(n; nu+): each
-    column less its left neighbour, written into the spent plus rows.
-    """
-    plus, minus = _component_rows(a, b, phis, n)
-    minus -= plus
-    np.negative(minus[:, 0], out=plus[:, 0])
-    np.subtract(minus[:, :-1], minus[:, 1:], out=plus[:, 1:])
-    plus *= (a * b * np.sin(phis))[:, None]
-    return plus
-
-
 def _check_gamma(gamma: float) -> float:
     return _real("noise width gamma", gamma, 0.0, GAMMA_MAX)
 
@@ -305,42 +277,66 @@ def _check_gamma(gamma: float) -> float:
 def _noise_nodes(amps: DetectorPlaneAmplitudes, gamma: float, gl_nodes: int = GL_NODES) -> int:
     """Gauss-Legendre nodes of the noise average, max(gl_nodes, ceil(5 gamma
     sqrt(ab))) (see :data:`GL_NODES`); 1 at gamma = 0, where nothing is averaged."""
-    if gamma == 0.0:
-        return 1
-    return max(gl_nodes, math.ceil(5.0 * gamma * math.sqrt(amps.a * amps.b)))
+    return 1 if gamma == 0.0 else max(gl_nodes, math.ceil(5.0 * gamma * math.sqrt(amps.a * amps.b)))
 
 
-@cache
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], read-only, made once per node count."""
-    rule = np.polynomial.legendre.leggauss(nodes)
+@lru_cache(maxsize=64)
+def _noise_rule(gamma: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The noise average as a unit-mean Gauss-Legendre rule on [-gamma/2, gamma/2]: nodes
+    psi and the log of each weight, once per component, as a column; read-only, once per
+    (gamma, nodes).  One node (gamma = 0) is psi = 0 of weight 1, without numpy.polynomial."""
+    x, w = (np.zeros(1), np.full(1, 2.0)) if nodes == 1 else np.polynomial.legendre.leggauss(nodes)
+    rule = 0.5 * gamma * x, np.log(np.tile(0.5 * w, 2))[:, None]
     for array in rule:
         array.setflags(write=False)
     return rule
 
 
-def _tabulate(rows_fn, amps: DetectorPlaneAmplitudes, phis, n: np.ndarray, gamma, gl_nodes):
-    """``rows_fn`` at every phase in ``phis`` and photon number in ``n``,
-    averaged over the noise window by Gauss-Legendre quadrature when gamma > 0,
-    on max(gl_nodes, ceil(5 gamma sqrt(ab))) nodes (see :data:`GL_NODES`).
-
-    The shifted phases go in node chunks of at most ``_BLOCK_CELLS`` cells,
-    which bound the temporaries and batch the work into few vectorized calls.
-    """
+def _log_tables(amps: DetectorPlaneAmplitudes, phis, n: np.ndarray, gamma, gl_nodes: int = GL_NODES,
+                score: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """ln p_n, shape ``(len(phis), len(n))``, and with ``score`` (``n`` = 0..n_max)
+    the score s_n = d ln p_n / d phi, else None.  p_n mixes the terms w_k Pois(n;
+    nu_k) of both components at each node psi of the noise average (psi = 0 alone
+    at gamma = 0), of half its node's weight; cos, nu_k and ln nu_k are taken once
+    per (node, phase).  ln p_n is their log-sum-exp, shifted by the largest, so it
+    is finite wherever the model allows n; shifted terms below e^-700 count as
+    e^-700 (under 1e-300 of p_n), which spares ``exp`` its slow underflow path.
+    By d Pois(n; nu)/d nu = Pois(n-1; nu) - Pois(n; nu) and d nu+-/d phi = -+ 2ab
+    sin(phi - psi), s_n = c_{n-1} p_{n-1}/p_n - c_n with c_n = sum_k w_k (d nu_k/d
+    phi) Pois(n; nu_k) / p_n, a mean over the same shifted terms; p_{n-1}/p_n is
+    capped at e^700, reached only by a mean of exactly 0, where p_n < 1e-304."""
     gamma = _check_gamma(gamma)
     phis = np.atleast_1d(_real("phase phi", phis, array=True))
-    if gamma == 0.0:
-        return rows_fn(amps.a, amps.b, phis, n)
-    x, w = _gauss_legendre(_noise_nodes(amps, gamma, gl_nodes))
-    psi, w = 0.5 * gamma * x, 0.5 * w  # a unit-mean average over [-gamma/2, gamma/2]
-    out = np.zeros((phis.size, n.size))
-    chunk = max(1, _BLOCK_CELLS // max(phis.size * n.size, 1))
-    for start in range(0, psi.size, chunk):
-        psi_c = psi[start : start + chunk]
-        shifted = (phis[None, :] - psi_c[:, None]).ravel()
-        rows = rows_fn(amps.a, amps.b, shifted, n).reshape(psi_c.size, phis.size, n.size)
-        out += np.tensordot(w[start : start + chunk], rows, axes=(0, 0))
-    return out
+    psi, log_w = _noise_rule(gamma, _noise_nodes(amps, gamma, gl_nodes))
+    log_p = np.empty((phis.size, n.size))
+    c = np.empty_like(log_p) if score else None
+    rows = max(1, _TERM_CELLS // (log_w.size * max(n.size, 1)))
+    cols = max(1, _TERM_CELLS // (log_w.size * rows))  # every count, unless one phase is too many
+    for i in range(0, phis.size, rows):
+        theta = phis[i : i + rows] - psi[:, None]
+        nu = np.concatenate(_means(amps.a, amps.b, np.cos(theta)))
+        with np.errstate(divide="ignore"):  # ln 0 as -1e250: 0 ln 0 = 0, n ln 0 below any term
+            log_nu = np.maximum(np.log(nu), -1e250)[..., None]
+        nu -= log_w
+        if score:
+            dnu = np.multiply.outer([-2.0, 2.0], amps.a * amps.b * np.sin(theta)).reshape(nu.shape)
+        for j in range(0, n.size, cols):
+            terms = log_nu * n[j : j + cols]
+            terms -= nu[..., None]  # ln w_k Pois(n; nu_k) up to a constant of n
+            shift = terms.max(axis=0)
+            terms -= shift
+            np.exp(np.maximum(terms, -700.0, out=terms), out=terms)
+            total = terms.sum(axis=0)
+            cells = slice(i, i + rows), slice(j, j + cols)
+            if score:
+                c[cells] = np.einsum("kpn,kp->pn", terms, dnu) / total
+            shift -= _ln_n_factorial(n[j : j + cols])
+            log_p[cells] = np.log(0.5 * total) + shift  # each component has half its node's weight
+    if score:
+        c[:, 1:] -= c[:, :-1] * np.exp(np.minimum(log_p[:, :-1] - log_p[:, 1:], 700.0))
+        c *= -1.0
+    log_p[log_p < -1e249] = -np.inf  # every term had nu = 0: the vacuum, which forbids n > 0
+    return log_p, c
 
 
 def pmf_columns(amps: DetectorPlaneAmplitudes, phis, ns, gamma: float = 0.0) -> np.ndarray:
@@ -350,57 +346,48 @@ def pmf_columns(amps: DetectorPlaneAmplitudes, phis, ns, gamma: float = 0.0) -> 
     and nonnegative integer ``ns``; the cost grows with the number of photon
     numbers asked for, not with their size.  For ``gamma > 0`` each entry is
     the uniform average of the noiseless pmf over the window
-    ``[phi - gamma/2, phi + gamma/2]``, evaluated by Gauss-Legendre quadrature.
+    ``[phi - gamma/2, phi + gamma/2]``, evaluated by Gauss-Legendre quadrature
+    in log space (:func:`_log_tables`).
     """
     n = np.atleast_1d(_whole("photon numbers", ns, 0, array=True))
     if n.ndim != 1:
         raise ValueError(f"photon numbers must be a 1-D sequence, got shape {n.shape}")
-    return _tabulate(_pmf_rows, amps, phis, n, gamma, GL_NODES)
+    return np.exp(_log_tables(amps, phis, n, gamma)[0])
 
 
 # pmf_table and dphi_table keep ``gl_nodes``, the node rule's floor, which no
 # caller sets, until the benchmark tracer stops binding it: perfbench/spans.py
 # ``table_cells`` reads it to count quadrature cells whenever gamma > 0, so it
 # undercounts where the rule takes more nodes (ROADMAP open item 3).
-def pmf_table(
-    amps: DetectorPlaneAmplitudes,
-    phis,
-    gamma: float = 0.0,
-    n_max: int | None = None,
-    gl_nodes: int = GL_NODES,
-) -> np.ndarray:
+def pmf_table(amps: DetectorPlaneAmplitudes, phis, gamma: float = 0.0, n_max: int | None = None,
+              gl_nodes: int = GL_NODES) -> np.ndarray:
     """Photon-number pmf rows for every phase in ``phis``: :func:`pmf_columns`
     over n = 0..n_max, shape ``(len(phis), n_max + 1)``."""
-    return _tabulate(_pmf_rows, amps, phis, np.arange(_cutoff(amps, n_max) + 1), gamma, gl_nodes)
+    return np.exp(_log_tables(amps, phis, np.arange(_cutoff(amps, n_max) + 1), gamma, gl_nodes)[0])
 
 
-def dphi_table(
-    amps: DetectorPlaneAmplitudes,
-    phis,
-    gamma: float = 0.0,
-    n_max: int | None = None,
-    gl_nodes: int = GL_NODES,
-) -> np.ndarray:
-    """Rows of d p_n / d phi for every phase in ``phis`` (shape like ``pmf_table``).
+def dphi_table(amps: DetectorPlaneAmplitudes, phis, gamma: float = 0.0, n_max: int | None = None,
+               gl_nodes: int = GL_NODES) -> np.ndarray:
+    """Rows of d p_n / d phi for every phase in ``phis`` (shape like ``pmf_table``):
+    p_n times the score of :func:`_log_tables`.
 
     For ``gamma > 0`` the derivative is taken under the noise average, which
     commutes with it because the noise window does not depend on phi.
     """
-    return _tabulate(_dphi_rows, amps, phis, np.arange(_cutoff(amps, n_max) + 1), gamma, gl_nodes)
+    n = np.arange(_cutoff(amps, n_max) + 1)
+    log_p, score = _log_tables(amps, phis, n, gamma, gl_nodes, score=True)
+    return score * np.exp(log_p, out=log_p)
 
 
-def photon_pmf(
-    amps: DetectorPlaneAmplitudes,
-    phi: float,
-    gamma: float = 0.0,
-    n_max: int | None = None,
-) -> PhotonPmf:
+def photon_pmf(amps: DetectorPlaneAmplitudes, phi: float, gamma: float = 0.0,
+               n_max: int | None = None) -> PhotonPmf:
     """Photon-number distribution p_n = (e^-nu+ nu+^n/n! + e^-nu- nu-^n/n!)/2,
     averaged over uniform phase noise of width ``gamma``.
 
     For ``gamma > 0``, p_n(a, b, phi, gamma) = (1/gamma) * integral over psi in
-    [-gamma/2, gamma/2] of p_n(a, b, phi - psi).  Evaluated in log space; the
-    cutoff policy keeps the neglected tail below 1e-12.  The tail bound is
+    [-gamma/2, gamma/2] of p_n(a, b, phi - psi).  Evaluated in log space, as
+    exp of the ln p_n of :func:`_log_tables`; the cutoff policy keeps the
+    neglected tail below 1e-12.  The tail bound is
     exact for the two means at ``gamma = 0``, and otherwise uses the
     worst-case component mean (a + b)^2, which dominates every mean in the
     noise window.  It is ``scipy.special.pdtrc``, imported on the first call,
@@ -418,12 +405,8 @@ def photon_pmf(
     return PhotonPmf(probs=probs, tail_bound=tail)
 
 
-def photon_pmf_dphi(
-    amps: DetectorPlaneAmplitudes,
-    phi: float,
-    gamma: float = 0.0,
-    n_max: int | None = None,
-) -> np.ndarray:
+def photon_pmf_dphi(amps: DetectorPlaneAmplitudes, phi: float, gamma: float = 0.0,
+                    n_max: int | None = None) -> np.ndarray:
     """Derivative d p_n / d phi for n = 0..n_max (analytic, not finite-differenced)."""
     return dphi_table(amps, [phi], gamma, n_max=n_max)[0]
 

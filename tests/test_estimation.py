@@ -28,7 +28,7 @@ from kennedyrx.estimation import (
     uniform_posterior,
 )
 from kennedyrx import estimation
-from kennedyrx.estimation import _log_pmf, _loglik
+from kennedyrx.estimation import _log_pmfs, _loglik
 from kennedyrx.montecarlo import SimConfig, sample_counts
 from kennedyrx.photonstats import (
     DetectorPlaneAmplitudes,
@@ -84,19 +84,33 @@ class TestLogLikelihoodPnr:
         expected = np.log(0.5 * (np.exp(-nu_p) + np.exp(-nu_m)))
         np.testing.assert_allclose(ll, expected, atol=1e-12)
 
-    def test_impossible_at_some_phases_gives_minus_inf_there(self):
-        # at a = b = 14 a count of 1500 underflows to p = 0 towards pi/2 only
-        ll = log_likelihood_pnr(CountRecord(counts=np.array([1500, 700])), amps(14, 14), 0.0, GRID)
-        with np.errstate(divide="ignore"):
-            expected = np.array([
-                np.log(helpers.mixture_pmf_direct(14.0, 14.0, phi, np.array([1500, 700]))).sum()
-                for phi in GRID.points
-            ])
-        assert not np.isnan(ll).any()
-        assert np.array_equal(np.isneginf(ll), np.isneginf(expected))
-        assert 0 < np.isneginf(ll).sum() < GRID.size
-        finite = np.isfinite(expected)
-        np.testing.assert_allclose(ll[finite], expected[finite], rtol=1e-12)
+    def test_count_whose_p_underflows_stays_finite(self):
+        # at a = b = 14 a count of 1500 has p_n below the smallest double
+        # towards pi/2, where the log of the linear mixture is -inf; the model
+        # allows it, and its ln p_n is the log-sum-exp of the two components
+        counts = np.array([1500, 700])
+        assert helpers.mixture_pmf_direct(14.0, 14.0, math.pi / 2, counts[:1])[0] == 0.0
+        ll = log_likelihood_pnr(CountRecord(counts=counts), amps(14, 14), 0.0, GRID)
+        ln_fact = np.array([math.lgamma(n + 1.0) for n in counts])
+        expected = []
+        for phi in GRID.points:
+            nu = 392.0 + np.array([392.0, -392.0]) * math.cos(phi)
+            with np.errstate(divide="ignore"):
+                terms = counts * np.log(np.maximum(nu, 0.0))[:, None] - nu[:, None] - ln_fact
+            expected.append((np.logaddexp(*terms) - math.log(2.0)).sum())
+        assert np.isfinite(ll).all()
+        np.testing.assert_allclose(ll, expected, rtol=1e-12)
+
+    def test_count_far_above_the_cutoff_gives_a_finite_posterior(self):
+        # at a = b = sqrt 2 the cutoff is 65 and p_300 is below 1e-347 at every
+        # phase; at phi = 0, where nu- = 0, ln p_300 = ln(Pois(300; 8) / 2)
+        a = amps(SQRT2, SQRT2)
+        ll = log_likelihood_pnr(CountRecord(counts=np.array([1, 0, 2, 300])), a, 0.0, GRID)
+        assert np.isfinite(ll).all() and ll.max() < -800.0
+        expected = 300 * math.log(8.0) - 8.0 - math.lgamma(301.0) - math.log(2.0)
+        assert _log_pmfs(a, 0.0, GRID, [300])[0][0] == pytest.approx(expected, rel=1e-14)
+        est = bayes_estimate(posterior(ll, GRID))
+        assert 0.0 < est.mean < math.pi / 4 and est.variance > 0.0
 
     def test_argmax_near_truth(self):
         cfg = SimConfig(amps=amps(SQRT2, SQRT2), phi_star=0.3, M=10_000, seed=11)
@@ -107,23 +121,25 @@ class TestLogLikelihoodPnr:
 
 class TestLikelihoodKernel:
     def test_rows_equal_their_one_row_results(self):
-        # at a = b = 14 a count of 1500 underflows to p = 0 towards pi/2 only;
-        # the second row leaves that bin empty, where 0 * -inf must not arise
+        # at a = b = 14 a count of 1500 has p_n below 1e-300 towards pi/2,
+        # which stays finite in log space; the vacuum forbids a count of 1 at
+        # every grid point, and a row that leaves that bin empty must not get
+        # 0 * -inf
         a14 = amps(14, 14)
-        assert 0 < np.isneginf(_log_pmf(a14, 0.0, GRID, 1500)).sum() < GRID.size
+        assert np.isfinite(_log_pmfs(a14, 0.0, GRID, [1500])[0]).all()
+        assert _log_pmfs(a14, 0.0, GRID, [1500])[0].min() < -700.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = _loglik(_log_pmf, [700, 1500], [[1.0, 1.0], [2.0, 0.0]], a14, 0.0, GRID)
+            rows = _loglik(_log_pmfs, [700, 1500], [[1.0, 1.0], [2.0, 0.0]], a14, 0.0, GRID)
+            vacuum = _loglik(_log_pmfs, [0, 1], [[1.0, 1.0], [2.0, 0.0]], amps(0, 0), 0.0, GRID)
         singles = [
             log_likelihood_pnr(CountRecord(counts=np.array(c)), a14, 0.0, GRID)
             for c in ([700, 1500], [700, 700])
         ]
-        assert not np.isnan(rows).any()
-        assert np.isneginf(rows[0]).any() and np.isfinite(rows[1]).all()
+        assert np.isfinite(rows).all()
         for row, single in zip(rows, singles):
-            assert np.array_equal(np.isneginf(row), np.isneginf(single))
-            finite = np.isfinite(single)
-            np.testing.assert_allclose(row[finite], single[finite], rtol=1e-13, atol=0)
+            np.testing.assert_allclose(row, single, rtol=1e-13, atol=0)
+        assert np.isneginf(vacuum[0]).all() and np.all(vacuum[1] == 0.0)
 
     def test_many_distinct_counts_on_a_fine_grid_in_bounded_memory(self):
         # 500 ln p_n columns of 20001 points would take 80 MB at once, and
@@ -139,7 +155,7 @@ class TestLikelihoodKernel:
         assert peak < 96 * 2**20
         want = np.zeros(fine.size)
         for n in range(500):
-            want += _log_pmf(a20, 0.0, fine, n)
+            want += _log_pmfs(a20, 0.0, fine, [n])[0]
         assert np.array_equal(np.isneginf(ll), np.isneginf(want))
         finite = np.isfinite(want)
         np.testing.assert_allclose(ll[finite], want[finite], rtol=1e-12, atol=0)
@@ -304,12 +320,13 @@ class TestLogLikelihoodOnoff:
         assert estimation._log_onoff(a, 0.5, GRID, 1) is on
         assert not on.flags.writeable
         with np.errstate(divide="ignore"):
-            assert np.array_equal(on, np.log1p(-np.exp(_log_pmf(a, 0.5, GRID, 0))))
+            assert np.array_equal(on, np.log1p(-np.exp(_log_pmfs(a, 0.5, GRID, [0])[0])))
 
     @pytest.mark.parametrize("a", [0.0, 1e-160])
     def test_near_vacuum_on_column_is_never_nan(self, a):
-        # the noise quadrature rounds p_0 of a vacuum beam above 1 at some phase
-        assert (_log_pmf(amps(a, a), 0.5, GRID, 0) > 0.0).any()
+        # ln p_0 of a vacuum beam is 0 to within the rounding of the noise
+        # average, where 1 - p_0 holds no digit of P_on
+        assert np.abs(_log_pmfs(amps(a, a), 0.5, GRID, [0])[0]).max() < 1e-14
         assert not np.isnan(estimation._log_onoff(amps(a, a), 0.5, GRID, 1)).any()
         ll = log_likelihood_onoff(CountRecord(counts=np.array([0, 1])), amps(a, a), 0.5, GRID)
         with pytest.raises(DegenerateEvidenceError):
@@ -501,10 +518,13 @@ class TestSequentialUpdate:
             # vacuum input never yields a photon
             sequential_update(uniform_posterior(GRID), 3, amps(0.0, 0.0), 0.0, detector_kind="pnr")
 
-    def test_huge_event_raises_without_a_huge_table(self):
-        # p_n underflows for every phase; only the column of n is ever built
-        with pytest.raises(DegenerateEvidenceError):
-            sequential_update(uniform_posterior(GRID), 10**8, amps(SQRT2, SQRT2), 0.0)
+    def test_huge_event_folds_without_a_huge_table(self):
+        # p_n underflows for every phase, but ln p_n is finite and largest at
+        # phi = 0, where the mean nu+ = (a + b)^2 peaks; only the column of n
+        # is ever built
+        post = sequential_update(uniform_posterior(GRID), 10**8, amps(SQRT2, SQRT2), 0.0)
+        assert np.isfinite(post.log_density).all()
+        assert np.argmax(post.log_density) == 0 and post.density[0] > 0.0
 
     @pytest.mark.parametrize(
         "a, b, kind, size, shots, first",
@@ -514,11 +534,11 @@ class TestSequentialUpdate:
             (1.12, 0.79, "pnr", 201, 2000, ()),
             (20.0, 20.0, "pnr", 2001, 3000, ()),  # about 64 cells stay nonzero
             (14.0, 14.0, "pnr", 20001, 300, ()),
-            (14.0, 14.0, "pnr", 2001, 300, (1500,)),  # n = 1500 leaves cells at -inf
+            (14.0, 14.0, "pnr", 2001, 300, (1500,)),  # p_1500 underflows towards pi/2
             (5.0, 5.0, "onoff", 2001, 2000, ()),
         ],
         ids=["sqrt2-pnr", "sqrt2-onoff", "golden-201", "bright-20", "bright-14-fine",
-             "bright-14-minus-inf", "5-onoff"],
+             "bright-14-far-count", "5-onoff"],
     )
     def test_update_is_the_full_grid_arithmetic_bit_for_bit(self, a, b, kind, size, shots, first):
         # the update spelled over the whole grid: exp of every cell, the
@@ -526,13 +546,13 @@ class TestSequentialUpdate:
         grid = PhaseGrid(size=size)
         cfg = SimConfig(amps=amps(a, b), phi_star=0.3, M=shots, seed=5)
         events = [*first, *map(int, sample_counts(cfg).counts)]
-        column, bin_of = estimation._kind(kind)
+        columns, bin_of = estimation._kind(kind)
         weights = grid.weights
         post = uniform_posterior(grid)
         log_density, density, evidence_log = post.log_density, post.density, post.evidence_log
         for i, n in enumerate(events):
             post = sequential_update(post, n, cfg.amps, 0.0, detector_kind=kind)
-            lu = log_density + column(cfg.amps, 0.0, grid, bin_of(n))
+            lu = log_density + columns(cfg.amps, 0.0, grid, (bin_of(n),))[0]
             peak = lu.max()
             dens = np.exp(lu - peak)
             z = float(weights @ dens)
@@ -541,8 +561,8 @@ class TestSequentialUpdate:
             assert np.array_equal(post.log_density, log_density), i
             assert np.array_equal(post.density, density), i
             assert post.evidence_log == evidence_log, i
-            if first and i == 0:
-                assert np.isneginf(post.log_density).any()
+            if first and i == 0:  # finite in log space, where p_n is below 1e-300
+                assert np.isfinite(post.log_density).all()
         assert not (post.log_density.flags.writeable or post.density.flags.writeable)
 
     def test_posterior_copies_the_callers_loglik(self):
