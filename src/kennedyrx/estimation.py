@@ -549,13 +549,12 @@ def _fisher(amps: DetectorPlaneAmplitudes, phi, gamma: float, n_max: int | None,
     """
     phis = _real("phase phi", phi, array=True)
     flat = phis.ravel()
-    gamma, n = _check_gamma(gamma), np.arange(_cutoff(amps, n_max) + 1)
-    step = max(1, _BLOCK_CELLS // n.size)
+    gamma, n_max = _check_gamma(gamma), _cutoff(amps, n_max)
+    step = max(1, _BLOCK_CELLS // (n_max + 1))
     rounding = photonstats._noise_nodes(amps, gamma) * np.finfo(float).eps * 2.0 * amps.a * amps.b
     info = np.empty(flat.size)
     for start in range(0, flat.size, step):
-        p, dp = photonstats._log_tables(amps, flat[start : start + step], n, gamma, score=True)
-        dp *= np.exp(p, out=p)
+        p, dp = photonstats.pmf_table(amps, flat[start : start + step], gamma, n_max, dphi=True)
         err = rounding * p
         err[:, 1:] += rounding * p[:, :-1]  # N eps S_n
         p, dp, err = bins(p, dp, err)

@@ -360,10 +360,15 @@ def pmf_columns(amps: DetectorPlaneAmplitudes, phis, ns, gamma: float = 0.0) -> 
 # ``table_cells`` reads it to count quadrature cells whenever gamma > 0, so it
 # undercounts where the rule takes more nodes (ROADMAP open item 3).
 def pmf_table(amps: DetectorPlaneAmplitudes, phis, gamma: float = 0.0, n_max: int | None = None,
-              gl_nodes: int = GL_NODES) -> np.ndarray:
+              gl_nodes: int = GL_NODES,
+              dphi: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Photon-number pmf rows for every phase in ``phis``: :func:`pmf_columns`
-    over n = 0..n_max, shape ``(len(phis), n_max + 1)``."""
-    return np.exp(_log_tables(amps, phis, np.arange(_cutoff(amps, n_max) + 1), gamma, gl_nodes)[0])
+    over n = 0..n_max, shape ``(len(phis), n_max + 1)``.  With ``dphi``, the
+    pair of these rows and the rows of :func:`dphi_table`, from one tabulation."""
+    n = np.arange(_cutoff(amps, n_max) + 1)
+    log_p, score = _log_tables(amps, phis, n, gamma, gl_nodes, score=dphi)
+    p = np.exp(log_p, out=log_p)
+    return (p, score * p) if dphi else p
 
 
 def dphi_table(amps: DetectorPlaneAmplitudes, phis, gamma: float = 0.0, n_max: int | None = None,
