@@ -24,12 +24,11 @@ window, the grid points where some row's density is not exactly 0.
 Photon-number-resolved ("pnr") bins are the distinct counts; on/off bins
 are their coarse-graining {0}, {n >= 1}, so both kinds read the one record
 type, :class:`CountRecord` (an on/off detector's record is one of 0s and
-1s).  One lookup gives a kind's ln P columns and its count-to-bin map, for
-batch and streaming alike.  Batch and streaming read ln p_n, tabulated in
-log space, from one bounded per-count cache, so memory follows neither the
-size of a count nor the number of distinct counts.  One more kernel gives
-the Fisher information of both kinds, sum_k P_k s_k^2 over the bins with
-P_k > 0 (pnr: n = 0..cutoff), from one table of ln p_n and its score s_n.
+1s).  One lookup gives a kind's ln P columns and its count-to-bin map, for batch
+and streaming alike: both read ln p_n, tabulated in log space, from one bounded
+per-count cache, so memory follows neither the size of a count nor the number of
+distinct counts.  One more kernel gives the Fisher information of both kinds,
+sum_k (dP_k/dphi)^2 / P_k over the bins with P_k > 0 (pnr: n = 0..cutoff).
 
 Estimators share the detection record used for bit discrimination:
 
@@ -51,7 +50,6 @@ must be advanced by one writer at a time.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Literal
@@ -232,29 +230,34 @@ class PhaseEstimate:
             raise ValueError(f"variance must be nonnegative, got {self.variance!r}")
 
 
-# (model, n) -> ln p_n over a grid, least recently used first: at most 256 columns, 4 MB on
-# the default grid.  Each step is one dict operation: concurrent callers at worst tabulate twice.
-_LOG_PMF: OrderedDict = OrderedDict()
+_LOG_PMF: dict = {}  # (amps, gamma, grid, n) -> ln p_n over the grid, oldest use first; 256 columns
 
 
 def _log_pmfs(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, ns) -> list[np.ndarray]:
     """Read-only ln p_n over the grid for each of the distinct counts ``ns``, -inf only
     where the model forbids n: the cached columns, and the others from one tabulator call."""
-    model, keys, cols, missing = (amps.a, amps.b, gamma, grid.lo, grid.hi, grid.size), [], [], []
-    for n in ns:  # a loop, not comprehensions: a streaming shot pays for each frame
-        keys.append((*model, int(n)))
-        cols.append(_LOG_PMF.pop(keys[-1], None))
-        if cols[-1] is None:
-            missing.append(len(cols) - 1)
-    if missing:
-        counts = np.array([keys[i][-1] for i in missing])
+    keys = [(amps, gamma, grid, int(n)) for n in ns]
+    cols = [_LOG_PMF.pop(key, None) for key in keys]
+    if missing := [i for i, col in enumerate(cols) if col is None]:
+        counts = np.array([keys[i][3] for i in missing])
         for i, col in zip(missing, photonstats._log_tables(amps, grid.points, counts, gamma)[0].T):
             cols[i] = np.ascontiguousarray(col)  # a copy, unless it is the table's one column
             cols[i].setflags(write=False)
     _LOG_PMF.update(zip(keys, cols))
     while len(_LOG_PMF) > 256:
-        _LOG_PMF.popitem(last=False)
+        _LOG_PMF.pop(next(iter(_LOG_PMF)), None)
     return cols
+
+
+def _log_pmf(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, n: int) -> np.ndarray:
+    """:func:`_log_pmfs` of one count, a streaming shot's: a hit is popped and put back."""
+    if (col := _LOG_PMF.pop(key := (amps, gamma, grid, n), None)) is None:
+        col = photonstats._log_tables(amps, grid.points, np.array([n]), gamma)[0][:, 0]
+        col.setflags(write=False)
+        while len(_LOG_PMF) >= 256:
+            _LOG_PMF.pop(next(iter(_LOG_PMF)), None)
+    _LOG_PMF[key] = col
+    return col
 
 
 @lru_cache(maxsize=64)
@@ -263,7 +266,7 @@ def _log_onoff(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, on:
 
     P_on is taken as 0 (ln P_on = -inf) where ln p_0 is within N eps of 0, the
     rounding of a noise average on N nodes: 1 - p_0 holds no digit of it there."""
-    log_off = _log_pmfs(amps, gamma, grid, (0,))[0]
+    log_off = _log_pmf(amps, gamma, grid, 0)
     if not on:
         return log_off
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -273,17 +276,16 @@ def _log_onoff(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, on:
     return col
 
 
-# detector kind -> (ln P columns of a sequence of bins, the bin of a photon count n)
 _KINDS = {
-    "pnr": (_log_pmfs, lambda n: n),
-    "onoff": (lambda amps, gamma, grid, ks: [_log_onoff(amps, gamma, grid, int(k)) for k in ks],
+    "pnr": (_log_pmf, _log_pmfs, lambda n: n),
+    "onoff": (_log_onoff, lambda a, g, grid, ks: [_log_onoff(a, g, grid, int(k)) for k in ks],
               lambda n: np.minimum(n, 1)),
 }
 
 
 def _kind(detector_kind: DetectorKind):
-    """The ln P columns and the count-to-bin map of a detector kind: pnr bins
-    are the photon numbers, on/off bins their coarse-graining {0}, {n >= 1}."""
+    """The ln P column of a bin, the columns of a sequence of bins and the count-to-bin map of
+    a detector kind: pnr bins are the photon numbers, on/off bins their coarsening {0}, {n >= 1}."""
     try:
         return _KINDS[detector_kind]
     except (KeyError, TypeError):
@@ -312,7 +314,7 @@ def _bins(values, occupancy, detector_kind: DetectorKind):
     occurrences to its bin; a bin map is monotone, so a bin is a run of
     consecutive occupied values.
     """
-    columns, bin_of = _kind(detector_kind)
+    _, columns, bin_of = _kind(detector_kind)
     used = occupancy.any(axis=0)
     ns, first = np.unique(bin_of(np.asarray(values)[used]), return_index=True)
     return columns, ns, np.add.reduceat(occupancy[:, used], first, axis=1)
@@ -321,13 +323,12 @@ def _bins(values, occupancy, detector_kind: DetectorKind):
 def _loglik(columns, bins, weights, amps, gamma: float, grid: PhaseGrid) -> np.ndarray:
     """The likelihood kernel: row r of the result is sum_k w_rk ln P_k.
 
-    ``weights`` holds one row of occupations w_rk of ``bins`` per record,
-    and ``columns(amps, gamma, grid, ks)`` gives ln P_k over the grid for each
-    bin k of ``ks``, the bins of one block at a time.  Each block
-    of at most ``_BLOCK_CELLS`` table cells is one matrix product, so memory
-    does not follow the number of bins.  An empty bin adds 0 even where its
-    ln P_k is -inf, so no 0 * -inf arises, and a grid point where an
-    occupied bin is impossible gets -inf.
+    ``weights`` holds one row of occupations w_rk of ``bins`` per record, and
+    ``columns(amps, gamma, grid, ks)`` gives ln P_k over the grid for each bin k
+    of ``ks``, one block at a time.  Each block of at most ``_BLOCK_CELLS`` table
+    cells is one matrix product, so memory does not follow the number of bins.
+    An empty bin adds 0 even where its ln P_k is -inf, so no 0 * -inf arises,
+    and a grid point where an occupied bin is impossible gets -inf.
     """
     gamma = _check_gamma(gamma)
     weights = np.asarray(weights, dtype=float)
@@ -524,8 +525,8 @@ def sequential_update(
     of a :class:`CountRecord`, or a gamma not in [0, 2 pi], raises ``ValueError``.
     """
     event = _whole("photon count", event, 0, 2**63 - 1)
-    columns, bin_of = _kind(detector_kind)
-    ll = columns(amps, _check_gamma(gamma), post.grid, (bin_of(event),))[0]
+    column, _, bin_of = _kind(detector_kind)
+    ll = column(amps, _check_gamma(gamma), post.grid, bin_of(event))
     return _normalized(post.log_density + ll, post.grid, post.evidence_log)
 
 
@@ -535,10 +536,9 @@ def uniform_posterior(grid: PhaseGrid) -> PhasePosterior:
 
 
 def _fisher(amps: DetectorPlaneAmplitudes, phi, gamma: float, n_max: int | None, bins):
-    """The Fisher kernel, sum_k P_k s_k^2 = sum_k (dP_k/dphi)^2 / P_k over the
-    bins k with P_k > 0, from one table of ln p_n and its score s_n over n =
-    0..n_max; ``bins(p, *xs)`` maps rows of p_n, and rows linear in p_n, to rows
-    over the bins.  Phases go in blocks of bounded table size.
+    """The Fisher kernel, sum_k (dP_k/dphi)^2 / P_k over the bins k with P_k > 0, from
+    the tables of p_n and d p_n/d phi over n = 0..n_max; ``bins(p, *xs)`` maps rows of
+    p_n, and rows linear in p_n, to rows over the bins.  Phases go in blocks of bounded size.
 
     The result is exactly 0 where rounding alone could give it.  d p_n/dphi
     sums, over the N nodes of the noise average (1 without noise), terms
@@ -554,7 +554,8 @@ def _fisher(amps: DetectorPlaneAmplitudes, phi, gamma: float, n_max: int | None,
     rounding = photonstats._noise_nodes(amps, gamma) * np.finfo(float).eps * 2.0 * amps.a * amps.b
     info = np.empty(flat.size)
     for start in range(0, flat.size, step):
-        p, dp = photonstats.pmf_table(amps, flat[start : start + step], gamma, n_max, dphi=True)
+        p, dp = (table(amps, flat[start : start + step], gamma, n_max)
+                 for table in (photonstats.pmf_table, photonstats.dphi_table))
         err = rounding * p
         err[:, 1:] += rounding * p[:, :-1]  # N eps S_n
         p, dp, err = bins(p, dp, err)

@@ -298,11 +298,11 @@ def _log_tables(amps: DetectorPlaneAmplitudes, phis, n: np.ndarray, gamma, gl_no
     the score s_n = d ln p_n / d phi, else None.  p_n mixes the terms w_k Pois(n;
     nu_k) of both components at each node psi of the noise average (psi = 0 alone
     at gamma = 0), of half its node's weight; cos, nu_k and ln nu_k are taken once
-    per (node, phase).  ln p_n is their log-sum-exp, shifted by the largest, so it
+    per (node, phase).  ln p_n is their log-sum-exp, shifted by the largest ln Pois, so it
     is finite wherever the model allows n; shifted terms below e^-700 count as
     e^-700 (under 1e-300 of p_n), which spares ``exp`` its slow underflow path.
     By d Pois(n; nu)/d nu = Pois(n-1; nu) - Pois(n; nu) and d nu+-/d phi = -+ 2ab
-    sin(phi - psi), s_n = c_{n-1} p_{n-1}/p_n - c_n with c_n = sum_k w_k (d nu_k/d
+    sin(phi - psi), s_n = c_n - c_{n-1} p_{n-1}/p_n with c_n = sum_k w_k (-d nu_k/d
     phi) Pois(n; nu_k) / p_n, a mean over the same shifted terms; p_{n-1}/p_n is
     capped at e^700, reached only by a mean of exactly 0, where p_n < 1e-304."""
     gamma = _check_gamma(gamma)
@@ -313,29 +313,30 @@ def _log_tables(amps: DetectorPlaneAmplitudes, phis, n: np.ndarray, gamma, gl_no
     rows = max(1, _TERM_CELLS // (log_w.size * max(n.size, 1)))
     cols = max(1, _TERM_CELLS // (log_w.size * rows))  # every count, unless one phase is too many
     for i in range(0, phis.size, rows):
-        theta = phis[i : i + rows] - psi[:, None]
+        block = slice(i, i + rows)
+        theta = phis[block] - psi[:, None]
         nu = np.concatenate(_means(amps.a, amps.b, np.cos(theta)))
         with np.errstate(divide="ignore"):  # ln 0 as -1e250: 0 ln 0 = 0, n ln 0 below any term
             log_nu = np.maximum(np.log(nu), -1e250)[..., None]
-        nu -= log_w
-        if score:
-            dnu = np.multiply.outer([-2.0, 2.0], amps.a * amps.b * np.sin(theta)).reshape(nu.shape)
+        if score:  # -d nu_k/d phi, the weights of c_n
+            dnu = np.multiply.outer([2.0, -2.0], amps.a * amps.b * np.sin(theta)).reshape(nu.shape)
         for j in range(0, n.size, cols):
             terms = log_nu * n[j : j + cols]
-            terms -= nu[..., None]  # ln w_k Pois(n; nu_k) up to a constant of n
+            terms -= nu[..., None]  # ln Pois(n; nu_k) up to a constant of n
             shift = terms.max(axis=0)
             terms -= shift
+            terms += log_w[..., None]  # after the shift, where it rounds least
             np.exp(np.maximum(terms, -700.0, out=terms), out=terms)
             total = terms.sum(axis=0)
-            cells = slice(i, i + rows), slice(j, j + cols)
+            cells = block, slice(j, j + cols)
             if score:
                 c[cells] = np.einsum("kpn,kp->pn", terms, dnu) / total
             shift -= _ln_n_factorial(n[j : j + cols])
             log_p[cells] = np.log(0.5 * total) + shift  # each component has half its node's weight
-    if score:
-        c[:, 1:] -= c[:, :-1] * np.exp(np.minimum(log_p[:, :-1] - log_p[:, 1:], 700.0))
-        c *= -1.0
-    log_p[log_p < -1e249] = -np.inf  # every term had nu = 0: the vacuum, which forbids n > 0
+        lp = log_p[block]  # the rows of the block, while they are in cache
+        if score:
+            c[block, 1:] -= c[block, :-1] * np.exp(np.minimum(lp[:, :-1] - lp[:, 1:], 700.0))
+        lp[lp < -1e249] = -np.inf  # every term had nu = 0: the vacuum, which forbids n > 0
     return log_p, c
 
 
@@ -360,15 +361,10 @@ def pmf_columns(amps: DetectorPlaneAmplitudes, phis, ns, gamma: float = 0.0) -> 
 # ``table_cells`` reads it to count quadrature cells whenever gamma > 0, so it
 # undercounts where the rule takes more nodes (ROADMAP open item 3).
 def pmf_table(amps: DetectorPlaneAmplitudes, phis, gamma: float = 0.0, n_max: int | None = None,
-              gl_nodes: int = GL_NODES,
-              dphi: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+              gl_nodes: int = GL_NODES) -> np.ndarray:
     """Photon-number pmf rows for every phase in ``phis``: :func:`pmf_columns`
-    over n = 0..n_max, shape ``(len(phis), n_max + 1)``.  With ``dphi``, the
-    pair of these rows and the rows of :func:`dphi_table`, from one tabulation."""
-    n = np.arange(_cutoff(amps, n_max) + 1)
-    log_p, score = _log_tables(amps, phis, n, gamma, gl_nodes, score=dphi)
-    p = np.exp(log_p, out=log_p)
-    return (p, score * p) if dphi else p
+    over n = 0..n_max, shape ``(len(phis), n_max + 1)``."""
+    return np.exp(_log_tables(amps, phis, np.arange(_cutoff(amps, n_max) + 1), gamma, gl_nodes)[0])
 
 
 def dphi_table(amps: DetectorPlaneAmplitudes, phis, gamma: float = 0.0, n_max: int | None = None,
@@ -381,7 +377,7 @@ def dphi_table(amps: DetectorPlaneAmplitudes, phis, gamma: float = 0.0, n_max: i
     """
     n = np.arange(_cutoff(amps, n_max) + 1)
     log_p, score = _log_tables(amps, phis, n, gamma, gl_nodes, score=True)
-    return score * np.exp(log_p, out=log_p)
+    return np.multiply(score, np.exp(log_p, out=log_p), out=score)
 
 
 def photon_pmf(amps: DetectorPlaneAmplitudes, phi: float, gamma: float = 0.0,
@@ -390,13 +386,12 @@ def photon_pmf(amps: DetectorPlaneAmplitudes, phi: float, gamma: float = 0.0,
     averaged over uniform phase noise of width ``gamma``.
 
     For ``gamma > 0``, p_n(a, b, phi, gamma) = (1/gamma) * integral over psi in
-    [-gamma/2, gamma/2] of p_n(a, b, phi - psi).  Evaluated in log space, as
-    exp of the ln p_n of :func:`_log_tables`; the cutoff policy keeps the
-    neglected tail below 1e-12.  The tail bound is
-    exact for the two means at ``gamma = 0``, and otherwise uses the
-    worst-case component mean (a + b)^2, which dominates every mean in the
-    noise window.  It is ``scipy.special.pdtrc``, imported on the first call,
-    so importing the package loads no scipy.
+    [-gamma/2, gamma/2] of p_n(a, b, phi - psi).  Evaluated in log space, as exp of the
+    ln p_n of :func:`_log_tables`; the cutoff policy keeps the neglected tail below
+    1e-12.  The tail bound is exact for the two means at ``gamma = 0``, and otherwise
+    uses the worst-case component mean (a + b)^2, which dominates every mean in the
+    noise window.  It is ``scipy.special.pdtrc``, imported on the first call, so
+    importing the package loads no scipy.
     """
     from scipy.special import pdtrc
 

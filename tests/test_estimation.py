@@ -141,6 +141,21 @@ class TestLikelihoodKernel:
             np.testing.assert_allclose(row, single, rtol=1e-13, atol=0)
         assert np.isneginf(vacuum[0]).all() and np.all(vacuum[1] == 0.0)
 
+    def test_column_cache_keys_on_the_whole_model_and_stays_bounded(self):
+        # a hit is the cached read-only column, whether one count or a batch
+        # asks; grids that differ only in size, or amplitudes only in b, are
+        # different models; a batch of 300 new counts leaves 256 columns
+        a = amps(SQRT2, SQRT2)
+        col = estimation._log_pmf(a, 0.0, GRID, 3)
+        assert not col.flags.writeable
+        assert estimation._log_pmf(amps(SQRT2, SQRT2), 0.0, PhaseGrid(), 3) is col
+        assert _log_pmfs(a, 0.0, GRID, [7, 3])[1] is col
+        assert estimation._log_pmf(a, 0.0, PhaseGrid(size=2000), 3).size == 2000
+        assert not np.array_equal(estimation._log_pmf(amps(SQRT2, 1.0), 0.0, GRID, 3), col)
+        cols = _log_pmfs(amps(2.0, 1.0), 0.0, GRID, range(300))
+        assert len(estimation._LOG_PMF) == 256
+        assert all(estimation._LOG_PMF[amps(2.0, 1.0), 0.0, GRID, n] is cols[n] for n in range(44, 300))
+
     def test_many_distinct_counts_on_a_fine_grid_in_bounded_memory(self):
         # 500 ln p_n columns of 20001 points would take 80 MB at once, and
         # their -inf-masked copy as much again
@@ -546,13 +561,13 @@ class TestSequentialUpdate:
         grid = PhaseGrid(size=size)
         cfg = SimConfig(amps=amps(a, b), phi_star=0.3, M=shots, seed=5)
         events = [*first, *map(int, sample_counts(cfg).counts)]
-        columns, bin_of = estimation._kind(kind)
+        column, _, bin_of = estimation._kind(kind)
         weights = grid.weights
         post = uniform_posterior(grid)
         log_density, density, evidence_log = post.log_density, post.density, post.evidence_log
         for i, n in enumerate(events):
             post = sequential_update(post, n, cfg.amps, 0.0, detector_kind=kind)
-            lu = log_density + columns(cfg.amps, 0.0, grid, (bin_of(n),))[0]
+            lu = log_density + column(cfg.amps, 0.0, grid, bin_of(n))
             peak = lu.max()
             dens = np.exp(lu - peak)
             z = float(weights @ dens)
@@ -589,6 +604,17 @@ class TestFisher:
             for phi in (0.0, math.pi / 2):
                 assert fisher_pnr(amps(a, b), phi) < 1e-9
                 assert fisher_onoff(amps(a, b), phi) < 1e-9
+
+    @pytest.mark.parametrize(
+        "a, b, gamma",
+        [(SQRT2, SQRT2, 0.0), (SQRT2, SQRT2, 0.5), (14.0, 14.0, 0.0), (11.82012472000337, 10.747350414721087, 0.5)],
+    )
+    def test_exactly_zero_at_the_stationary_phases(self, a, b, gamma):
+        # the last case puts the on/off dp_0 at pi/2 within 5% of its rounding
+        # floor, N eps 2ab p_0: a noise weight folded into the exponent before
+        # the shift rounds it past the floor
+        for fisher in (fisher_pnr, fisher_onoff):
+            assert np.all(fisher(amps(a, b), np.array([0.0, math.pi / 2]), gamma) == 0.0)
 
     def test_single_interior_maximum_experimental_curve(self):
         phis = np.linspace(0.0, math.pi / 2, 200)
