@@ -34,7 +34,6 @@ __all__ = [
     "default_cutoff",
     "photon_pmf",
     "photon_pmf_dphi",
-    "pmf_columns",
     "pmf_table",
     "dphi_table",
     "fano_factor",
@@ -170,8 +169,9 @@ class PhotonPmf:
 
     ``probs[n]`` is the probability of detecting ``n`` photons for
     ``n = 0..n_max``; ``tail_bound`` is an upper bound on the probability mass
-    above ``n_max``, a real in [0, 1].  Constructors in this module choose
-    ``n_max`` so that ``tail_bound <= 1e-12``.
+    above ``n_max``, a real in [0, 1]: the geometric bound of :func:`photon_pmf`
+    for a model, 0 for an empirical pmf.  At its default cutoff
+    :func:`photon_pmf` has ``tail_bound <= 1e-12``.
     """
 
     probs: np.ndarray
@@ -235,13 +235,15 @@ def default_cutoff(amps: DetectorPlaneAmplitudes) -> int:
 
 
 def _ln_n_factorial(n: np.ndarray) -> np.ndarray:
-    """ln n! from :func:`_ln_factorial`, or by ``scipy.special.gammaln`` where n lies beyond it."""
+    """ln n! from :func:`_ln_factorial`, and by ``math.lgamma(n + 1)`` for each n beyond it,
+    so an entry never depends on the other counts of the call."""
     table = _ln_factorial()
-    if n.size and n.max() >= table.size:
-        from scipy.special import gammaln
-
-        return gammaln(n + 1.0)
-    return table[n]
+    if not n.size or n.max() < table.size:
+        return table[n]
+    out = table[np.minimum(n, table.size - 1)]
+    beyond = n >= table.size
+    out[beyond] = [math.lgamma(k + 1.0) for k in n[beyond].tolist()]
+    return out
 
 
 def _log_poisson_rows(nu: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -340,30 +342,16 @@ def _log_tables(amps: DetectorPlaneAmplitudes, phis, n: np.ndarray, gamma, gl_no
     return log_p, c
 
 
-def pmf_columns(amps: DetectorPlaneAmplitudes, phis, ns, gamma: float = 0.0) -> np.ndarray:
-    """Photon-number pmf p_n for every phase in ``phis`` and photon number in ``ns``.
-
-    Returns an array of shape ``(len(phis), len(ns))`` for finite real phases
-    and nonnegative integer ``ns``; the cost grows with the number of photon
-    numbers asked for, not with their size.  For ``gamma > 0`` each entry is
-    the uniform average of the noiseless pmf over the window
-    ``[phi - gamma/2, phi + gamma/2]``, evaluated by Gauss-Legendre quadrature
-    in log space (:func:`_log_tables`).
-    """
-    n = np.atleast_1d(_whole("photon numbers", ns, 0, array=True))
-    if n.ndim != 1:
-        raise ValueError(f"photon numbers must be a 1-D sequence, got shape {n.shape}")
-    return np.exp(_log_tables(amps, phis, n, gamma)[0])
-
-
 # pmf_table and dphi_table keep ``gl_nodes``, the node rule's floor, which no
 # caller sets, until the benchmark tracer stops binding it: perfbench/spans.py
 # ``table_cells`` reads it to count quadrature cells whenever gamma > 0, so it
 # undercounts where the rule takes more nodes (ROADMAP open item 3).
 def pmf_table(amps: DetectorPlaneAmplitudes, phis, gamma: float = 0.0, n_max: int | None = None,
               gl_nodes: int = GL_NODES) -> np.ndarray:
-    """Photon-number pmf rows for every phase in ``phis``: :func:`pmf_columns`
-    over n = 0..n_max, shape ``(len(phis), n_max + 1)``."""
+    """Photon-number pmf p_n for every phase in ``phis`` and n = 0..n_max, shape
+    ``(len(phis), n_max + 1)``: exp of the ln p_n of :func:`_log_tables`.  For ``gamma > 0``
+    each entry is the uniform average of the noiseless pmf over the window
+    ``[phi - gamma/2, phi + gamma/2]``, by Gauss-Legendre quadrature in log space."""
     return np.exp(_log_tables(amps, phis, np.arange(_cutoff(amps, n_max) + 1), gamma, gl_nodes)[0])
 
 
@@ -388,27 +376,21 @@ def photon_pmf(amps: DetectorPlaneAmplitudes, phi: float, gamma: float = 0.0,
     For ``gamma > 0``, p_n(a, b, phi, gamma) = (1/gamma) * integral over psi in
     [-gamma/2, gamma/2] of p_n(a, b, phi - psi).  Evaluated in log space, as exp of the
     ln p_n of :func:`_log_tables`; the cutoff policy keeps the neglected tail below
-    1e-12.  The tail bound is exact for the two means at ``gamma = 0``, and otherwise
-    uses the worst-case component mean (a + b)^2, which dominates every mean in the
-    noise window.  It is ``scipy.special.pdtrc``, imported on the first call, so
-    importing the package loads no scipy.
+    1e-12.  One tail bound serves every ``gamma``: every component mean at every noise
+    node is at most nu = (a + b)^2, so p_{n+1} <= p_n nu/(n_max + 2) for n > n_max, and
+    P(N > n_max) <= p_{n_max+1} / (1 - nu/(n_max + 2)) while nu < n_max + 2; else 1.
     """
-    from scipy.special import pdtrc
-
-    gamma, nm = _check_gamma(gamma), _cutoff(amps, n_max)
-    probs = pmf_table(amps, [phi], gamma, n_max=nm)[0]
-    if gamma == 0.0:
-        nu_p, nu_m = nu_plus_minus(amps, phi)
-        tail = float(0.5 * (pdtrc(nm, nu_p) + pdtrc(nm, nu_m)))
-    else:
-        tail = float(pdtrc(nm, (amps.a + amps.b) ** 2))
-    return PhotonPmf(probs=probs, tail_bound=tail)
+    nm = _cutoff(amps, n_max)
+    probs = pmf_table(amps, [_real("phase phi", phi)], gamma, n_max=nm + 1)[0]
+    ratio = (amps.a + amps.b) ** 2 / (nm + 2)
+    tail = min(1.0, probs[-1] / (1.0 - ratio)) if ratio < 1.0 else 1.0
+    return PhotonPmf(probs=probs[:-1], tail_bound=float(tail))
 
 
 def photon_pmf_dphi(amps: DetectorPlaneAmplitudes, phi: float, gamma: float = 0.0,
                     n_max: int | None = None) -> np.ndarray:
     """Derivative d p_n / d phi for n = 0..n_max (analytic, not finite-differenced)."""
-    return dphi_table(amps, [phi], gamma, n_max=n_max)[0]
+    return dphi_table(amps, [_real("phase phi", phi)], gamma, n_max=n_max)[0]
 
 
 def _fano_terms(amps: DetectorPlaneAmplitudes, gamma: float) -> tuple[float, float]:

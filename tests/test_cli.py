@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -725,16 +726,42 @@ class TestHugeAmplitudes:
         assert load_counts(str(out)).sample_size == 10
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy loads only for the tail bound, the goodness-of-fit test and counts
-    # beyond the ln n! table; numpy.random loads with the CLI
+def test_package_runs_with_scipy_blocked(tmp_path):
+    # numpy is the only runtime dependency: with scipy unimportable the tail bound at
+    # every gamma, the goodness-of-fit p-value, ln n! beyond its table (3000 and
+    # 10**12) and the CLI all run; numpy.random loads with the CLI
+    counts = tmp_path / "counts.txt"
+    counts.write_text("1\n0\n2\n3000\n")
+    args = ["estimate", "--counts", str(counts), "--a", repr(SQRT2), "--b", repr(SQRT2),
+            "--grid", "201", "--out", str(tmp_path / "post.csv")]
     proc = run_python(
-        "import json, sys\nimport kennedyrx, kennedyrx.cli\n"
-        "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
-        "print(json.dumps([scipy, 'numpy.random' in sys.modules]))"
+        "import json, math, sys\nsys.modules['scipy'] = None\n"
+        "import numpy as np\nfrom kennedyrx import cli, estimation, montecarlo, photonstats\n"
+        "random = 'numpy.random' in sys.modules\n"
+        "a = photonstats.DetectorPlaneAmplitudes(math.sqrt(2.0), math.sqrt(2.0))\n"
+        "tails = [photonstats.photon_pmf(a, 0.3, g).tail_bound for g in (0.0, 0.5)]\n"
+        "record = montecarlo.sample_counts(montecarlo.SimConfig(a, 0.3, 1000, 1))\n"
+        "p = montecarlo.goodness_of_fit(record, photonstats.photon_pmf(a, 0.3)).p_value\n"
+        "ll = estimation.log_likelihood_pnr(estimation.CountRecord([3000, 10**12]), a, 0.0,\n"
+        "                                   estimation.PhaseGrid())\n"
+        f"rc = cli.main({args!r})\n"
+        "print(json.dumps([random, tails, p, bool(np.isfinite(ll).all()), rc]))"
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], True]
+    random, tails, p, finite, rc = json.loads(proc.stdout.splitlines()[-1])
+    assert random and all(0.0 <= t <= 1e-12 for t in tails)
+    assert 0.0 <= p <= 1.0 and finite and rc == 0
+
+
+def test_no_module_of_the_package_imports_scipy():
+    paths = list(Path(SRC, "kennedyrx").glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [alias.name for alias in getattr(node, "names", [])]
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            assert not [n for n in names if n.split(".")[0] == "scipy"], path.name
 
 
 def test_sweep_imports_no_module_of_its_own(tmp_path):

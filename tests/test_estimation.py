@@ -27,7 +27,7 @@ from kennedyrx.estimation import (
     sequential_update,
     uniform_posterior,
 )
-from kennedyrx import estimation
+from kennedyrx import estimation, photonstats
 from kennedyrx.estimation import _log_pmfs, _loglik
 from kennedyrx.montecarlo import SimConfig, sample_counts
 from kennedyrx.photonstats import (
@@ -155,6 +155,28 @@ class TestLikelihoodKernel:
         cols = _log_pmfs(amps(2.0, 1.0), 0.0, GRID, range(300))
         assert len(estimation._LOG_PMF) == 256
         assert all(estimation._LOG_PMF[amps(2.0, 1.0), 0.0, GRID, n] is cols[n] for n in range(44, 300))
+
+    def test_columns_beyond_cutoff_match_direct_mixture(self):
+        # the cutoff at a = b = sqrt 2 is 65
+        grid, ns = PhaseGrid(size=7), np.array([150, 0, 5])
+        rows = np.exp(_log_pmfs(amps(SQRT2, SQRT2), 0.0, grid, ns)).T
+        for phi, row in zip(grid.points, rows):
+            np.testing.assert_allclose(
+                row, helpers.mixture_pmf_direct(SQRT2, SQRT2, phi, ns), rtol=1e-13, atol=0
+            )
+
+    def test_noisy_columns_match_table(self):
+        grid = PhaseGrid(size=5)
+        table = pmf_table(amps(1.12, 0.79), grid.points, 0.5)
+        cols = _log_pmfs(amps(1.12, 0.79), 0.5, grid, [7, 0])
+        np.testing.assert_allclose(np.exp(cols).T, table[:, [7, 0]], rtol=1e-14, atol=0)
+
+    def test_a_column_does_not_depend_on_the_counts_beside_it(self):
+        # 3000 lies beyond the ln n! table, 5 within it; the cache holds columns alone
+        a = amps(1.3, 0.6)
+        estimation._LOG_PMF.clear()
+        fresh = photonstats._log_tables(a, GRID.points, np.array([5]), 0.0)[0][:, 0]
+        assert np.array_equal(_log_pmfs(a, 0.0, GRID, [5, 3000])[0], fresh)
 
     def test_many_distinct_counts_on_a_fine_grid_in_bounded_memory(self):
         # 500 ln p_n columns of 20001 points would take 80 MB at once, and

@@ -47,7 +47,7 @@ CHECKED = {"phi": "phase phi", "phis": "phase phi", "gamma": "gamma", "fano": "F
 BAD = [True, "0.3", math.nan, math.inf, [0.3, math.nan], [[0.3], [0.3, 0.4]]]
 
 ENTRY_POINTS = [getattr(kennedyrx, name) for name in kennedyrx.__all__] + [
-    photonstats.pmf_table, photonstats.dphi_table, photonstats.pmf_columns,
+    photonstats.pmf_table, photonstats.dphi_table,
 ]
 
 
@@ -79,7 +79,7 @@ def _arguments(entry, **override):
 def test_the_entry_points_with_checked_inputs_are_found():
     covered = {case.values[0].__name__ for case in CASES}
     assert {"fano_factor", "nu_plus_minus", "photon_pmf", "photon_pmf_dphi", "pmf_table",
-            "dphi_table", "pmf_columns", "sequential_update", "fold_phase", "invert_fano",
+            "dphi_table", "sequential_update", "fold_phase", "invert_fano",
             "fisher_pnr", "error_probability", "SimConfig"} <= covered
 
 
@@ -113,8 +113,6 @@ def test_arrays_of_any_integer_or_float_dtype_give_the_python_values_results(dty
     if np.issubdtype(dtype, np.integer):
         record = CountRecord(np.array([0, 3, 3, 7], dtype=dtype))
         assert record.counts.tolist() == [0, 3, 3, 7] and record.counts.dtype == np.int64
-        assert np.array_equal(photonstats.pmf_columns(amps, [0.3], np.array([0, 2], dtype=dtype)),
-                              photonstats.pmf_columns(amps, [0.3], [0, 2]))
 
 
 AMPS = VALID["amps"]
@@ -126,6 +124,8 @@ SCALAR_INPUTS = {
     "n_max": (lambda x: photonstats.pmf_table(AMPS, [0.3], n_max=x), "n_max"),
     "tail_bound": (lambda x: photonstats.PhotonPmf(np.array([1.0]), x), "tail_bound"),
     "phi": (lambda x: photonstats.nu_plus_minus(AMPS, x), "phase phi"),
+    "pmf phi": (lambda x: photonstats.photon_pmf(AMPS, x, 0.5), "phase phi"),
+    "derivative phi": (lambda x: photonstats.photon_pmf_dphi(AMPS, x), "phase phi"),
     "grid lo": (lambda x: PhaseGrid(x, 1.0), "grid lo"),
     "grid size": (lambda x: PhaseGrid(size=x), "grid size"),
     "event": (lambda x: kennedyrx.sequential_update(VALID["post"], x, AMPS, 0.0), "photon count"),

@@ -25,6 +25,7 @@ from kennedyrx.montecarlo import (
     SimConfig,
     _cdf_lookup,
     _cdf_table,
+    _chi2_sf,
     _poisson_inversion,
     goodness_of_fit,
     run_convergence_sweep,
@@ -145,12 +146,13 @@ class TestSampleCounts:
         _, p_value = goodness_of_fit(record, pmf)
         assert p_value > 1e-3
 
-    def test_chdtrc_is_chi2_sf(self):
+    def test_chi2_sf_matches_chdtrc(self):
         rng = np.random.default_rng(12)
         df = rng.integers(1, 200, size=20_000)
         x = rng.uniform(0.0, 400.0, size=20_000)
         x[::50] = 0.0
-        assert np.array_equal(chdtrc(df, x), chi2.sf(x, df))
+        ours = [_chi2_sf(int(k), float(v)) for k, v in zip(df, x)]
+        np.testing.assert_allclose(ours, chdtrc(df, x), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize(
         "counts, probs, dof",
@@ -162,7 +164,7 @@ class TestSampleCounts:
     def test_gof_p_value_matches_chi2_sf(self, counts, probs, dof):
         pmf = PhotonPmf(probs=np.array(probs), tail_bound=0.0)
         stat, p_value = goodness_of_fit(CountRecord(np.array(counts)), pmf)
-        assert p_value == float(chi2.sf(stat, dof))
+        assert p_value == pytest.approx(float(chi2.sf(stat, dof)), rel=1e-12)
 
     def test_empirical_mean_converges(self):
         cfg = SimConfig(amps=amps(1.12, 0.79), phi_star=0.25, M=200_000, seed=7)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, pdtrc
+from scipy.special import gammaln
 from scipy.stats import poisson
 
 import helpers
@@ -19,7 +19,6 @@ from kennedyrx.photonstats import (
     nu_plus_minus,
     photon_pmf,
     photon_pmf_dphi,
-    pmf_columns,
     pmf_fidelity,
     pmf_table,
 )
@@ -122,29 +121,6 @@ class TestPhotonPmf:
         )
 
 
-class TestPmfColumns:
-    def test_columns_beyond_cutoff_match_direct_mixture(self):
-        phis = np.linspace(0.0, math.pi / 2, 7)
-        ns = np.array([150, 0, 5])
-        cols = pmf_columns(amps(SQRT2, SQRT2), phis, ns)
-        assert cols.shape == (phis.size, ns.size)
-        for i, phi in enumerate(phis):
-            np.testing.assert_allclose(
-                cols[i], helpers.mixture_pmf_direct(SQRT2, SQRT2, phi, ns), rtol=1e-13, atol=0
-            )
-
-    def test_noisy_columns_match_table(self):
-        phis = np.linspace(0.0, math.pi / 2, 5)
-        table = pmf_table(amps(1.12, 0.79), phis, 0.5)
-        cols = pmf_columns(amps(1.12, 0.79), phis, [7, 0], 0.5)
-        np.testing.assert_allclose(cols, table[:, [7, 0]], rtol=1e-14, atol=0)
-
-    @pytest.mark.parametrize("ns", [[2, -1], [1.5]])
-    def test_rejects_photon_numbers_that_are_not_counts(self, ns):
-        with pytest.raises(ValueError, match="nonnegative integers"):
-            pmf_columns(amps(1, 1), [0.3], ns)
-
-
 class TestLnFactorialTable:
     """The committed ln n! table is scipy's gammaln(n + 1), bit for bit.
 
@@ -185,29 +161,29 @@ class TestLnFactorialTable:
         )
 
 
-class TestTailBoundsMatchScipyStats:
-    """Tail bounds use scipy.special.pdtrc, which is what poisson.sf evaluates."""
+class TestTailBound:
+    """One bound at every gamma: P(N > n_max) <= p_{n_max+1} / (1 - (a+b)^2/(n_max+2))."""
 
-    def test_pdtrc_is_poisson_sf(self):
-        rng = np.random.default_rng(11)
-        k = rng.integers(0, 3000, size=20_000)
-        mu = rng.uniform(0.0, 3000.0, size=20_000)
-        mu[::50] = 0.0
-        assert np.array_equal(pdtrc(k, mu), poisson.sf(k, mu))
-
-    @pytest.mark.parametrize(
-        "a, b, phi, n_max",
-        [(SQRT2, SQRT2, 0.3, None), (1, 1, 0.0, None), (1.12, 0.79, 0.25, 5), (20, 20, 1.0, None)],
+    @given(
+        a=st.floats(0.0, 20.0),
+        b=st.floats(0.0, 20.0),
+        phi=st.floats(allow_nan=False, allow_infinity=False),
+        gamma=st.floats(0.0, 2 * math.pi),
+        data=st.data(),
     )
-    def test_noiseless_tail_bound(self, a, b, phi, n_max):
-        p = photon_pmf(amps(a, b), phi, n_max=n_max)
-        nu_p, nu_m = nu_plus_minus(amps(a, b), phi)
-        assert p.tail_bound == float(0.5 * (poisson.sf(p.n_max, nu_p) + poisson.sf(p.n_max, nu_m)))
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_the_tail_beyond_any_cutoff(self, a, b, phi, gamma, data):
+        n_max = data.draw(st.integers(0, default_cutoff(amps(a, b)) + 20), label="n_max")
+        tail = photon_pmf(amps(a, b), phi, gamma, n_max=n_max).tail_bound
+        ref = pmf_table(amps(a, b), [phi], gamma, n_max + 200)[0, n_max + 1 :].sum()
+        assert ref * (1.0 - 1e-12) <= tail <= 1.0
+        if (ratio := (a + b) ** 2 / (n_max + 2)) < 1.0:
+            assert tail <= ref / (1.0 - ratio)
 
-    @pytest.mark.parametrize("a, b, n_max", [(SQRT2, SQRT2, None), (1.3, 0.8, 6)])
-    def test_noisy_tail_bound(self, a, b, n_max):
-        p = photon_pmf(amps(a, b), 0.4, 0.5, n_max=n_max)
-        assert p.tail_bound == float(poisson.sf(p.n_max, (a + b) ** 2))
+    @pytest.mark.parametrize("a, b", [(SQRT2, SQRT2), (1, 1), (1.12, 0.79), (20, 20)])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2 * math.pi])
+    def test_stays_below_1e_12_at_the_default_cutoff(self, a, b, gamma):
+        assert photon_pmf(amps(a, b), 0.3, gamma).tail_bound <= 1e-12
 
 
 class TestPhotonPmfNoisy:
