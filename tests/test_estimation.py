@@ -230,6 +230,20 @@ class TestLikelihoodKernel:
         with pytest.raises(ValueError, match="detector_kind"):
             bayes_estimates(np.array([1]), np.array([[1]]), amps(1, 1), 0.0, GRID, "apd")
 
+    @pytest.mark.parametrize("kind", ["PNR", "bogus", None, ["pnr"]])
+    @pytest.mark.parametrize("entry", ["sequential_update", "bayes_estimates"])
+    def test_detector_kind_is_one_of_the_two_names(self, entry, kind):
+        # no case folding, and an unhashable kind raises the same ValueError
+        calls = {
+            "sequential_update": lambda: sequential_update(
+                uniform_posterior(GRID), 1, amps(1, 1), 0.0, detector_kind=kind),
+            "bayes_estimates": lambda: bayes_estimates(
+                np.array([1]), np.array([[1]]), amps(1, 1), 0.0, GRID, kind),
+        }
+        with pytest.raises(ValueError) as info:
+            calls[entry]()
+        assert str(info.value) == f"detector_kind must be 'onoff' or 'pnr', got {kind!r}"
+
 
 BATCH_ESTIMATORS = {
     "bayes-pnr": lambda v, o: bayes_estimates(v, o, amps(SQRT2, SQRT2), 0.0, GRID, "pnr"),
