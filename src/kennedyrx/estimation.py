@@ -24,11 +24,13 @@ window, the grid points where some row's density is not exactly 0.
 Photon-number-resolved ("pnr") bins are the distinct counts; on/off bins
 are their coarse-graining {0}, {n >= 1}, so both kinds read the one record
 type, :class:`CountRecord` (an on/off detector's record is one of 0s and
-1s).  One lookup gives a kind's ln P columns and its count-to-bin map, for batch
-and streaming alike: both read ln p_n, tabulated in log space, from one bounded
-per-count cache, so memory follows neither the size of a count nor the number of
-distinct counts.  One more kernel gives the Fisher information of both kinds,
-sum_k (dP_k/dphi)^2 / P_k over the bins with P_k > 0 (pnr: n = 0..cutoff).
+1s).  A kind is its count-to-bin map alone: batch and streaming read the
+ln P columns of both kinds from one cache of 256 columns, where a pnr column
+is ln p_n, tabulated in log space, and the on/off columns are ln p_0 itself
+and ln(1 - p_0) derived from it, so memory follows neither the size of a
+count nor the number of distinct counts.  One more kernel gives the Fisher
+information of both kinds, sum_k (dP_k/dphi)^2 / P_k over the bins with
+P_k > 0 (pnr: n = 0..cutoff).
 
 Estimators share the detection record used for bit discrimination:
 
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -230,66 +232,50 @@ class PhaseEstimate:
             raise ValueError(f"variance must be nonnegative, got {self.variance!r}")
 
 
-_LOG_PMF: dict = {}  # (amps, gamma, grid, n) -> ln p_n over the grid, oldest use first; 256 columns
+# (amps, gamma, grid, kind, bin) -> ln P over the grid, oldest use first; 256 columns
+_LOG_COLUMNS: dict = {}
 
-
-def _log_pmfs(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, ns) -> list[np.ndarray]:
-    """Read-only ln p_n over the grid for each of the distinct counts ``ns``, -inf only
-    where the model forbids n: the cached columns, and the others from one tabulator call."""
-    keys = [(amps, gamma, grid, int(n)) for n in ns]
-    cols = [_LOG_PMF.pop(key, None) for key in keys]
-    if missing := [i for i, col in enumerate(cols) if col is None]:
-        counts = np.array([keys[i][3] for i in missing])
-        for i, col in zip(missing, photonstats._log_tables(amps, grid.points, counts, gamma)[0].T):
-            cols[i] = np.ascontiguousarray(col)  # a copy, unless it is the table's one column
-            cols[i].setflags(write=False)
-    _LOG_PMF.update(zip(keys, cols))
-    while len(_LOG_PMF) > 256:
-        _LOG_PMF.pop(next(iter(_LOG_PMF)), None)
-    return cols
-
-
-def _log_pmf(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, n: int) -> np.ndarray:
-    """:func:`_log_pmfs` of one count, a streaming shot's: a hit is popped and put back."""
-    if (col := _LOG_PMF.pop(key := (amps, gamma, grid, n), None)) is None:
-        col = photonstats._log_tables(amps, grid.points, np.array([n]), gamma)[0][:, 0]
-        col.setflags(write=False)
-        while len(_LOG_PMF) >= 256:
-            _LOG_PMF.pop(next(iter(_LOG_PMF)), None)
-    _LOG_PMF[key] = col
-    return col
-
-
-@lru_cache(maxsize=64)
-def _log_onoff(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid, on: int) -> np.ndarray:
-    """ln P over the grid for the on/off bin {0} (on = 0) or {n >= 1} (on = 1).
-
-    P_on is taken as 0 (ln P_on = -inf) where ln p_0 is within N eps of 0, the
-    rounding of a noise average on N nodes: 1 - p_0 holds no digit of it there."""
-    log_off = _log_pmf(amps, gamma, grid, 0)
-    if not on:
-        return log_off
-    with np.errstate(divide="ignore", invalid="ignore"):
-        col = np.log1p(-np.exp(log_off))
-    col[log_off > -photonstats._noise_nodes(amps, gamma) * np.finfo(float).eps] = -np.inf
-    col.setflags(write=False)
-    return col
-
-
-_KINDS = {
-    "pnr": (_log_pmf, _log_pmfs, lambda n: n),
-    "onoff": (_log_onoff, lambda a, g, grid, ks: [_log_onoff(a, g, grid, int(k)) for k in ks],
-              lambda n: np.minimum(n, 1)),
-}
+# the count-to-bin map of each detector kind: pnr bins are the photon numbers,
+# on/off bins their coarsening {0}, {n >= 1}
+_KINDS = {"pnr": lambda n: n, "onoff": lambda n: np.minimum(n, 1)}
 
 
 def _kind(detector_kind: DetectorKind):
-    """The ln P column of a bin, the columns of a sequence of bins and the count-to-bin map of
-    a detector kind: pnr bins are the photon numbers, on/off bins their coarsening {0}, {n >= 1}."""
+    """The count-to-bin map of a detector kind."""
     try:
         return _KINDS[detector_kind]
     except (KeyError, TypeError):
         raise ValueError(f"detector_kind must be 'onoff' or 'pnr', got {detector_kind!r}") from None
+
+
+def _log_columns(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid,
+                 kind: DetectorKind, bins) -> list[np.ndarray]:
+    """Read-only ln P over the grid for each of the distinct ``bins``, in ascending
+    order, of a detector kind, from one cache of 256 columns for both kinds.
+
+    A pnr bin n is ln p_n, -inf only where the model forbids n; the uncached ones
+    come from one tabulator call.  The on/off bin 0 is the pnr column of n = 0,
+    the same object, and bin 1 is ln(1 - p_0) from it, taken as -inf where ln p_0
+    is within N eps of 0, the rounding of a noise average on N nodes: 1 - p_0
+    holds no digit of P_on there.
+    """
+    keys = [(amps, gamma, grid, kind if k else "pnr", int(k)) for k in bins]
+    cols = [_LOG_COLUMNS.pop(key, None) for key in keys]
+    if missing := [i for i, key in enumerate(keys) if cols[i] is None and key[3] == "pnr"]:
+        counts = np.array([keys[i][4] for i in missing])
+        for i, col in zip(missing, photonstats._log_tables(amps, grid.points, counts, gamma)[0].T):
+            cols[i] = np.ascontiguousarray(col)  # a copy, unless it is the table's one column
+            cols[i].setflags(write=False)
+    if cols and cols[-1] is None:  # the on/off bin 1
+        log_off = cols[0] if len(cols) == 2 else _log_columns(amps, gamma, grid, "pnr", [0])[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cols[-1] = np.log1p(-np.exp(log_off))
+        cols[-1][log_off > -photonstats._noise_nodes(amps, gamma) * np.finfo(float).eps] = -np.inf
+        cols[-1].setflags(write=False)
+    _LOG_COLUMNS.update(zip(keys, cols))
+    while len(_LOG_COLUMNS) > 256:
+        _LOG_COLUMNS.pop(next(iter(_LOG_COLUMNS)), None)
+    return cols
 
 
 def _histogram_rows(values, occupancy) -> tuple[np.ndarray, np.ndarray]:
@@ -304,39 +290,31 @@ def _histogram_rows(values, occupancy) -> tuple[np.ndarray, np.ndarray]:
     return values, occupancy
 
 
-def _bins(values, occupancy, detector_kind: DetectorKind):
-    """The ln P columns of a detector kind's bins, the bins occupied by any
-    row of ``occupancy``, and one row of bin occupations per row.
+def _loglik(values, occupancy, detector_kind: DetectorKind, amps, gamma: float,
+            grid: PhaseGrid) -> np.ndarray:
+    """The likelihood kernel: row r of the result is sum_k w_rk ln P_k over the
+    bins k of a detector kind.
 
     ``values`` are distinct counts in ascending order and ``occupancy`` holds
     one row of their occurrences per record: a dense row over 0..cap, or the
     one row of a :attr:`CountRecord.histogram`.  Each count adds its
-    occurrences to its bin; a bin map is monotone, so a bin is a run of
-    consecutive occupied values.
-    """
-    _, columns, bin_of = _kind(detector_kind)
-    used = occupancy.any(axis=0)
-    ns, first = np.unique(bin_of(np.asarray(values)[used]), return_index=True)
-    return columns, ns, np.add.reduceat(occupancy[:, used], first, axis=1)
-
-
-def _loglik(columns, bins, weights, amps, gamma: float, grid: PhaseGrid) -> np.ndarray:
-    """The likelihood kernel: row r of the result is sum_k w_rk ln P_k.
-
-    ``weights`` holds one row of occupations w_rk of ``bins`` per record, and
-    ``columns(amps, gamma, grid, ks)`` gives ln P_k over the grid for each bin k
-    of ``ks``, one block at a time.  Each block of at most ``_BLOCK_CELLS`` table
+    occurrences to its bin, w_rk; a bin map is monotone, so a bin is a run of
+    consecutive occupied values.  The ln P_k columns (:func:`_log_columns`)
+    go one block at a time.  Each block of at most ``_BLOCK_CELLS`` table
     cells is one matrix product, so memory does not follow the number of bins.
     An empty bin adds 0 even where its ln P_k is -inf, so no 0 * -inf arises,
     and a grid point where an occupied bin is impossible gets -inf.
     """
+    bin_of = _kind(detector_kind)
     gamma = _check_gamma(gamma)
-    weights = np.asarray(weights, dtype=float)
+    used = occupancy.any(axis=0)
+    bins, first = np.unique(bin_of(values[used]), return_index=True)
+    weights = np.add.reduceat(occupancy[:, used], first, axis=1).astype(float)
     ll = np.zeros((len(weights), grid.size))
     step = max(1, _BLOCK_CELLS // grid.size)
     for start in range(0, len(bins), step):
         w = weights[:, start : start + step]
-        cols = np.array(columns(amps, gamma, grid, bins[start : start + step]))
+        cols = np.array(_log_columns(amps, gamma, grid, detector_kind, bins[start : start + step]))
         impossible = cols == -np.inf
         dead = impossible.any()
         if dead:
@@ -365,7 +343,7 @@ def log_likelihood_pnr(
     probability get -inf, never an exception.
     """
     values, occurrences = record.histogram
-    return _loglik(*_bins(values, occurrences[None], "pnr"), amps, gamma, grid)[0]
+    return _loglik(values, occurrences[None], "pnr", amps, gamma, grid)[0]
 
 
 def log_likelihood_onoff(
@@ -377,7 +355,7 @@ def log_likelihood_onoff(
     """Log-likelihood m_off ln P_off + m_on ln(1 - P_off) with P_off = p_0, where
     m_off counts the shots of the record with n = 0 and m_on the others."""
     values, occurrences = record.histogram
-    return _loglik(*_bins(values, occurrences[None], "onoff"), amps, gamma, grid)[0]
+    return _loglik(values, occurrences[None], "onoff", amps, gamma, grid)[0]
 
 
 def posterior(loglik, grid: PhaseGrid) -> PhasePosterior:
@@ -453,7 +431,7 @@ def bayes_estimates(
 
     The records come as one occupancy matrix over shared ``values``, the
     distinct counts in ascending order: row r holds the occurrences of each
-    value in record r (see :func:`_bins`).  The rows go in blocks of at most
+    value in record r (see :func:`_loglik`).  The rows go in blocks of at most
     ``_BLOCK_CELLS`` log-likelihood cells, each one call of the likelihood
     kernel, and each block's moments come from one in-place pass over the
     kernel's output, on the block's window (:func:`_posterior_moments`), so
@@ -466,8 +444,7 @@ def bayes_estimates(
     step = max(1, _BLOCK_CELLS // grid.size)
     means, variances = np.empty(len(occupancy)), np.empty(len(occupancy))
     for start in range(0, len(occupancy), step):
-        block = _loglik(*_bins(values, occupancy[start : start + step], detector_kind),
-                        amps, gamma, grid)
+        block = _loglik(values, occupancy[start : start + step], detector_kind, amps, gamma, grid)
         rows = slice(start, start + len(block))
         means[rows], variances[rows] = _posterior_moments(block, grid)
     return means, variances
@@ -525,8 +502,8 @@ def sequential_update(
     of a :class:`CountRecord`, or a gamma not in [0, 2 pi], raises ``ValueError``.
     """
     event = _whole("photon count", event, 0, 2**63 - 1)
-    column, _, bin_of = _kind(detector_kind)
-    ll = column(amps, _check_gamma(gamma), post.grid, bin_of(event))
+    bin_of = _kind(detector_kind)
+    ll = _log_columns(amps, _check_gamma(gamma), post.grid, detector_kind, [bin_of(event)])[0]
     return _normalized(post.log_density + ll, post.grid, post.evidence_log)
 
 

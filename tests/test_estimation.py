@@ -28,7 +28,7 @@ from kennedyrx.estimation import (
     uniform_posterior,
 )
 from kennedyrx import estimation, photonstats
-from kennedyrx.estimation import _log_pmfs, _loglik
+from kennedyrx.estimation import _log_columns, _loglik
 from kennedyrx.montecarlo import SimConfig, sample_counts
 from kennedyrx.photonstats import (
     DetectorPlaneAmplitudes,
@@ -108,7 +108,7 @@ class TestLogLikelihoodPnr:
         ll = log_likelihood_pnr(CountRecord(counts=np.array([1, 0, 2, 300])), a, 0.0, GRID)
         assert np.isfinite(ll).all() and ll.max() < -800.0
         expected = 300 * math.log(8.0) - 8.0 - math.lgamma(301.0) - math.log(2.0)
-        assert _log_pmfs(a, 0.0, GRID, [300])[0][0] == pytest.approx(expected, rel=1e-14)
+        assert _log_columns(a, 0.0, GRID, "pnr", [300])[0][0] == pytest.approx(expected, rel=1e-14)
         est = bayes_estimate(posterior(ll, GRID))
         assert 0.0 < est.mean < math.pi / 4 and est.variance > 0.0
 
@@ -126,12 +126,14 @@ class TestLikelihoodKernel:
         # every grid point, and a row that leaves that bin empty must not get
         # 0 * -inf
         a14 = amps(14, 14)
-        assert np.isfinite(_log_pmfs(a14, 0.0, GRID, [1500])[0]).all()
-        assert _log_pmfs(a14, 0.0, GRID, [1500])[0].min() < -700.0
+        assert np.isfinite(_log_columns(a14, 0.0, GRID, "pnr", [1500])[0]).all()
+        assert _log_columns(a14, 0.0, GRID, "pnr", [1500])[0].min() < -700.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = _loglik(_log_pmfs, [700, 1500], [[1.0, 1.0], [2.0, 0.0]], a14, 0.0, GRID)
-            vacuum = _loglik(_log_pmfs, [0, 1], [[1.0, 1.0], [2.0, 0.0]], amps(0, 0), 0.0, GRID)
+            rows = _loglik(np.array([700, 1500]), np.array([[1.0, 1.0], [2.0, 0.0]]), "pnr",
+                           a14, 0.0, GRID)
+            vacuum = _loglik(np.array([0, 1]), np.array([[1.0, 1.0], [2.0, 0.0]]), "pnr",
+                             amps(0, 0), 0.0, GRID)
         singles = [
             log_likelihood_pnr(CountRecord(counts=np.array(c)), a14, 0.0, GRID)
             for c in ([700, 1500], [700, 700])
@@ -146,20 +148,33 @@ class TestLikelihoodKernel:
         # asks; grids that differ only in size, or amplitudes only in b, are
         # different models; a batch of 300 new counts leaves 256 columns
         a = amps(SQRT2, SQRT2)
-        col = estimation._log_pmf(a, 0.0, GRID, 3)
+        col = _log_columns(a, 0.0, GRID, "pnr", [3])[0]
         assert not col.flags.writeable
-        assert estimation._log_pmf(amps(SQRT2, SQRT2), 0.0, PhaseGrid(), 3) is col
-        assert _log_pmfs(a, 0.0, GRID, [7, 3])[1] is col
-        assert estimation._log_pmf(a, 0.0, PhaseGrid(size=2000), 3).size == 2000
-        assert not np.array_equal(estimation._log_pmf(amps(SQRT2, 1.0), 0.0, GRID, 3), col)
-        cols = _log_pmfs(amps(2.0, 1.0), 0.0, GRID, range(300))
-        assert len(estimation._LOG_PMF) == 256
-        assert all(estimation._LOG_PMF[amps(2.0, 1.0), 0.0, GRID, n] is cols[n] for n in range(44, 300))
+        assert _log_columns(amps(SQRT2, SQRT2), 0.0, PhaseGrid(), "pnr", [3])[0] is col
+        assert _log_columns(a, 0.0, GRID, "pnr", [7, 3])[1] is col
+        assert _log_columns(a, 0.0, PhaseGrid(size=2000), "pnr", [3])[0].size == 2000
+        assert not np.array_equal(_log_columns(amps(SQRT2, 1.0), 0.0, GRID, "pnr", [3])[0], col)
+        cols = _log_columns(amps(2.0, 1.0), 0.0, GRID, "pnr", range(300))
+        assert len(estimation._LOG_COLUMNS) == 256
+        assert all(estimation._LOG_COLUMNS[amps(2.0, 1.0), 0.0, GRID, "pnr", n] is cols[n]
+                   for n in range(44, 300))
+
+    def test_one_bound_covers_both_kinds(self):
+        # the on/off bin {0} is the pnr column of n = 0 itself; on/off columns
+        # count against the same 256, and an evicted one comes back unchanged
+        a = amps(1.12, 0.79)
+        off, on = _log_columns(a, 0.5, GRID, "onoff", [0, 1])
+        assert _log_columns(a, 0.5, GRID, "pnr", [0])[0] is off
+        assert not on.flags.writeable
+        _log_columns(amps(2.0, 1.0), 0.0, GRID, "pnr", range(300))
+        assert len(estimation._LOG_COLUMNS) == 256
+        assert (a, 0.5, GRID, "onoff", 1) not in estimation._LOG_COLUMNS
+        assert np.array_equal(_log_columns(a, 0.5, GRID, "onoff", [1])[0], on)
 
     def test_columns_beyond_cutoff_match_direct_mixture(self):
         # the cutoff at a = b = sqrt 2 is 65
         grid, ns = PhaseGrid(size=7), np.array([150, 0, 5])
-        rows = np.exp(_log_pmfs(amps(SQRT2, SQRT2), 0.0, grid, ns)).T
+        rows = np.exp(_log_columns(amps(SQRT2, SQRT2), 0.0, grid, "pnr", ns)).T
         for phi, row in zip(grid.points, rows):
             np.testing.assert_allclose(
                 row, helpers.mixture_pmf_direct(SQRT2, SQRT2, phi, ns), rtol=1e-13, atol=0
@@ -168,15 +183,15 @@ class TestLikelihoodKernel:
     def test_noisy_columns_match_table(self):
         grid = PhaseGrid(size=5)
         table = pmf_table(amps(1.12, 0.79), grid.points, 0.5)
-        cols = _log_pmfs(amps(1.12, 0.79), 0.5, grid, [7, 0])
+        cols = _log_columns(amps(1.12, 0.79), 0.5, grid, "pnr", [7, 0])
         np.testing.assert_allclose(np.exp(cols).T, table[:, [7, 0]], rtol=1e-14, atol=0)
 
     def test_a_column_does_not_depend_on_the_counts_beside_it(self):
         # 3000 lies beyond the ln n! table, 5 within it; the cache holds columns alone
         a = amps(1.3, 0.6)
-        estimation._LOG_PMF.clear()
+        estimation._LOG_COLUMNS.clear()
         fresh = photonstats._log_tables(a, GRID.points, np.array([5]), 0.0)[0][:, 0]
-        assert np.array_equal(_log_pmfs(a, 0.0, GRID, [5, 3000])[0], fresh)
+        assert np.array_equal(_log_columns(a, 0.0, GRID, "pnr", [5, 3000])[0], fresh)
 
     def test_many_distinct_counts_on_a_fine_grid_in_bounded_memory(self):
         # 500 ln p_n columns of 20001 points would take 80 MB at once, and
@@ -192,7 +207,7 @@ class TestLikelihoodKernel:
         assert peak < 96 * 2**20
         want = np.zeros(fine.size)
         for n in range(500):
-            want += _log_pmfs(a20, 0.0, fine, [n])[0]
+            want += _log_columns(a20, 0.0, fine, "pnr", [n])[0]
         assert np.array_equal(np.isneginf(ll), np.isneginf(want))
         finite = np.isfinite(want)
         np.testing.assert_allclose(ll[finite], want[finite], rtol=1e-12, atol=0)
@@ -367,18 +382,18 @@ class TestLogLikelihoodOnoff:
 
     def test_on_column_is_cached_and_read_only(self):
         a = amps(1.12, 0.79)
-        on = estimation._log_onoff(a, 0.5, GRID, 1)
-        assert estimation._log_onoff(a, 0.5, GRID, 1) is on
+        on = _log_columns(a, 0.5, GRID, "onoff", [1])[0]
+        assert _log_columns(a, 0.5, GRID, "onoff", [1])[0] is on
         assert not on.flags.writeable
         with np.errstate(divide="ignore"):
-            assert np.array_equal(on, np.log1p(-np.exp(_log_pmfs(a, 0.5, GRID, [0])[0])))
+            assert np.array_equal(on, np.log1p(-np.exp(_log_columns(a, 0.5, GRID, "pnr", [0])[0])))
 
     @pytest.mark.parametrize("a", [0.0, 1e-160])
     def test_near_vacuum_on_column_is_never_nan(self, a):
         # ln p_0 of a vacuum beam is 0 to within the rounding of the noise
         # average, where 1 - p_0 holds no digit of P_on
-        assert np.abs(_log_pmfs(amps(a, a), 0.5, GRID, [0])[0]).max() < 1e-14
-        assert not np.isnan(estimation._log_onoff(amps(a, a), 0.5, GRID, 1)).any()
+        assert np.abs(_log_columns(amps(a, a), 0.5, GRID, "pnr", [0])[0]).max() < 1e-14
+        assert not np.isnan(_log_columns(amps(a, a), 0.5, GRID, "onoff", [1])[0]).any()
         ll = log_likelihood_onoff(CountRecord(counts=np.array([0, 1])), amps(a, a), 0.5, GRID)
         with pytest.raises(DegenerateEvidenceError):
             posterior(ll, GRID)
@@ -597,13 +612,13 @@ class TestSequentialUpdate:
         grid = PhaseGrid(size=size)
         cfg = SimConfig(amps=amps(a, b), phi_star=0.3, M=shots, seed=5)
         events = [*first, *map(int, sample_counts(cfg).counts)]
-        column, _, bin_of = estimation._kind(kind)
+        bin_of = estimation._kind(kind)
         weights = grid.weights
         post = uniform_posterior(grid)
         log_density, density, evidence_log = post.log_density, post.density, post.evidence_log
         for i, n in enumerate(events):
             post = sequential_update(post, n, cfg.amps, 0.0, detector_kind=kind)
-            lu = log_density + column(cfg.amps, 0.0, grid, bin_of(n))
+            lu = log_density + _log_columns(cfg.amps, 0.0, grid, kind, [bin_of(n)])[0]
             peak = lu.max()
             dens = np.exp(lu - peak)
             z = float(weights @ dens)
