@@ -15,7 +15,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# submodule -> the names the package exports from it
+# submodule -> the names the package exports from it: the one list of them.  Each
+# submodule's __all__ is its row plus the names only the submodule exports.
 _EXPORTS = {
     "estimation": (
         "CountRecord",

@@ -58,33 +58,10 @@ from typing import Literal
 
 import numpy as np
 
-from . import photonstats
+from . import _EXPORTS, photonstats
 from .photonstats import _BLOCK_CELLS, DetectorPlaneAmplitudes, _check_gamma, _cutoff, _real, _whole
 
-__all__ = [
-    "PhaseGrid",
-    "PhasePosterior",
-    "PhaseEstimate",
-    "CountRecord",
-    "DetectorKind",
-    "DegenerateEvidenceError",
-    "UndefinedFanoError",
-    "log_likelihood_pnr",
-    "log_likelihood_onoff",
-    "posterior",
-    "uniform_posterior",
-    "bayes_estimate",
-    "bayes_estimates",
-    "sequential_update",
-    "fisher_pnr",
-    "fisher_onoff",
-    "crlb_variance",
-    "empirical_fano",
-    "invert_fano",
-    "fano_inversion_estimate",
-    "fano_inversion_estimates",
-    "fold_phase",
-]
+__all__ = [*_EXPORTS["estimation"], "DetectorKind"]
 
 DetectorKind = Literal["onoff", "pnr"]
 
@@ -235,9 +212,9 @@ class PhaseEstimate:
 # (amps, gamma, grid, kind, bin) -> ln P over the grid, oldest use first; 256 columns
 _LOG_COLUMNS: dict = {}
 
-# the count-to-bin map of each detector kind: pnr bins are the photon numbers,
-# on/off bins their coarsening {0}, {n >= 1}
-_KINDS = {"pnr": lambda n: n, "onoff": lambda n: np.minimum(n, 1)}
+# the count-to-bin map of each detector kind, for a count and an array alike: pnr
+# bins are the photon numbers, on/off bins their coarsening {0}, {n >= 1}
+_KINDS = {"pnr": lambda n: n, "onoff": lambda n: n > 0}
 
 
 def _kind(detector_kind: DetectorKind):
@@ -259,7 +236,7 @@ def _log_columns(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid,
     is within N eps of 0, the rounding of a noise average on N nodes: 1 - p_0
     holds no digit of P_on there.
     """
-    keys = [(amps, gamma, grid, kind if k else "pnr", int(k)) for k in bins]
+    keys = [_column_key(amps, gamma, grid, kind, k) for k in bins]
     cols = [_LOG_COLUMNS.pop(key, None) for key in keys]
     if missing := [i for i, key in enumerate(keys) if cols[i] is None and key[3] == "pnr"]:
         counts = np.array([keys[i][4] for i in missing])
@@ -267,7 +244,7 @@ def _log_columns(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid,
             cols[i] = np.ascontiguousarray(col)  # a copy, unless it is the table's one column
             cols[i].setflags(write=False)
     if cols and cols[-1] is None:  # the on/off bin 1
-        log_off = cols[0] if len(cols) == 2 else _log_columns(amps, gamma, grid, "pnr", [0])[0]
+        log_off = cols[0] if len(cols) == 2 else _log_column(amps, gamma, grid, "pnr", 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             cols[-1] = np.log1p(-np.exp(log_off))
         cols[-1][log_off > -photonstats._noise_nodes(amps, gamma) * np.finfo(float).eps] = -np.inf
@@ -276,6 +253,19 @@ def _log_columns(amps: DetectorPlaneAmplitudes, gamma: float, grid: PhaseGrid,
     while len(_LOG_COLUMNS) > 256:
         _LOG_COLUMNS.pop(next(iter(_LOG_COLUMNS)), None)
     return cols
+
+
+def _column_key(amps, gamma, grid, kind, k) -> tuple:
+    return (amps, gamma, grid, kind if k else "pnr", int(k))
+
+
+def _log_column(amps, gamma: float, grid: PhaseGrid, kind: DetectorKind, k) -> np.ndarray:
+    """:func:`_log_columns` for one bin: a hit builds one key, pops it and re-inserts it."""
+    key = _column_key(amps, gamma, grid, kind, k)
+    if (col := _LOG_COLUMNS.pop(key, None)) is None:
+        return _log_columns(amps, gamma, grid, kind, [k])[0]
+    _LOG_COLUMNS[key] = col
+    return col
 
 
 def _histogram_rows(values, occupancy) -> tuple[np.ndarray, np.ndarray]:
@@ -503,7 +493,7 @@ def sequential_update(
     """
     event = _whole("photon count", event, 0, 2**63 - 1)
     bin_of = _kind(detector_kind)
-    ll = _log_columns(amps, _check_gamma(gamma), post.grid, detector_kind, [bin_of(event)])[0]
+    ll = _log_column(amps, _check_gamma(gamma), post.grid, detector_kind, bin_of(event))
     return _normalized(post.log_density + ll, post.grid, post.evidence_log)
 
 

@@ -36,26 +36,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import numpy.random  # every draw needs it; loading it here keeps it out of the first op
 
-from . import estimation, photonstats
+from . import _EXPORTS, estimation, photonstats
 from .estimation import CountRecord, PhaseGrid
 from .photonstats import DetectorPlaneAmplitudes, PhotonPmf, _check_gamma, _real, _whole
 
-__all__ = [
-    "SimConfig",
-    "SweepRow",
-    "SweepResult",
-    "DiscriminationResult",
-    "GofResult",
-    "InsufficientSupportError",
-    "stream",
-    "sample_counts",
-    "run_discrimination",
-    "run_convergence_sweep",
-    "run_convergence_sweeps",
-    "goodness_of_fit",
-    "DEFAULT_M_LIST",
-    "METHODS",
-]
+__all__ = [*_EXPORTS["montecarlo"], "DEFAULT_M_LIST", "METHODS"]
 
 # Default sweep sample sizes: two and a half decades, log-spaced.
 DEFAULT_M_LIST = (100, 300, 1000, 3000, 10000, 30000)

@@ -27,20 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "DetectorPlaneAmplitudes",
-    "PhotonPmf",
-    "nu_plus_minus",
-    "default_cutoff",
-    "photon_pmf",
-    "photon_pmf_dphi",
-    "pmf_table",
-    "dphi_table",
-    "fano_factor",
-    "pmf_fidelity",
-    "GL_NODES",
-    "MAX_MEAN_PHOTONS",
-]
+from . import _EXPORTS
+
+__all__ = [*_EXPORTS["photonstats"], "pmf_table", "dphi_table", "GL_NODES", "MAX_MEAN_PHOTONS"]
 
 # Fewest Gauss-Legendre nodes for the phase-noise average.  The integrand is
 # entire in the noise variable, so convergence is spectral, but its width in

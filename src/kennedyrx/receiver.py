@@ -12,15 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import _EXPORTS
 from .photonstats import DetectorPlaneAmplitudes, _real, _whole
 
-__all__ = [
-    "ReceiverParams",
-    "detector_amplitudes",
-    "discriminate",
-    "error_probability",
-    "helstrom_bound",
-]
+__all__ = list(_EXPORTS["receiver"])
 
 
 @dataclass(frozen=True)

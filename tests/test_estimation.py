@@ -171,6 +171,20 @@ class TestLikelihoodKernel:
         assert (a, 0.5, GRID, "onoff", 1) not in estimation._LOG_COLUMNS
         assert np.array_equal(_log_columns(a, 0.5, GRID, "onoff", [1])[0], on)
 
+    @pytest.mark.parametrize("kind", ["pnr", "onoff"])
+    def test_a_streamed_hit_makes_its_column_the_newest(self, kind):
+        # a full cache, oldest first n = 0, 1, ...; a shot of count 0 (the pnr
+        # n = 0 column for both kinds) hits n = 0, so one new column evicts n = 1
+        a = amps(2.0, 1.0)
+        estimation._LOG_COLUMNS.clear()
+        first = _log_columns(a, 0.0, GRID, "pnr", range(256))[0]
+        sequential_update(uniform_posterior(GRID), 0, a, 0.0, detector_kind=kind)
+        assert list(estimation._LOG_COLUMNS)[-1] == (a, 0.0, GRID, "pnr", 0)
+        _log_columns(a, 0.0, GRID, "pnr", [256])
+        assert len(estimation._LOG_COLUMNS) == 256
+        assert (a, 0.0, GRID, "pnr", 1) not in estimation._LOG_COLUMNS
+        assert estimation._LOG_COLUMNS[a, 0.0, GRID, "pnr", 0] is first
+
     def test_columns_beyond_cutoff_match_direct_mixture(self):
         # the cutoff at a = b = sqrt 2 is 65
         grid, ns = PhaseGrid(size=7), np.array([150, 0, 5])

@@ -36,6 +36,13 @@ EXPORTS = {
         "helstrom_bound",
     ],
 }
+# submodule -> the names it exports and ``kennedyrx`` does not
+MODULE_ONLY = {
+    "estimation": ["DetectorKind"],
+    "montecarlo": ["DEFAULT_M_LIST", "METHODS"],
+    "photonstats": ["pmf_table", "dphi_table", "GL_NODES", "MAX_MEAN_PHOTONS"],
+    "receiver": [],
+}
 NAMES = [name for names in EXPORTS.values() for name in names]
 SUBMODULES = ["photonstats", "estimation", "montecarlo", "receiver", "cli"]
 # modules a monitor never calls: the sampler, the receiver model and the CLI
@@ -93,6 +100,21 @@ def test_star_import_binds_the_exports():
     exec("from kennedyrx import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(NAMES)
     assert all(namespace[name] is getattr(kennedyrx, name) for name in NAMES)
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_a_submodule_exports_its_row_and_its_own_names(module):
+    # __all__ is the package's row for the submodule plus the names only it exports
+    source = importlib.import_module(f"kennedyrx.{module}")
+    names = source.__all__
+    assert len(set(names)) == len(names)
+    assert sorted(kennedyrx._EXPORTS[module]) == sorted(EXPORTS[module])
+    assert sorted(names) == sorted(EXPORTS[module] + MODULE_ONLY[module])
+    assert [name for name in names if not hasattr(source, name)] == []
+    namespace: dict = {}
+    exec(f"from kennedyrx.{module} import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(names)
+    assert all(namespace[name] is getattr(source, name) for name in names)
 
 
 def test_an_unknown_name_raises_attribute_error():
