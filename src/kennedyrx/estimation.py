@@ -5,9 +5,9 @@ so the phase is identifiable only on [0, pi/2]; that interval carries the
 uniform prior.  Posteriors live on a uniform grid, and every integral over it
 (normalizer, normalization check, mean, variance, skewness) is a dot product
 with the trapezoid weights the grid holds, computed once per grid object, so
-a streaming shot pays no quadrature set-up.  A streaming update exponentiates
-only the window of grid points within 746 of the peak, beyond which ``exp``
-gives exactly 0, so its result is the full-grid arithmetic bit for bit.
+a streaming shot pays no quadrature set-up.  A posterior exponentiates only
+the window of grid points within 700 of the peak, with density 0 outside it:
+its log density, evidence and moments are the full-grid arithmetic bit for bit.
 
 One kernel turns photon-number histograms, the sufficient statistic, into
 log-likelihoods.  Records come as one representation: distinct counts in
@@ -67,6 +67,9 @@ DetectorKind = Literal["onoff", "pnr"]
 
 # exp(x) is exactly 0 for x below about -745.13
 _EXP_UNDERFLOW = 746.0
+# cells below e^-700 (~1e-304) of the peak are 0: ``exp`` then stays out of the slow
+# subnormal range, and so do its products with the weights of grids up to 2216 points
+_DENSITY_CUT = 700.0
 
 
 class DegenerateEvidenceError(ValueError):
@@ -367,16 +370,17 @@ def _normalized(log_unnorm: np.ndarray, grid: PhaseGrid, evidence_log: float) ->
     and trapezoid normalization; its log normalizer is added to the evidence.
 
     It takes over ``log_unnorm``, a fresh array, and normalizes it in place.
-    Only the window from the first to the last grid point within 746 of the
-    peak is exponentiated: beyond it ``exp`` gives exactly 0, so the density
-    and the full-grid normalizer are those of ``exp`` over every point, bit
-    for bit.
+    Only the window from the first to the last grid point within 700 of the
+    peak is exponentiated, and the density is 0 outside it.  Those cells are
+    below e^-700 (~1e-304) of the peak, under the rounding of the normalizer
+    and of any moment not itself near 1e-300, so the log density, evidence
+    and moments are those of ``exp`` over every point, bit for bit.
     """
     peak = log_unnorm.max()
     if not math.isfinite(peak):
         raise DegenerateEvidenceError("likelihood vanishes at every grid point")
     x = log_unnorm - peak
-    near = np.flatnonzero(x >= -_EXP_UNDERFLOW)
+    near = np.flatnonzero(x >= -_DENSITY_CUT)
     window = slice(near[0], near[-1] + 1)
     dens = np.zeros(grid.size)
     np.exp(x[window], out=dens[window])

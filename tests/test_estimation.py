@@ -465,6 +465,15 @@ class TestPosterior:
         with pytest.raises(DegenerateEvidenceError):
             posterior(np.full(GRID.size, -np.inf), GRID)
 
+    def test_density_is_zero_beyond_700_below_the_peak(self):
+        # the cell 700 below the peak is kept; those 700.5 below, outside it,
+        # have density exactly 0 and keep their log density
+        ll = np.array([-700.5, 0.0, -1.0, -700.0, -700.5])
+        post = posterior(ll, PhaseGrid(size=5))
+        assert post.density[3] > 0.0
+        assert post.density[0] == 0.0 and post.density[4] == 0.0
+        assert np.array_equal(post.log_density, ll - post.evidence_log)
+
 
 class TestBayesEstimate:
     def test_uniform_moments(self):
@@ -621,26 +630,35 @@ class TestSequentialUpdate:
              "bright-14-far-count", "5-onoff"],
     )
     def test_update_is_the_full_grid_arithmetic_bit_for_bit(self, a, b, kind, size, shots, first):
-        # the update spelled over the whole grid: exp of every cell, the
-        # trapezoid normalizer, then the normalized log density and density
+        # the update spelled over the whole grid: exp of every cell within 700
+        # of the peak and 0 below, the trapezoid normalizer, then the
+        # normalized log density and density; the moments are also those of
+        # exp over every cell, whose cells below e^-700 are the only change
         grid = PhaseGrid(size=size)
         cfg = SimConfig(amps=amps(a, b), phi_star=0.3, M=shots, seed=5)
         events = [*first, *map(int, sample_counts(cfg).counts)]
         bin_of = estimation._kind(kind)
-        weights = grid.weights
+        weights, tiny = grid.weights, np.finfo(float).tiny
         post = uniform_posterior(grid)
         log_density, density, evidence_log = post.log_density, post.density, post.evidence_log
         for i, n in enumerate(events):
             post = sequential_update(post, n, cfg.amps, 0.0, detector_kind=kind)
             lu = log_density + _log_columns(cfg.amps, 0.0, grid, kind, [bin_of(n)])[0]
             peak = lu.max()
-            dens = np.exp(lu - peak)
+            x = lu - peak
+            dens = np.where(x >= -700.0, np.exp(x), 0.0)
             z = float(weights @ dens)
             log_norm = peak + math.log(z)
             log_density, density, evidence_log = lu - log_norm, dens / z, evidence_log + log_norm
             assert np.array_equal(post.log_density, log_density), i
             assert np.array_equal(post.density, density), i
             assert post.evidence_log == evidence_log, i
+            full = np.exp(x)
+            assert float(weights @ full) == z, i
+            unmasked = PhasePosterior(grid, log_density, full / z, evidence_log)
+            assert bayes_estimate(post) == bayes_estimate(unmasked), i
+            for cells in (post.density, post.density * weights):  # no subnormal
+                assert not np.any((cells > 0.0) & (cells < tiny)), i
             if first and i == 0:  # finite in log space, where p_n is below 1e-300
                 assert np.isfinite(post.log_density).all()
         assert not (post.log_density.flags.writeable or post.density.flags.writeable)
@@ -680,6 +698,19 @@ class TestFisher:
         # the shift rounds it past the floor
         for fisher in (fisher_pnr, fisher_onoff):
             assert np.all(fisher(amps(a, b), np.array([0.0, math.pi / 2]), gamma) == 0.0)
+
+    @pytest.mark.parametrize(
+        "a, phi, want, rel",
+        [(20.0, math.pi / 200, 1.2774571e-18, 1e-3), (14.0, 1e-9, 8.8461975e-24, 1e-2)],
+    )
+    def test_real_information_near_a_stationary_phase_is_kept(self, a, phi, want, rel):
+        # true on/off F at gamma 0.5 and a = b, near phi = 0, where a wider
+        # rounding floor would read 0; by 50-digit mpmath: p_0 the mean of
+        # G(t) = (exp(-nu+(t)) + exp(-nu-(t))) / 2 over [phi - 1/4, phi + 1/4]
+        # (mpmath.quad), dp_0/dphi = (G(phi + 1/4) - G(phi - 1/4)) / 0.5 and
+        # F = dp_0^2 / (p_0 (1 - p_0)); 64 Gauss-Legendre pieces agree
+        got = fisher_onoff(amps(a, a), phi, 0.5)
+        assert got > 0.0 and got == pytest.approx(want, rel=rel)
 
     def test_single_interior_maximum_experimental_curve(self):
         phis = np.linspace(0.0, math.pi / 2, 200)
