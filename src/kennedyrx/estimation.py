@@ -67,8 +67,8 @@ DetectorKind = Literal["onoff", "pnr"]
 
 # exp(x) is exactly 0 for x below about -745.13
 _EXP_UNDERFLOW = 746.0
-# cells below e^-700 (~1e-304) of the peak are 0: ``exp`` then stays out of the slow
-# subnormal range, and so do its products with the weights of grids up to 2216 points
+# the density is exp of every cell within 700 of the peak and 0 below (~1e-304): no slow
+# subnormal ``exp``, nor a subnormal product with the weights of grids up to 2216 points
 _DENSITY_CUT = 700.0
 
 
@@ -189,7 +189,7 @@ class PhasePosterior:
         """Make both arrays read-only and check that the density integrates to one."""
         self.log_density.setflags(write=False)
         self.density.setflags(write=False)
-        total = float(self.grid.weights @ self.density)
+        total = float(self.grid.weights.dot(self.density))  # @'s ddot, without its dispatch
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-8):
             raise ValueError(f"posterior density integrates to {total!r}, not 1")
 
@@ -370,22 +370,20 @@ def _normalized(log_unnorm: np.ndarray, grid: PhaseGrid, evidence_log: float) ->
     and trapezoid normalization; its log normalizer is added to the evidence.
 
     It takes over ``log_unnorm``, a fresh array, and normalizes it in place.
-    Only the window from the first to the last grid point within 700 of the
-    peak is exponentiated, and the density is 0 outside it.  Those cells are
-    below e^-700 (~1e-304) of the peak, under the rounding of the normalizer
-    and of any moment not itself near 1e-300, so the log density, evidence
-    and moments are those of ``exp`` over every point, bit for bit.
+    Every grid point within 700 of the peak is exponentiated, and every other
+    point has density 0.  Those points are below e^-700 (~1e-304) of the peak,
+    under the rounding of the normalizer and of any moment not itself near
+    1e-300, so the log density, evidence and moments are those of ``exp`` over
+    every point, bit for bit.
     """
-    peak = log_unnorm.max()
+    peak = log_unnorm[log_unnorm.argmax()]  # argmax stops at the first NaN
     if not math.isfinite(peak):
         raise DegenerateEvidenceError("likelihood vanishes at every grid point")
     x = log_unnorm - peak
-    near = np.flatnonzero(x >= -_DENSITY_CUT)
-    window = slice(near[0], near[-1] + 1)
     dens = np.zeros(grid.size)
-    np.exp(x[window], out=dens[window])
+    np.exp(x, out=dens, where=x >= -_DENSITY_CUT)
     # dens is 1 at the peak and in [0, 1] elsewhere, so z is finite and positive
-    z = float(grid.weights @ dens)
+    z = float(grid.weights.dot(dens))  # the ddot of @, without the gufunc dispatch
     log_norm = peak + math.log(z)
     log_unnorm -= log_norm
     dens /= z

@@ -474,6 +474,29 @@ class TestPosterior:
         assert post.density[0] == 0.0 and post.density[4] == 0.0
         assert np.array_equal(post.log_density, ll - post.evidence_log)
 
+    @pytest.mark.parametrize(
+        "ll",
+        [
+            [0.0, -1.0, -700.0, -700.5, -800.0, -np.inf, -700.5],
+            [-700.5, -np.inf, -800.0, -700.5, -700.0, -2.0, 0.0],
+            [-700.5, 0.0, -3.0, -700.5, -750.0, -700.5, -1.0, -700.0, -700.5],
+        ],
+        ids=["live-at-first-cell", "live-at-last-cell", "two-live-runs"],
+    )
+    def test_normalized_is_exp_within_700_of_the_peak_and_0_elsewhere(self, ll):
+        # every cell within 700 of the peak, wherever it lies, is exponentiated,
+        # and every cell below it is exactly 0, also between two live runs
+        ll = np.array(ll)
+        grid = PhaseGrid(size=ll.size)
+        x = ll - ll.max()
+        dens = np.where(x >= -700.0, np.exp(x), 0.0)
+        z = float(grid.weights @ dens)
+        log_norm = ll.max() + math.log(z)
+        post = estimation._normalized(ll.copy(), grid, 0.0)
+        assert np.array_equal(post.density, dens / z)
+        assert np.array_equal(post.log_density, ll - log_norm)
+        assert post.evidence_log == log_norm
+
 
 class TestBayesEstimate:
     def test_uniform_moments(self):
@@ -616,25 +639,26 @@ class TestSequentialUpdate:
         assert np.argmax(post.log_density) == 0 and post.density[0] > 0.0
 
     @pytest.mark.parametrize(
-        "a, b, kind, size, shots, first",
+        "a, b, kind, grid, shots, first",
         [
-            (SQRT2, SQRT2, "pnr", 2001, 2000, ()),
-            (SQRT2, SQRT2, "onoff", 2001, 2000, ()),
-            (1.12, 0.79, "pnr", 201, 2000, ()),
-            (20.0, 20.0, "pnr", 2001, 3000, ()),  # about 64 cells stay nonzero
-            (14.0, 14.0, "pnr", 20001, 300, ()),
-            (14.0, 14.0, "pnr", 2001, 300, (1500,)),  # p_1500 underflows towards pi/2
-            (5.0, 5.0, "onoff", 2001, 2000, ()),
+            (SQRT2, SQRT2, "pnr", PhaseGrid(), 2000, ()),
+            (SQRT2, SQRT2, "onoff", PhaseGrid(), 2000, ()),
+            (1.12, 0.79, "pnr", PhaseGrid(size=201), 2000, ()),
+            (20.0, 20.0, "pnr", PhaseGrid(), 3000, ()),  # about 64 cells stay nonzero
+            (14.0, 14.0, "pnr", PhaseGrid(size=20001), 300, ()),
+            (14.0, 14.0, "pnr", PhaseGrid(), 300, (1500,)),  # p_1500 underflows towards pi/2
+            (5.0, 5.0, "onoff", PhaseGrid(), 2000, ()),
+            # two modes, at -0.3 and 0.3, with cells far below the peak between them
+            (5.0, 5.0, "pnr", PhaseGrid(-math.pi / 2, math.pi / 2, 2001), 3000, ()),
         ],
         ids=["sqrt2-pnr", "sqrt2-onoff", "golden-201", "bright-20", "bright-14-fine",
-             "bright-14-far-count", "5-onoff"],
+             "bright-14-far-count", "5-onoff", "5-pnr-bimodal"],
     )
-    def test_update_is_the_full_grid_arithmetic_bit_for_bit(self, a, b, kind, size, shots, first):
+    def test_update_is_the_full_grid_arithmetic_bit_for_bit(self, a, b, kind, grid, shots, first):
         # the update spelled over the whole grid: exp of every cell within 700
         # of the peak and 0 below, the trapezoid normalizer, then the
         # normalized log density and density; the moments are also those of
         # exp over every cell, whose cells below e^-700 are the only change
-        grid = PhaseGrid(size=size)
         cfg = SimConfig(amps=amps(a, b), phi_star=0.3, M=shots, seed=5)
         events = [*first, *map(int, sample_counts(cfg).counts)]
         bin_of = estimation._kind(kind)
