@@ -5,9 +5,11 @@ so the phase is identifiable only on [0, pi/2]; that interval carries the
 uniform prior.  Posteriors live on a uniform grid, and every integral over it
 (normalizer, normalization check, mean, variance, skewness) is a dot product
 with the trapezoid weights the grid holds, computed once per grid object, so
-a streaming shot pays no quadrature set-up.  A posterior exponentiates only
-the window of grid points within 700 of the peak, with density 0 outside it:
-its log density, evidence and moments are the full-grid arithmetic bit for bit.
+a streaming shot pays no quadrature set-up.  One kernel turns a log density
+into a posterior, shot by shot and for each record of a batch alike: it
+exponentiates every grid point within 700 of the peak, with density 0
+elsewhere, so its log density, evidence and moments are the full-grid
+arithmetic bit for bit.
 
 One kernel turns photon-number histograms, the sufficient statistic, into
 log-likelihoods.  Records come as one representation: distinct counts in
@@ -18,9 +20,8 @@ kernel bins the counts, then multiplies the (records x bins) occupations
 w_k by the (bins x grid) table of ln P_k, one row sum_k w_k ln P_k per
 record, where an empty bin adds 0 even at grid points where its ln P_k is
 -inf.  The table goes in blocks of bins, and :func:`bayes_estimates` passes
-many records in blocks of rows, each of bounded size, and takes the
-posterior mean and variance of a whole block in one in-place pass over its
-window, the grid points where some row's density is not exactly 0.
+many records in blocks of rows, each of bounded size, and takes each row's
+posterior mean and variance through the posterior kernel.
 Photon-number-resolved ("pnr") bins are the distinct counts; on/off bins
 are their coarse-graining {0}, {n >= 1}, so both kinds read the one record
 type, :class:`CountRecord` (an on/off detector's record is one of 0s and
@@ -65,8 +66,6 @@ __all__ = [*_EXPORTS["estimation"], "DetectorKind"]
 
 DetectorKind = Literal["onoff", "pnr"]
 
-# exp(x) is exactly 0 for x below about -745.13
-_EXP_UNDERFLOW = 746.0
 # the density is exp of every cell within 700 of the peak and 0 below (~1e-304): no slow
 # subnormal ``exp``, nor a subnormal product with the weights of grids up to 2216 points
 _DENSITY_CUT = 700.0
@@ -365,16 +364,17 @@ def posterior(loglik, grid: PhaseGrid) -> PhasePosterior:
     return _normalized(ll, grid, 0.0)
 
 
-def _normalized(log_unnorm: np.ndarray, grid: PhaseGrid, evidence_log: float) -> PhasePosterior:
-    """Posterior of an unnormalized log density, by max-subtracted exponentiation
-    and trapezoid normalization; its log normalizer is added to the evidence.
+def _density(log_unnorm: np.ndarray, grid: PhaseGrid) -> tuple[float, np.ndarray]:
+    """Log normalizer and normalized density of an unnormalized log density, by
+    max-subtracted exponentiation and trapezoid normalization: the posterior
+    kernel of the streamed update and of each row of :func:`bayes_estimates`.
 
-    It takes over ``log_unnorm``, a fresh array, and normalizes it in place.
     Every grid point within 700 of the peak is exponentiated, and every other
     point has density 0.  Those points are below e^-700 (~1e-304) of the peak,
     under the rounding of the normalizer and of any moment not itself near
-    1e-300, so the log density, evidence and moments are those of ``exp`` over
-    every point, bit for bit.
+    1e-300, so the log normalizer and moments are those of ``exp`` over every
+    point, bit for bit.  A log density with a NaN, or without a finite peak,
+    raises :class:`DegenerateEvidenceError`.
     """
     peak = log_unnorm[log_unnorm.argmax()]  # argmax stops at the first NaN
     if not math.isfinite(peak):
@@ -384,30 +384,40 @@ def _normalized(log_unnorm: np.ndarray, grid: PhaseGrid, evidence_log: float) ->
     np.exp(x, out=dens, where=x >= -_DENSITY_CUT)
     # dens is 1 at the peak and in [0, 1] elsewhere, so z is finite and positive
     z = float(grid.weights.dot(dens))  # the ddot of @, without the gufunc dispatch
-    log_norm = peak + math.log(z)
-    log_unnorm -= log_norm
     dens /= z
+    return peak + math.log(z), dens
+
+
+def _normalized(log_unnorm: np.ndarray, grid: PhaseGrid, evidence_log: float) -> PhasePosterior:
+    """Posterior of an unnormalized log density (:func:`_density`); its log
+    normalizer is added to the evidence.  It takes over ``log_unnorm``, a fresh
+    array, and normalizes it in place."""
+    log_norm, dens = _density(log_unnorm, grid)
+    log_unnorm -= log_norm
     return PhasePosterior._adopt(grid, log_unnorm, dens, evidence_log + log_norm)
 
 
-def bayes_estimate(post: PhasePosterior) -> PhaseEstimate:
-    """Posterior mean, central variance and skewness by trapezoid quadrature.
-
-    The moments are taken about the mean, so no raw-moment cancellation
-    occurs.
-    """
-    pts = post.grid.points
-    weighted = post.density * post.grid.weights
-    mean = float(weighted @ pts)
+def _moments(density: np.ndarray, grid: PhaseGrid) -> tuple:
+    """Mean and central variance of a density by trapezoid quadrature, about the
+    mean (no raw-moment cancellation), with the weighted density, the deviations
+    from the mean and their squares, which :func:`bayes_estimate` reuses."""
+    pts = grid.points
+    weighted = density * grid.weights
+    mean = float(weighted.dot(pts))  # the ddot of @, without the gufunc dispatch
     centered = pts - mean
     squared = centered * centered
-    var = float(weighted @ squared)
+    return mean, float(weighted.dot(squared)), weighted, centered, squared
+
+
+def bayes_estimate(post: PhasePosterior) -> PhaseEstimate:
+    """Posterior mean, central variance (:func:`_moments`) and skewness by
+    trapezoid quadrature."""
+    mean, var, weighted, centered, squared = _moments(post.density, post.grid)
     scale = var**1.5  # 0 also for variances so small that it underflows
     skew = None
     if scale > 0.0:
         # squared * centered, not centered**3: np.power is the slowest step here
-        third = float(weighted @ (squared * centered))
-        skew = third / scale
+        skew = float(weighted.dot(squared * centered)) / scale
     return PhaseEstimate(mean=mean, variance=var, skewness=skew)
 
 
@@ -425,57 +435,21 @@ def bayes_estimates(
     distinct counts in ascending order: row r holds the occurrences of each
     value in record r (see :func:`_loglik`).  The rows go in blocks of at most
     ``_BLOCK_CELLS`` log-likelihood cells, each one call of the likelihood
-    kernel, and each block's moments come from one in-place pass over the
-    kernel's output, on the block's window (:func:`_posterior_moments`), so
-    memory does not follow the number of records.  The moments are those of
-    :func:`bayes_estimate` up to the rounding of their sums, and a row whose
-    posterior :func:`posterior` would reject raises what it raises, and
-    rows that are not such a histogram raise ``ValueError``.
+    kernel, so memory does not follow the number of records.  Each row of a
+    block goes through the streamed arithmetic (:func:`_density`,
+    :func:`_moments`), so its moments are those of
+    ``bayes_estimate(posterior(row))``, bit for bit.  A record impossible at
+    every grid point raises :class:`DegenerateEvidenceError`, and rows that
+    are not such a histogram raise ``ValueError``.
     """
     values, occupancy = _histogram_rows(values, occupancy)
     step = max(1, _BLOCK_CELLS // grid.size)
     means, variances = np.empty(len(occupancy)), np.empty(len(occupancy))
     for start in range(0, len(occupancy), step):
         block = _loglik(values, occupancy[start : start + step], detector_kind, amps, gamma, grid)
-        rows = slice(start, start + len(block))
-        means[rows], variances[rows] = _posterior_moments(block, grid)
+        for r, row in enumerate(block, start):
+            means[r], variances[r] = _moments(_density(row, grid)[1], grid)[:2]
     return means, variances
-
-
-def _posterior_moments(ll: np.ndarray, grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and central variance of the posterior of each row of log-likelihoods.
-
-    The arithmetic of :func:`posterior` and :func:`bayes_estimate` row by row,
-    in place on ``ll``: max-subtract, ``exp``, divide by the trapezoid
-    normalizer, weight.  A row without a finite peak (one with a NaN, or one
-    that is -inf or +inf at its peak) raises what :func:`posterior` raises,
-    for the first such row, before any ``exp``; every other row has its peak
-    cell at exp(0) = 1 and none above, so its normalizer is finite and at
-    least the peak's trapezoid weight.
-    The moments run on the block's window alone, the columns from the first
-    to the last where some row is within 746 of its peak: outside it ``exp``
-    gives exactly 0 in every row, so the window changes no moment beyond the
-    rounding of its sums.  The centered squares are the one other
-    window-sized array.
-    """
-    peak = ll.max(axis=1)  # NaN in a row with NaN
-    failed = ~np.isfinite(peak)
-    if failed.any():
-        row = int(np.argmax(failed))
-        if np.isnan(peak[row]):
-            raise ValueError("log-likelihood contains NaN")
-        raise DegenerateEvidenceError("likelihood vanishes at every grid point")
-    near = np.flatnonzero((ll >= (peak - _EXP_UNDERFLOW)[:, None]).any(axis=0))
-    window = slice(near[0], near[-1] + 1)
-    ll, weights, points = ll[:, window], grid.weights[window], grid.points[window]
-    ll -= peak[:, None]
-    np.exp(ll, out=ll)
-    ll /= (ll @ weights)[:, None]
-    ll *= weights
-    mean = ll @ points
-    centered = points - mean[:, None]
-    centered *= centered
-    return mean, np.einsum("ij,ij->i", ll, centered)
 
 
 def sequential_update(

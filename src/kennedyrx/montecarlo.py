@@ -19,8 +19,8 @@ its photon-count histogram, the sufficient statistic: one ``bincount`` row
 over 0..cap, the largest count a draw returns, so every row has the same
 bounded length.  It goes through the replications of one M in blocks of such
 rows, and every estimator it compares reads the whole block at once: the
-Bayes methods as one likelihood product and one pass of posterior moments
-over the block's window, the Fano method as one jackknife kernel.  The
+Bayes methods as one likelihood product whose rows go through the posterior
+kernel of a streamed shot, the Fano method as one jackknife kernel.  The
 M-shot records of a block are never held together.  On/off detection reads
 the same count record as PNR detection, through its coarse-graining
 {0}, {n >= 1}, so no record is converted.

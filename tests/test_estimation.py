@@ -320,20 +320,15 @@ class TestHistogramRows:
 
 
 class TestPosteriorWindow:
-    """Block moments run on the columns where some row is within 746 of its
-    peak; outside them exp is exactly 0 in every row."""
+    """Each record of a batch is cut at 700 below its own peak, as a streamed
+    posterior is, by the one posterior kernel."""
 
-    def test_exp_is_exactly_zero_beyond_the_window(self):
-        assert np.exp(-estimation._EXP_UNDERFLOW) == 0.0
-        assert np.exp(-745.0) > 0.0
-
-    @pytest.mark.parametrize("kind", ["pnr", "onoff"])
-    def test_rows_peaking_far_apart_match_their_one_row_posteriors(self, kind):
-        # records at phi* = 0.2 and 1.2 in one block: most cells underflow,
-        # and the window spans both peaks
-        m = 30_000
+    @staticmethod
+    def far_apart_records(kind):
+        # records at phi* = 0.2 and 1.2 in one block: most cells lie more than
+        # 700 below their row's peak, and the two groups peak far apart
         records = [
-            sample_counts(SimConfig(amps=amps(SQRT2, SQRT2), phi_star=phi, M=m, seed=24), rep)
+            sample_counts(SimConfig(amps=amps(SQRT2, SQRT2), phi_star=phi, M=30_000, seed=24), rep)
             for phi in (0.2, 1.2)
             for rep in range(3)
         ]
@@ -345,7 +340,12 @@ class TestPosteriorWindow:
             )
             for record in records
         ]
-        below = np.array([ll - ll.max() < -estimation._EXP_UNDERFLOW for ll in lls])
+        return values, occupancy, lls
+
+    @pytest.mark.parametrize("kind", ["pnr", "onoff"])
+    def test_rows_peaking_far_apart_match_their_one_row_posteriors(self, kind):
+        values, occupancy, lls = self.far_apart_records(kind)
+        below = np.array([ll - ll.max() < -estimation._DENSITY_CUT for ll in lls])
         assert below.mean() > 0.5
         assert below[:, np.searchsorted(GRID.points, 0.7)].all()  # between the peaks
         means, variances = bayes_estimates(values, occupancy, amps(SQRT2, SQRT2), 0.0, GRID, kind)
@@ -354,6 +354,24 @@ class TestPosteriorWindow:
             want = bayes_estimate(posterior(ll, GRID))
             assert mean == pytest.approx(want.mean, rel=1e-12)
             assert variance == pytest.approx(want.variance, rel=1e-10)
+
+    @pytest.mark.parametrize("kind", ["pnr", "onoff"])
+    def test_each_row_is_the_posterior_of_its_block_row_bit_for_bit(self, kind, monkeypatch):
+        # blocks of four rows, so the six records leave a partial last block
+        # of two; each row of the likelihood block, read through posterior and
+        # bayes_estimate, gives the batch moments exactly
+        monkeypatch.setattr(estimation, "_BLOCK_CELLS", 4 * GRID.size)
+        values, occupancy, _ = self.far_apart_records(kind)
+        means, variances = bayes_estimates(values, occupancy, amps(SQRT2, SQRT2), 0.0, GRID, kind)
+        want = [
+            bayes_estimate(posterior(row, GRID))
+            for start in (0, 4)
+            for row in _loglik(values, occupancy[start : start + 4], kind, amps(SQRT2, SQRT2),
+                               0.0, GRID)
+        ]
+        assert len(want) == 6
+        assert means.tolist() == [est.mean for est in want]
+        assert variances.tolist() == [est.variance for est in want]
 
     @pytest.mark.parametrize(
         "bad,error,match",
@@ -364,22 +382,10 @@ class TestPosteriorWindow:
         ],
     )
     def test_nan_or_peakless_row_raises_what_posterior_raises(self, bad, error, match):
-        pts = GRID.points
-        good = -0.5 * ((pts - 0.3) / 1e-3) ** 2
         row = np.full(GRID.size, -np.inf)
         row[[7, 1200]] = bad
         with pytest.raises(error, match=match):
             posterior(row, GRID)
-        with pytest.raises(error, match=match):
-            estimation._posterior_moments(np.array([good, row, good]), GRID)
-
-    def test_first_failing_row_decides_the_error(self):
-        good = -0.5 * ((GRID.points - 0.3) / 1e-3) ** 2
-        nan_row, dead_row = np.full(GRID.size, np.nan), np.full(GRID.size, -np.inf)
-        with pytest.raises(DegenerateEvidenceError):
-            estimation._posterior_moments(np.array([good, dead_row, nan_row]), GRID)
-        with pytest.raises(ValueError, match="NaN"):
-            estimation._posterior_moments(np.array([good, nan_row, dead_row]), GRID)
 
 
 class TestLogLikelihoodOnoff:
